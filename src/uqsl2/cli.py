@@ -20,8 +20,9 @@ from .gammamod import GAMMA_Y, GAMMA_Z, verify_gamma
 from .ncore import (from_equitable, normalize_chevalley, verify_confluence,
                     verify_n_commutation, verify_n_definitions,
                     verify_n_preimages, verify_presentation_iso)
-from .qexpops import (ConsistencyError, omega, omega_closed_form,
-                      verify_closed_form, verify_conjugation_suite,
+from .qexpops import (ConsistencyError, _closed_form_report,
+                      _conjugation_report, _operator_env, omega,
+                      omega_closed_form, verify_closed_form,
                       verify_relation_rewrites)
 from .qfield import PoleError, SpecializationError, check_admissible
 from .repmod import (Matrix, ModuleSpec, build_chevalley, build_equitable,
@@ -167,15 +168,20 @@ def _module_task(spec, q0=None):
 
 
 def _operator_task(spec, q0=None):
+    # one operator environment serves the conjugation and closed-form rows
     rep_ = build_equitable(spec)
+    env = _operator_env(rep_, q0)
     report = VerificationReport()
-    report.extend(verify_conjugation_suite(rep_, q0=q0))
+    report.extend(_conjugation_report(env))
     report.extend(verify_relation_rewrites(rep_, q0=q0))
+    if spec.is_single:
+        report.extend(_closed_form_task(env))
     return _tagged(report, q0)
 
 
-def _closed_form_task(n, eps, q0=None):
-    return _tagged(verify_closed_form(n, eps, q0=q0), q0)
+def _closed_form_task(env):
+    # its own task function, so per-task timings still show the closed form
+    return _closed_form_report(env)
 
 
 def _gamma_task(module, window):
@@ -202,10 +208,6 @@ def _verify_tasks(scope, nmax, window, q_spot):
         for spec in specs:
             for q0 in points:
                 tasks.append(partial(_operator_task, spec, q0))
-        for n in range(nmax + 1):
-            for eps in (1, -1):
-                for q0 in points:
-                    tasks.append(partial(_closed_form_task, n, eps, q0))
     if scope in ("gamma", "all"):
         tasks.append(partial(_gamma_task, GAMMA_Y, window))
         tasks.append(partial(_gamma_task, GAMMA_Z, window))

@@ -186,7 +186,13 @@ class AlgebraElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a scalar element equals its coefficient, so it must hash like it
+        t = self.terms
+        if not t:
+            return hash(0)
+        if len(t) == 1 and (0, 0, 0) in t:
+            return hash(t[(0, 0, 0)])
+        return hash(frozenset(t.items()))
 
     def __neg__(self):
         return AlgebraElement._raw({m: -c for m, c in self.terms.items()})
@@ -270,7 +276,9 @@ class AlgebraElement:
             mag = -coeff if neg else coeff
             ms = _mono_str(mono)
             if not ms:
-                body = str(mag)
+                # a leading minus must negate every term of the constant
+                wrap = neg and mag.is_polynomial() and len(mag.num.terms) > 1
+                body = "(%s)" % mag if wrap else str(mag)
             elif mag == RF_ONE:
                 body = ms
             elif mag.is_single_term():

@@ -22,7 +22,7 @@ numeric specialization q = q0.
 
 from dataclasses import dataclass
 
-from .qfield import RF_ZERO, RatFunc, q_power, qbinom, qfact, qint
+from .qfield import RF_ZERO, LaurentPoly, RatFunc, q_power, qbinom, qint
 from .repmod import Matrix, ModuleSpec, ScalarContext, build_equitable
 from .report import VerificationReport, check
 
@@ -90,39 +90,42 @@ def n_matrix(axis, rep):
     return NilpotentOperator(matrix=mat, nil_index=_nil_index(mat))
 
 
-def _exp_series(mat, order, sc, inverse):
-    # sum_{i<order} (+-1)^i q^(+-i(i-1)/2)/[i]! * mat^i, over the common
-    # denominator [order-1]!: the i-th numerator is q-power * prod_{t>i}[t].
-    tails = [None] * order
-    tails[order - 1] = qfact(0)  # empty product
-    for i in range(order - 2, -1, -1):
-        tails[i] = tails[i + 1] * qint(i + 1)
+def _exp_series(mat, sc, order=None):
+    """exp_q(mat), exp_q(mat)^-1 and the number of nonzero series terms.
+
+    The terms t_i = q^(i(i-1)/2)/[i]! * mat^i follow the recurrence
+    t_0 = 1, t_i = t_(i-1) * mat * q^(i-1)/[i], so each stays canonical
+    without a common denominator; the inverse series has the terms
+    (-1)^i q^(-i(i-1)) t_i.  Both sums run over i < order; with order None
+    they run up to the first zero term, whose index is the nilpotency index.
+    """
     dim = len(mat.rows)
-    total = Matrix.identity(dim, sc.one).scalar_mul(sc.scal(0))
-    power = Matrix.identity(dim, sc.one)
-    for i in range(order):
-        exp = -(i * (i - 1) // 2) if inverse else i * (i - 1) // 2
-        coeff = q_power(exp) * tails[i]
-        if inverse and i % 2:
-            coeff = -coeff
-        total = total + power.scalar_mul(sc.scal(coeff))
-        if i + 1 < order:
-            power = power * mat
-    return total.scalar_mul(sc.scal(RatFunc(1, qfact(order - 1))))
+    term = Matrix.identity(dim, sc.one)
+    total = inv_total = term
+    for i in range(1, dim + 2 if order is None else order):
+        term = (term * mat).scalar_mul(
+            sc.scal(RatFunc(LaurentPoly.q_power(i - 1), qint(i))))
+        if term.is_zero():
+            return total, inv_total, i
+        total = total + term
+        inv_total = inv_total + term.scalar_mul(
+            sc.scal(q_power(-i * (i - 1)) * (-1) ** i))
+    if order is None:
+        raise ConsistencyError("matrix is not nilpotent")
+    return total, inv_total, order
 
 
 def exp_q(op):
     """The truncated q-exponential of a NilpotentOperator."""
-    return _exp_series(op.matrix, op.nil_index, ScalarContext(), inverse=False)
+    return _exp_series(op.matrix, ScalarContext(), op.nil_index)[0]
 
 
 def exp_q_inverse(op):
     """exp_{q^-1}(-T); checked against exp_q(T) at construction."""
-    mat = _exp_series(op.matrix, op.nil_index, ScalarContext(), inverse=True)
-    ident = Matrix.identity(len(mat.rows))
-    if exp_q(op) * mat != ident:
+    mat, inv, _ = _exp_series(op.matrix, ScalarContext(), op.nil_index)
+    if mat * inv != Matrix.identity(len(mat.rows)):
         raise ConsistencyError("exp_q(T) * exp_q_inverse(T) != 1")
-    return mat
+    return inv
 
 
 def _psi_exponents(rep):
@@ -211,22 +214,21 @@ def _operator_env(rep, q0=None):
     if rep.basis != "equitable":
         raise ValueError("operator suites run on the equitable basis")
     sc = ScalarContext(q0)
-    env = {"sc": sc, "I": Matrix.identity(rep.dim, sc.one)}
+    env = {"spec": rep.spec, "sc": sc, "I": Matrix.identity(rep.dim, sc.one)}
     for g in ("x", "y", "z"):
         env[g] = sc.matrix(rep.action[g])
     env["x^-1"] = sc.matrix(rep.action["x^-1"])
     env["y^-1"] = env["y"].inverse()
     env["z^-1"] = env["z"].inverse()
     for a in ("x", "y", "z"):
-        nmat = _n_from_mats(a, env, sc)
-        env["n_" + a] = nmat
-        env["idx_" + a] = _nil_index(nmat)
-        env["E" + a] = _exp_series(nmat, env["idx_" + a], sc, inverse=False)
-        env["E" + a + "^-1"] = _exp_series(nmat, env["idx_" + a], sc, inverse=True)
+        env["n_" + a] = _n_from_mats(a, env, sc)
+        env["E" + a], env["E" + a + "^-1"], env["idx_" + a] = _exp_series(
+            env["n_" + a], sc)
     env["Psi"] = sc.matrix(psi(rep))
     env["Psi^-1"] = sc.matrix(psi_inverse(rep))
     env["Omega"] = env["Ez"] * env["Psi"] * env["Ey"]
     env["Omega^-1"] = env["Ey^-1"] * env["Psi^-1"] * env["Ez^-1"]
+    env["Omega^3"] = env["Omega"] * env["Omega"] * env["Omega"]
     return env
 
 
@@ -236,11 +238,11 @@ def _add_eq(report, identity, mod, lhs, rhs):
                      witness=None if ok else "difference %s" % (lhs - rhs)))
 
 
-def verify_conjugation_suite(rep, q0=None):
-    """Nilpotency, exp_q invertibility, and every conjugation identity on one module."""
-    env = _operator_env(rep, q0)
-    mod = rep.spec.json_obj()
-    expected = max(n for n, _ in rep.spec.summands) + 1
+def _conjugation_report(env):
+    # rows of verify_conjugation_suite for the module env was built on
+    spec = env["spec"]
+    mod = spec.json_obj()
+    expected = max(n for n, _ in spec.summands) + 1
     report = VerificationReport()
 
     for a in ("x", "y", "z"):
@@ -287,7 +289,7 @@ def verify_conjugation_suite(rep, q0=None):
     for a in ("x", "y", "z"):
         rows.append(("omega:Omega^-1*%s*Omega=%s" % (a, _NEXT[a]),
                      Omi * env[a] * Om, env[_NEXT[a]]))
-    cube = Om * Om * Om
+    cube = env["Omega^3"]
     for a in ("x", "y", "z"):
         rows.append(("omega:Omega^3*%s=%s*Omega^3" % (a, a),
                      cube * env[a], env[a] * cube))
@@ -295,12 +297,17 @@ def verify_conjugation_suite(rep, q0=None):
     for identity, lhs, rhs in rows:
         _add_eq(report, identity, mod, lhs, rhs)
 
-    if rep.spec.is_single:
-        n = rep.spec.summands[0][0]
+    if spec.is_single:
+        n = spec.summands[0][0]
         scalar = env["sc"].scal(omega_cube_scalar(n))
         _add_eq(report, "omega:Omega^3=central-scalar", mod, cube,
                 env["I"].scalar_mul(scalar))
     return report
+
+
+def verify_conjugation_suite(rep, q0=None):
+    """Nilpotency, exp_q invertibility, and every conjugation identity on one module."""
+    return _conjugation_report(_operator_env(rep, q0))
 
 
 def verify_relation_rewrites(rep, q0=None):
@@ -321,18 +328,23 @@ def verify_relation_rewrites(rep, q0=None):
     return report
 
 
-def verify_closed_form(n, eps, q0=None):
-    """Closed-form Omega entries against the compositional build, plus the Omega^3 scalar."""
-    rep = build_equitable(ModuleSpec.single(n, eps))
-    env = _operator_env(rep, q0)
+def _closed_form_report(env):
+    # rows of verify_closed_form for the simple module env was built on
+    spec = env["spec"]
+    n = spec.summands[0][0]
     sc = env["sc"]
-    mod = rep.spec.json_obj()
+    mod = spec.json_obj()
     mat, inv = _closed_form_matrices(n)
     report = VerificationReport()
     _add_eq(report, "closedform:Omega=exp_q(n_z)*Psi*exp_q(n_y)", mod,
             sc.matrix(mat), env["Omega"])
     _add_eq(report, "closedform:Omega^-1", mod, sc.matrix(inv), env["Omega^-1"])
-    cube = env["Omega"] * env["Omega"] * env["Omega"]
-    _add_eq(report, "closedform:Omega^3=central-scalar", mod, cube,
+    _add_eq(report, "closedform:Omega^3=central-scalar", mod, env["Omega^3"],
             env["I"].scalar_mul(sc.scal(omega_cube_scalar(n))))
     return report
+
+
+def verify_closed_form(n, eps, q0=None):
+    """Closed-form Omega entries against the compositional build, plus the Omega^3 scalar."""
+    rep = build_equitable(ModuleSpec.single(n, eps))
+    return _closed_form_report(_operator_env(rep, q0))

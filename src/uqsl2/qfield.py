@@ -86,7 +86,13 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant equals its coefficient, so it must hash like it
+        t = self.terms
+        if not t:
+            return hash(0)
+        if len(t) == 1 and 0 in t:
+            return hash(t[0])
+        return hash(frozenset(t.items()))
 
     def __neg__(self):
         return LaurentPoly._raw({e: -c for e, c in self.terms.items()})
@@ -278,6 +284,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a polynomial equals its numerator, so it must hash like it
+        if self.den == _ONE_P:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __neg__(self):

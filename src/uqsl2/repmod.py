@@ -62,11 +62,21 @@ class Matrix:
     def __neg__(self):
         return Matrix([[-x for x in row] for row in self.rows])
 
+    def _check_same_shape(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("matrix dimensions do not match")
+
     def __add__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        self._check_same_shape(other)
         return Matrix([[a + b for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        self._check_same_shape(other)
         return Matrix([[a - b for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self.rows, other.rows)])
 

@@ -7,6 +7,14 @@ from click.testing import CliRunner
 
 from uqsl2 import cli
 from uqsl2.cli import main, spot_points
+from uqsl2.gammamod import GAMMA_Y, GAMMA_Z, verify_gamma
+from uqsl2.ncore import (verify_confluence, verify_n_commutation,
+                         verify_n_definitions, verify_n_preimages,
+                         verify_presentation_iso)
+from uqsl2.qexpops import (verify_closed_form, verify_conjugation_suite,
+                           verify_relation_rewrites)
+from uqsl2.repmod import (ModuleSpec, build_chevalley, build_equitable,
+                          verify_basis_change, verify_module_suite)
 from uqsl2.report import ReportEntry, VerificationReport
 
 
@@ -172,6 +180,54 @@ def test_verify_q_spot_adds_tagged_rows(runner):
     points = spot_points(2)
     assert any(name.endswith("@q=%s" % points[0]) for name in names)
     assert any(name.endswith("@q=%s" % points[1]) for name in names)
+
+
+def _separate_suites_rows(nmax, window=4):
+    # the battery as its public suites, one call each: operator and closed-form
+    # suites build their own operator environments
+    report = VerificationReport()
+    for suite in (verify_presentation_iso, verify_confluence,
+                  verify_n_definitions, verify_n_commutation, verify_n_preimages):
+        report.extend(suite())
+    specs = [ModuleSpec.single(n, eps) for n in range(nmax + 1) for eps in (1, -1)]
+    specs += [ModuleSpec(((1, 1), (2, -1))), ModuleSpec(((0, -1), (3, 1)))]
+    for spec in specs:
+        report.extend(verify_module_suite(build_equitable(spec)))
+        report.extend(verify_module_suite(build_chevalley(spec)))
+        report.extend(verify_basis_change(spec))
+    for spec in specs:
+        report.extend(verify_conjugation_suite(build_equitable(spec)))
+        report.extend(verify_relation_rewrites(build_equitable(spec)))
+    for n in range(nmax + 1):
+        for eps in (1, -1):
+            report.extend(verify_closed_form(n, eps))
+    report.extend(verify_gamma(GAMMA_Y, imax=window, jmax=window))
+    report.extend(verify_gamma(GAMMA_Z, imax=window, jmax=window))
+    return report.json_obj()
+
+
+def _row_keys(entries):
+    return sorted(json.dumps(e, sort_keys=True) for e in entries)
+
+
+def test_verify_all_rows_match_separate_suites(runner):
+    res = runner.invoke(main, ["verify", "all", "--nmax", "3", "--format", "json"])
+    assert res.exit_code == 0
+    merged = json.loads(res.output)
+    reference = _separate_suites_rows(3)
+    assert merged["checks"] == reference["checks"] == len(merged["entries"])
+    assert _row_keys(merged["entries"]) == _row_keys(reference["entries"])
+    # each simple module's closed-form rows follow its operator rows directly
+    entries = merged["entries"]
+    for n in range(4):
+        for eps in (1, -1):
+            module = {"n": n, "eps": eps}
+            at = [i for i, e in enumerate(entries) if e["module"] == module
+                  and e["identity"].startswith("closedform:")]
+            assert len(at) == 3 and at == list(range(at[0], at[0] + 3))
+            before = entries[at[0] - 1]
+            assert before["module"] == module
+            assert before["identity"] == "rewrite:q*(1-x*y)=q^-1*(1-y*x)"
 
 
 def test_verify_failure_exits_1(runner, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from uqsl2 import ncore
 from uqsl2.exprio import parse
 from uqsl2.ncore import AlgebraElement, apply_automorphism, n_element
-from uqsl2.qfield import RF_ONE, q_power
+from uqsl2.qfield import RF_ONE, LaurentPoly, RatFunc, q_power, qint
 
 
 def nf(text):
@@ -110,6 +110,12 @@ def test_degree_bound_for_ef_powers():
         assert all(a <= m and c <= m for a, _, c in power.terms)
 
 
+def test_scalar_elements_hash_like_their_values():
+    assert len({AlgebraElement.one(), RF_ONE, 1}) == 1
+    assert hash(AlgebraElement.zero()) == hash(0)
+    assert hash(AlgebraElement.scalar(q_power(2))) == hash(q_power(2))
+
+
 def test_automorphism_frozen_values():
     e = AlgebraElement.generator("e")
     f = AlgebraElement.generator("f")
@@ -160,3 +166,27 @@ def test_algebra_element_linear_structure(a):
     assert AlgebraElement.one() * a == a
     assert -(-a) == a
     assert a * 2 - a == a
+
+
+_polys = st.dictionaries(st.integers(-3, 3),
+                         st.fractions(min_value=-3, max_value=3,
+                                      max_denominator=3).filter(bool),
+                         min_size=1, max_size=3).map(LaurentPoly)
+_dens = st.sampled_from([1, 1, qint(2), qint(3), LaurentPoly({2: 1, 0: -1}),
+                         LaurentPoly({1: 2, 0: 3})])
+_ratfuncs = st.builds(RatFunc, _polys, _dens)
+# the constant monomial is drawn often: its coefficient prints unwrapped
+_printed_monos = st.one_of(st.just((0, 0, 0)), _monos)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(_printed_monos, _ratfuncs, max_size=3).map(AlgebraElement))
+def test_printed_normal_form_parses_back(a):
+    assert nf(str(a)) == a
+
+
+def test_printer_keeps_parentheses_of_negated_constants():
+    assert str(nf("1 - q^2")) == "-(q^2 - 1)"
+    assert str(nf("k - 1 - q^2")) == "k - (q^2 + 1)"
+    assert str(nf("q^2 - 1")) == "q^2 - 1"
+    assert str(nf("k + q^2 - 1")) == "k + q^2 - 1"

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from uqsl2.qexpops import (ConsistencyError, NilpotentOperator, exp_q,
-                           exp_q_inverse, n_matrix, omega, omega_closed_form,
-                           omega_cube_scalar, psi, psi_inverse,
+from uqsl2.cli import spot_points
+from uqsl2.qexpops import (ConsistencyError, NilpotentOperator, _exp_series,
+                           exp_q, exp_q_inverse, n_matrix, omega,
+                           omega_closed_form, omega_cube_scalar, psi, psi_inverse,
                            verify_closed_form, verify_conjugation_suite,
                            verify_relation_rewrites)
-from uqsl2.qfield import RF_ONE, RF_ZERO, RatFunc, q_power, qbinom, qfact
-from uqsl2.repmod import Matrix, ModuleSpec, build_chevalley, build_equitable
+from uqsl2.qfield import RF_ONE, RF_ZERO, RatFunc, q_power, qbinom, qfact, qint
+from uqsl2.repmod import (Matrix, ModuleSpec, ScalarContext, build_chevalley,
+                          build_equitable)
 
 
 def _rep(n, eps):
@@ -107,6 +109,8 @@ def test_nil_index_rejects_invertible_matrices():
     from uqsl2.qexpops import _nil_index
     with pytest.raises(ConsistencyError):
         _nil_index(_rep(1, 1).action["x"])
+    with pytest.raises(ConsistencyError):
+        _exp_series(_rep(1, 1).action["x"], ScalarContext())
 
 
 def test_psi_frozen_and_quadratic_exponent_form():
@@ -223,3 +227,41 @@ def test_numeric_specialization():
         assert verify_closed_form(3, 1, q0=q0).passed
         mixed = build_equitable(ModuleSpec(((1, 1), (2, -1))))
         assert verify_conjugation_suite(mixed, q0=q0).passed
+
+
+def _common_denominator_exp(mat, order, sc, inverse):
+    # the former construction, kept as the reference: every term over the
+    # common denominator [order-1]!, whose i-th numerator is
+    # (+-1)^i q^(+-i(i-1)/2) * prod_{t>i}[t]
+    tails = [None] * order
+    tails[order - 1] = qfact(0)
+    for i in range(order - 2, -1, -1):
+        tails[i] = tails[i + 1] * qint(i + 1)
+    dim = len(mat.rows)
+    total = Matrix.identity(dim, sc.one).scalar_mul(sc.scal(0))
+    power = Matrix.identity(dim, sc.one)
+    for i in range(order):
+        exp = -(i * (i - 1) // 2) if inverse else i * (i - 1) // 2
+        coeff = q_power(exp) * tails[i]
+        if inverse and i % 2:
+            coeff = -coeff
+        total = total + power.scalar_mul(sc.scal(coeff))
+        if i + 1 < order:
+            power = power * mat
+    return total.scalar_mul(sc.scal(RatFunc(1, qfact(order - 1))))
+
+
+def test_exp_recurrence_matches_common_denominator_formula():
+    contexts = [ScalarContext()] + [ScalarContext(q0) for q0 in spot_points(2)]
+    for n in range(9):
+        for eps in (1, -1):
+            rep = _rep(n, eps)
+            for axis in ("x", "y", "z"):
+                op = n_matrix(axis, rep)
+                for sc in contexts:
+                    mat = sc.matrix(op.matrix)
+                    exp, inv, index = _exp_series(mat, sc)
+                    assert index == op.nil_index == n + 1
+                    assert exp == _common_denominator_exp(mat, index, sc, False)
+                    assert inv == _common_denominator_exp(mat, index, sc, True)
+                    assert _exp_series(mat, sc, index)[:2] == (exp, inv)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from uqsl2.qfield import (
     LaurentPoly,
+    RF_ONE,
     PoleError,
     RatFunc,
     SpecializationError,
@@ -211,3 +212,21 @@ def test_string_rendering_is_injective_on_samples(f):
     g = f + RatFunc(1)
     assert str(f) != str(g)
     assert str(RatFunc(f.num, f.den)) == str(f)  # canonicalization is idempotent
+
+
+def test_constants_hash_like_their_values():
+    # equal objects must hash equal, so sets and dict keys merge them
+    for c in (0, 1, -3, Fraction(2, 5)):
+        poly, frac = LaurentPoly.const(c), RatFunc(c)
+        assert poly == c and frac == c and frac == poly
+        assert hash(poly) == hash(frac) == hash(c)
+        assert len({poly, frac, c}) == 1
+    assert len({RF_ONE, 1}) == 1
+    assert hash(RatFunc(QMQI.num)) == hash(QMQI.num)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ratfuncs())
+def test_polynomials_hash_like_their_numerators(f):
+    if f.is_polynomial():
+        assert f == f.num and hash(f) == hash(f.num)

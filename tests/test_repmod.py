@@ -86,6 +86,17 @@ def test_matrix_arithmetic():
         Matrix([[RF_ONE], [RF_ONE, RF_ZERO]])
 
 
+def test_matrix_sum_and_difference_check_shapes():
+    square = Matrix([[1, 2], [3, 4]])
+    for other in (Matrix([[1]]), Matrix([[1, 2]]), Matrix([[1], [2]])):
+        with pytest.raises(ValueError):
+            square + other
+        with pytest.raises(ValueError):
+            other - square
+    assert square + square == Matrix([[2, 4], [6, 8]])
+    assert (square - square).is_zero()
+
+
 def test_matrix_inverse_over_fractions():
     m = Matrix([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(5)]])
     inv = m.inverse()
