@@ -2,28 +2,26 @@
 
 Exit codes: 0 all checks pass / output emitted, 1 verification failure,
 2 usage or parse error (including inadmissible specialization points).
-JSON output is byte-stable across runs and across --jobs settings: the task
-list is built in a fixed order and results are merged by task index.
+JSON output is byte-stable across runs: the task list is built in a fixed
+order and run in that order.
 """
 
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import partial
 
 import click
 
 from . import exprio
-from .exprio import Generator, IntPower, Negate, ParseError, Product, ScalarLiteral, Sum
+from .exprio import ParseError, ScalarLiteral
 from .gammamod import GAMMA_Y, GAMMA_Z, verify_gamma
 from .ncore import (from_equitable, normalize_chevalley, verify_confluence,
                     verify_n_commutation, verify_n_definitions,
                     verify_n_preimages, verify_presentation_iso)
 from .qexpops import (ConsistencyError, _closed_form_report,
-                      _conjugation_report, _operator_env, omega,
-                      omega_closed_form, verify_closed_form,
-                      verify_relation_rewrites)
+                      _conjugation_report, _operator_env, _rewrite_report,
+                      omega, omega_closed_form, verify_closed_form)
 from .qfield import PoleError, SpecializationError, check_admissible
 from .repmod import (Matrix, ModuleSpec, build_chevalley, build_equitable,
                      json_bytes, matrix_csv, matrix_json_obj, matrix_latex,
@@ -168,12 +166,11 @@ def _module_task(spec, q0=None):
 
 
 def _operator_task(spec, q0=None):
-    # one operator environment serves the conjugation and closed-form rows
-    rep_ = build_equitable(spec)
-    env = _operator_env(rep_, q0)
+    # one operator environment serves the conjugation, rewrite and closed-form rows
+    env = _operator_env(build_equitable(spec), q0)
     report = VerificationReport()
     report.extend(_conjugation_report(env))
-    report.extend(verify_relation_rewrites(rep_, q0=q0))
+    report.extend(_rewrite_report(env))
     if spec.is_single:
         report.extend(_closed_form_task(env))
     return _tagged(report, q0)
@@ -214,17 +211,6 @@ def _verify_tasks(scope, nmax, window, q_spot):
     return tasks
 
 
-def _run_tasks(tasks, jobs):
-    if jobs <= 1:
-        return [task() for task in tasks]
-    results = [None] * len(tasks)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [(idx, pool.submit(task)) for idx, task in enumerate(tasks)]
-        for idx, fut in futures:
-            results[idx] = fut.result()
-    return results
-
-
 def _emit_report(report, fmt):
     if fmt == "json":
         _echo_json(report.json_obj())
@@ -237,43 +223,18 @@ def _emit_report(report, fmt):
     ["iso", "relations", "modules", "operators", "gamma", "all"]))
 @click.option("--nmax", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--window", type=click.IntRange(min=1), default=4, show_default=True)
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--q-spot", "q_spot", type=click.IntRange(min=0), default=0,
               show_default=True,
               help="Also re-check matrix suites at this many random admissible q values.")
 @_FORMAT_OPTION
-def verify(scope, nmax, window, jobs, q_spot, fmt):
+def verify(scope, nmax, window, q_spot, fmt):
     """Run the verification battery for SCOPE and report every identity."""
-    results = _run_tasks(_verify_tasks(scope, nmax, window, q_spot), jobs)
     combined = VerificationReport()
-    for result in results:
-        combined.extend(result)
+    for task in _verify_tasks(scope, nmax, window, q_spot):
+        combined.extend(task())
     _emit_report(combined, fmt)
     if not combined.passed:
         sys.exit(1)
-
-
-def _expr_matrix(node, rep_):
-    dim = rep_.dim
-    if isinstance(node, ScalarLiteral):
-        return Matrix.identity(dim).scalar_mul(node.value)
-    if isinstance(node, Generator):
-        return rep_.action[node.name]
-    if isinstance(node, Negate):
-        return -_expr_matrix(node.child, rep_)
-    if isinstance(node, Sum):
-        total = _expr_matrix(node.terms[0], rep_)
-        for term in node.terms[1:]:
-            total = total + _expr_matrix(term, rep_)
-        return total
-    if isinstance(node, Product):
-        total = _expr_matrix(node.factors[0], rep_)
-        for factor in node.factors[1:]:
-            total = total * _expr_matrix(factor, rep_)
-        return total
-    if isinstance(node, IntPower):
-        return _expr_matrix(node.base, rep_) ** node.exp
-    raise TypeError("unknown expression node %r" % (node,))
 
 
 def _parse_rep_option(text):
@@ -325,7 +286,9 @@ def eval_cmd(expr, expr_opt, presentation, q_text, rep_text):
             spec = ModuleSpec.single(n, eps)
             built = (build_equitable(spec) if presentation == "equitable"
                      else build_chevalley(spec))
-            matrix = _expr_matrix(ast, built)
+            matrix = exprio.fold(
+                ast, lambda v: Matrix.identity(built.dim).scalar_mul(v),
+                built.action.__getitem__)
             click.echo(str(matrix.map_entries(lambda v: v.evaluate(q0))))
     except PoleError as err:
         raise click.UsageError(str(err))

@@ -13,6 +13,10 @@ mandatory; juxtaposition is not multiplication.  '/' requires its right
 operand to be (or fold to) a nonzero scalar.  Subexpressions built only
 from q and numbers fold into ScalarLiteral nodes during parsing, so a
 parsed tree is always in folded form and render/parse round-trip exactly.
+
+Parentheses and unary minus may nest at most MAX_NESTING (100) levels deep,
+counted together; deeper input is a ParseError at the first token past the
+cap.  fold() evaluates a tree given what its leaves stand for.
 """
 
 import re
@@ -23,6 +27,8 @@ from .qfield import RF_ONE, RF_Q, RF_ZERO, RatFunc
 
 CHEVALLEY = "chevalley"
 EQUITABLE = "equitable"
+
+MAX_NESTING = 100
 
 _LETTERS = {CHEVALLEY: ("k", "e", "f"), EQUITABLE: ("x", "y", "z")}
 _INVERSE_OF = {"k": "k^-1", "k^-1": "k", "x": "x^-1", "x^-1": "x"}
@@ -172,6 +178,7 @@ class _Parser:
         self.presentation = presentation
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -180,6 +187,15 @@ class _Parser:
         t = self.toks[self.i]
         self.i += 1
         return t
+
+    def nested(self, parse, pos):
+        # one level of parentheses or unary minus around what parse() reads
+        if self.depth == MAX_NESTING:
+            raise ParseError("nesting deeper than %d levels" % MAX_NESTING, pos)
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
+        return e
 
     def expr(self):
         terms = [self.term()]
@@ -191,8 +207,8 @@ class _Parser:
 
     def term(self):
         if self.peek()[0] == "-":
-            self.advance()
-            return make_negate(self.term())
+            _, _, pos = self.advance()
+            return make_negate(self.nested(self.term, pos))
         factors = [self.factor()]
         while self.peek()[0] in ("*", "/"):
             op, _, oppos = self.advance()
@@ -224,7 +240,7 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.advance()
         if kind == "(":
-            e = self.expr()
+            e = self.nested(self.expr, pos)
             kind2, _, pos2 = self.advance()
             if kind2 != ")":
                 raise ParseError("expected ')'", pos2)
@@ -304,6 +320,30 @@ def render(expr):
             else:
                 parts.append((" + " if sign == "+" else " - ") + body)
         return "".join(parts)
+    raise TypeError("not an NCExpr node: %r" % (expr,))
+
+
+def fold(expr, scalar, generator):
+    """Evaluate an NCExpr tree: scalar(value) and generator(name) give the
+    leaves, and +, unary -, * and ** combine whatever they return."""
+    if isinstance(expr, ScalarLiteral):
+        return scalar(expr.value)
+    if isinstance(expr, Generator):
+        return generator(expr.name)
+    if isinstance(expr, Negate):
+        return -fold(expr.child, scalar, generator)
+    if isinstance(expr, Sum):
+        total = fold(expr.terms[0], scalar, generator)
+        for t in expr.terms[1:]:
+            total = total + fold(t, scalar, generator)
+        return total
+    if isinstance(expr, Product):
+        total = fold(expr.factors[0], scalar, generator)
+        for f in expr.factors[1:]:
+            total = total * fold(f, scalar, generator)
+        return total
+    if isinstance(expr, IntPower):
+        return fold(expr.base, scalar, generator) ** expr.exp
     raise TypeError("not an NCExpr node: %r" % (expr,))
 
 

@@ -21,10 +21,8 @@ neither flavor extends to the generator's inverse.
 
 from dataclasses import dataclass
 
-from .qfield import RF_ONE, RF_ZERO, RatFunc, q_power
+from .qfield import CQ, RF_ONE, RF_ZERO, RatFunc, q_power
 from .report import VerificationReport, check
-
-_CQ = (q_power(1) - q_power(-1)).inverse()
 
 FLAVORS = ("gammaY", "gammaZ")
 
@@ -200,7 +198,7 @@ def verify_gamma(module, imax=4, jmax=4):
             for a, b in (("x", "y"), ("y", "z"), ("z", "x")):
                 lhs = (act_word(module, (a, b), w).scalar_mul(q_power(1))
                        - act_word(module, (b, a), w).scalar_mul(q_power(-1))
-                       ).scalar_mul(_CQ)
+                       ).scalar_mul(CQ)
                 add("gamma:%s:(q*%s*%s-q^-1*%s*%s)/(q-q^-1)=1" % (tag, a, b, b, a),
                     lhs, w)
 

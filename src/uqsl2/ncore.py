@@ -29,14 +29,12 @@ e = (1 - x z) q^-1/(q - q^-1).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import exprio
-from .exprio import Generator, IntPower, Negate, Product, ScalarLiteral, Sum
-from .qfield import RF_ONE, RatFunc, q_power
+from .exprio import Generator, Negate, Product, ScalarLiteral, Sum
+from .qfield import CQ, RF_ONE, RatFunc, q_power
 from .report import ReportEntry, VerificationReport
-
-# 1/(q - q^-1), ubiquitous in the defining relations
-CQ = (q_power(1) - q_power(-1)).inverse()
 
 _Q2 = q_power(2)
 _QM2 = q_power(-2)
@@ -320,47 +318,14 @@ def equitable_image(name):
     return img
 
 
-def _expr_to_algebra(expr, genmap):
-    if isinstance(expr, ScalarLiteral):
-        return AlgebraElement.scalar(expr.value)
-    if isinstance(expr, Generator):
-        el = genmap.get(expr.name)
-        if el is None:
-            raise ValueError("generator %r is not part of this presentation" % (expr.name,))
-        return el
-    if isinstance(expr, Negate):
-        return -_expr_to_algebra(expr.child, genmap)
-    if isinstance(expr, Sum):
-        total = AlgebraElement.zero()
-        for t in expr.terms:
-            total = total + _expr_to_algebra(t, genmap)
-        return total
-    if isinstance(expr, Product):
-        total = AlgebraElement.one()
-        for f in expr.factors:
-            total = total * _expr_to_algebra(f, genmap)
-        return total
-    if isinstance(expr, IntPower):
-        return _expr_to_algebra(expr.base, genmap) ** expr.exp
-    raise TypeError("not an NCExpr node: %r" % (expr,))
-
-
-_CHEV_MAP = None
-
-
 def normalize_chevalley(expr):
     """PBW normal form of an NCExpr over the Chevalley presentation."""
-    global _CHEV_MAP
-    if _CHEV_MAP is None:
-        _CHEV_MAP = {name: AlgebraElement.generator(name)
-                     for name in ("k", "k^-1", "e", "f")}
-    return _expr_to_algebra(expr, _CHEV_MAP)
+    return exprio.fold(expr, AlgebraElement.scalar, AlgebraElement.generator)
 
 
 def from_equitable(expr):
     """Chevalley normal form of an NCExpr over the equitable presentation."""
-    return _expr_to_algebra(
-        expr, {name: equitable_image(name) for name in ("x", "x^-1", "y", "z")})
+    return exprio.fold(expr, AlgebraElement.scalar, equitable_image)
 
 
 def to_equitable_generators(gen):
@@ -369,16 +334,15 @@ def to_equitable_generators(gen):
     xinv = Generator(exprio.EQUITABLE, "x^-1")
     y = Generator(exprio.EQUITABLE, "y")
     z = Generator(exprio.EQUITABLE, "z")
-    qmqi_inv = (q_power(1) - q_power(-1)).inverse()
     if gen == "k":
         return x
     if gen == "k^-1":
         return xinv
     if gen == "f":
-        return Product((Sum((y, Negate(xinv))), ScalarLiteral(qmqi_inv)))
+        return Product((Sum((y, Negate(xinv))), ScalarLiteral(CQ)))
     if gen == "e":
         return Product((Sum((ScalarLiteral(RF_ONE), Negate(Product((x, z))))),
-                        ScalarLiteral(q_power(-1) * qmqi_inv)))
+                        ScalarLiteral(q_power(-1) * CQ)))
     raise ValueError("unknown Chevalley generator %r" % (gen,))
 
 
@@ -467,34 +431,34 @@ def apply_automorphism(element, i, alpha):
 
 
 _N_AXES = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
-_n_cache = {}
+
+
+@lru_cache(maxsize=None)
+def _n_sides(axis):
+    """Both defining expressions q(1 - ab)/(q - q^-1) and q^-1(1 - ba)/(q - q^-1)
+    of n_axis, where (a, b) = _N_AXES[axis]."""
+    pair = _N_AXES.get(axis)
+    if pair is None:
+        raise ValueError("axis must be one of x, y, z")
+    a, b = (equitable_image(g) for g in pair)
+    one = AlgebraElement.one()
+    return ((one - a * b) * (q_power(1) * CQ), (one - b * a) * (q_power(-1) * CQ))
 
 
 def n_element(axis):
     """The nilpotent element n_axis = q(1 - next*prev)/(q - q^-1) in normal form."""
-    el = _n_cache.get(axis)
-    if el is not None:
-        return el
-    pair = _N_AXES.get(axis)
-    if pair is None:
-        raise ValueError("axis must be one of x, y, z")
-    a, b = pair
-    one = AlgebraElement.one()
-    left = (one - equitable_image(a) * equitable_image(b)) * (q_power(1) * CQ)
-    right = (one - equitable_image(b) * equitable_image(a)) * (q_power(-1) * CQ)
-    assert left == right  # the two defining expressions agree in the algebra
-    _n_cache[axis] = left
+    left, right = _n_sides(axis)
+    if left != right:
+        raise RuntimeError("the two defining expressions of n_%s disagree" % axis)
     return left
 
 
 def verify_n_definitions():
     """Each n-element's two defining expressions agree in the algebra."""
-    one = AlgebraElement.one()
     entries = []
     for axis in ("x", "y", "z"):
         a, b = _N_AXES[axis]
-        left = (one - equitable_image(a) * equitable_image(b)) * (q_power(1) * CQ)
-        right = (one - equitable_image(b) * equitable_image(a)) * (q_power(-1) * CQ)
+        left, right = _n_sides(axis)
         ok = left == right
         entries.append(ReportEntry(
             identity="ndef:n_%s:q*(1-%s*%s)=q^-1*(1-%s*%s)" % (axis, a, b, b, a),

@@ -22,7 +22,7 @@ numeric specialization q = q0.
 
 from dataclasses import dataclass
 
-from .qfield import RF_ZERO, LaurentPoly, RatFunc, q_power, qbinom, qint
+from .qfield import CQ, RF_ZERO, LaurentPoly, RatFunc, q_power, qbinom, qint
 from .repmod import Matrix, ModuleSpec, ScalarContext, build_equitable
 from .report import VerificationReport, check
 
@@ -30,8 +30,6 @@ from .report import VerificationReport, check
 class ConsistencyError(RuntimeError):
     """Two independently computed forms of the same operator disagreed."""
 
-
-_CQ = (q_power(1) - q_power(-1)).inverse()
 
 # axis -> the other two axes in cyclic order (axis, next, previous)
 _NEXT = {"x": "y", "y": "z", "z": "x"}
@@ -67,26 +65,30 @@ def _nil_index(m):
     return index
 
 
-def _n_from_mats(axis, mats, sc):
-    # n_axis has two defining expressions; computing both is a consistency check.
+def _n_sides(axis, mats, sc):
+    """q(1 - ab) and q^-1(1 - ba), (a, b) = (next, prev): each is (q - q^-1) n_axis."""
     if axis not in _NEXT:
         raise ValueError("axis must be one of x, y, z")
-    nxt, prv = _NEXT[axis], _PREV[axis]
-    a, b = mats[nxt], mats[prv]
+    a, b = mats[_NEXT[axis]], mats[_PREV[axis]]
     ident = Matrix.identity(len(a.rows), sc.one)
-    left = (ident - a * b).scalar_mul(sc.scal(q_power(1) * _CQ))
-    right = (ident - b * a).scalar_mul(sc.scal(q_power(-1) * _CQ))
+    return ((ident - a * b).scalar_mul(sc.scal(q_power(1))),
+            (ident - b * a).scalar_mul(sc.scal(q_power(-1))))
+
+
+def _n_checked(axis, mats, sc):
+    # n_axis has two defining expressions; agreement is a consistency check
+    left, right = sides = _n_sides(axis, mats, sc)
     if left != right:
         raise ConsistencyError(
             "the two defining expressions of n_%s disagree" % axis)
-    return left
+    return left.scalar_mul(sc.scal(CQ)), sides
 
 
 def n_matrix(axis, rep):
     """The matrix of n_axis on an equitable-basis module, with its nil index."""
     if rep.basis != "equitable":
         raise ValueError("n-matrices are defined on the equitable basis")
-    mat = _n_from_mats(axis, rep.action, ScalarContext())
+    mat = _n_checked(axis, rep.action, ScalarContext())[0]
     return NilpotentOperator(matrix=mat, nil_index=_nil_index(mat))
 
 
@@ -115,6 +117,14 @@ def _exp_series(mat, sc, order=None):
     return total, inv_total, order
 
 
+def _exp_pair(mat, order=None):
+    # exp_q(mat) and its inverse from one series, checked to multiply to 1
+    exp, inv, _ = _exp_series(mat, ScalarContext(), order)
+    if exp * inv != Matrix.identity(len(mat.rows)):
+        raise ConsistencyError("exp_q(T) * exp_q_inverse(T) != 1")
+    return exp, inv
+
+
 def exp_q(op):
     """The truncated q-exponential of a NilpotentOperator."""
     return _exp_series(op.matrix, ScalarContext(), op.nil_index)[0]
@@ -122,10 +132,7 @@ def exp_q(op):
 
 def exp_q_inverse(op):
     """exp_{q^-1}(-T); checked against exp_q(T) at construction."""
-    mat, inv, _ = _exp_series(op.matrix, ScalarContext(), op.nil_index)
-    if mat * inv != Matrix.identity(len(mat.rows)):
-        raise ConsistencyError("exp_q(T) * exp_q_inverse(T) != 1")
-    return inv
+    return _exp_pair(op.matrix, op.nil_index)[1]
 
 
 def _psi_exponents(rep):
@@ -142,32 +149,35 @@ def _psi_exponents(rep):
     return exps
 
 
-def psi(rep):
-    """Diagonal operator q^(-lambda^2/2) (even) / q^((1-lambda^2)/2) (odd) per weight."""
+def _psi_pair(rep):
+    # Psi and Psi^-1: the diagonals q^e and q^-e, e from _psi_exponents
     if rep.basis != "equitable":
         raise ValueError("Psi is defined on the equitable basis")
     exps = _psi_exponents(rep)
     dim = rep.dim
-    return Matrix([[q_power(exps[i]) if i == j else RF_ZERO
-                    for j in range(dim)] for i in range(dim)])
+    return tuple(Matrix([[q_power(sign * exps[i]) if i == j else RF_ZERO
+                          for j in range(dim)] for i in range(dim)])
+                 for sign in (1, -1))
+
+
+def psi(rep):
+    """Diagonal operator q^(-lambda^2/2) (even) / q^((1-lambda^2)/2) (odd) per weight."""
+    return _psi_pair(rep)[0]
 
 
 def psi_inverse(rep):
     """The inverse of psi(rep) (negated diagonal exponents)."""
-    if rep.basis != "equitable":
-        raise ValueError("Psi is defined on the equitable basis")
-    exps = _psi_exponents(rep)
-    dim = rep.dim
-    return Matrix([[q_power(-exps[i]) if i == j else RF_ZERO
-                    for j in range(dim)] for i in range(dim)])
+    return _psi_pair(rep)[1]
 
 
 def omega(rep):
     """Omega = exp_q(n_z) * Psi * exp_q(n_y), with its factor-built inverse."""
-    n_y = n_matrix("y", rep)
-    n_z = n_matrix("z", rep)
-    mat = exp_q(n_z) * psi(rep) * exp_q(n_y)
-    inv = exp_q_inverse(n_y) * psi_inverse(rep) * exp_q_inverse(n_z)
+    p, pi = _psi_pair(rep)  # raises unless rep is on the equitable basis
+    sc = ScalarContext()
+    ey, eyi = _exp_pair(_n_checked("y", rep.action, sc)[0])
+    ez, ezi = _exp_pair(_n_checked("z", rep.action, sc)[0])
+    mat = ez * p * ey
+    inv = eyi * pi * ezi
     if mat * inv != Matrix.identity(rep.dim):
         raise ConsistencyError("Omega * Omega^-1 != 1")
     return OmegaOperator(matrix=mat, inverse=inv, provenance="compositional")
@@ -220,12 +230,12 @@ def _operator_env(rep, q0=None):
     env["x^-1"] = sc.matrix(rep.action["x^-1"])
     env["y^-1"] = env["y"].inverse()
     env["z^-1"] = env["z"].inverse()
+    env["n_sides"] = {}
     for a in ("x", "y", "z"):
-        env["n_" + a] = _n_from_mats(a, env, sc)
+        env["n_" + a], env["n_sides"][a] = _n_checked(a, env, sc)
         env["E" + a], env["E" + a + "^-1"], env["idx_" + a] = _exp_series(
             env["n_" + a], sc)
-    env["Psi"] = sc.matrix(psi(rep))
-    env["Psi^-1"] = sc.matrix(psi_inverse(rep))
+    env["Psi"], env["Psi^-1"] = (sc.matrix(m) for m in _psi_pair(rep))
     env["Omega"] = env["Ez"] * env["Psi"] * env["Ey"]
     env["Omega^-1"] = env["Ey^-1"] * env["Psi^-1"] * env["Ez^-1"]
     env["Omega^3"] = env["Omega"] * env["Omega"] * env["Omega"]
@@ -310,22 +320,26 @@ def verify_conjugation_suite(rep, q0=None):
     return _conjugation_report(_operator_env(rep, q0))
 
 
+def _rewrite_report(env):
+    # rows of verify_relation_rewrites from the n-element sides in env
+    mod = env["spec"].json_obj()
+    report = VerificationReport()
+    for axis in ("x", "y", "z"):
+        a, b = _NEXT[axis], _PREV[axis]
+        lhs, rhs = env["n_sides"][axis]
+        _add_eq(report, "rewrite:q*(1-%s*%s)=q^-1*(1-%s*%s)" % (a, b, b, a),
+                mod, lhs, rhs)
+    return report
+
+
 def verify_relation_rewrites(rep, q0=None):
     """q(1 - yz) = q^-1(1 - zy) and its two cyclic rotations, as matrices."""
     if rep.basis != "equitable":
         raise ValueError("relation rewrites run on the equitable basis")
     sc = ScalarContext(q0)
     mats = {g: sc.matrix(rep.action[g]) for g in ("x", "y", "z")}
-    ident = Matrix.identity(rep.dim, sc.one)
-    mod = rep.spec.json_obj()
-    report = VerificationReport()
-    for axis in ("x", "y", "z"):
-        a, b = _NEXT[axis], _PREV[axis]
-        lhs = (ident - mats[a] * mats[b]).scalar_mul(sc.scal(q_power(1)))
-        rhs = (ident - mats[b] * mats[a]).scalar_mul(sc.scal(q_power(-1)))
-        _add_eq(report, "rewrite:q*(1-%s*%s)=q^-1*(1-%s*%s)" % (a, b, b, a),
-                mod, lhs, rhs)
-    return report
+    return _rewrite_report({"spec": rep.spec, "n_sides": {
+        a: _n_sides(a, mats, sc) for a in ("x", "y", "z")}})
 
 
 def _closed_form_report(env):

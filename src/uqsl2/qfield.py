@@ -455,6 +455,10 @@ def q_power(e):
     return RatFunc._raw(LaurentPoly._raw({e: 1}), _ONE_P)
 
 
+# 1/(q - q^-1), the scalar every defining relation divides by
+CQ = (q_power(1) - q_power(-1)).inverse()
+
+
 _qint_cache = {}
 
 

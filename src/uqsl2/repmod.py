@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ncore import equitable_image
-from .qfield import RF_ONE, RF_ZERO, LaurentPoly, RatFunc, q_power, qint
+from .qfield import CQ, RF_ONE, RF_ZERO, LaurentPoly, RatFunc, q_power, qint
 from .report import VerificationReport, check
 
 CHEVALLEY_GENS = ("k", "k^-1", "e", "f")
@@ -416,7 +416,7 @@ def verify_module_suite(rep, q0=None):
     spec = rep.spec
     mod = spec.json_obj()
     ident = Matrix.identity(rep.dim, sc.one)
-    cq = sc.scal((q_power(1) - q_power(-1)).inverse())
+    cq = sc.scal(CQ)
     qq, qi = sc.scal(q_power(1)), sc.scal(q_power(-1))
     entries = []
     if rep.basis == "chevalley":

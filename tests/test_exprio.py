@@ -1,10 +1,13 @@
 """Tests for the expression parser and canonical printer."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqsl2.exprio import (
+    MAX_NESTING,
     Generator,
     IntPower,
     Negate,
@@ -12,6 +15,7 @@ from uqsl2.exprio import (
     Product,
     ScalarLiteral,
     Sum,
+    fold,
     make_negate,
     make_power,
     make_product,
@@ -19,7 +23,10 @@ from uqsl2.exprio import (
     parse,
     render,
 )
+from uqsl2.ncore import from_equitable, normalize_chevalley
 from uqsl2.qfield import RF_ONE, RF_Q, RatFunc, q_power
+from uqsl2.repmod import (Matrix, ModuleSpec, build_chevalley, build_equitable,
+                          change_of_basis, evaluate)
 
 QMQI = q_power(1) - q_power(-1)
 
@@ -163,3 +170,59 @@ def test_render_parse_round_trip(arg):
     presentation, tree = arg
     text = render(tree)
     assert parse(text, presentation) == tree
+
+
+def test_nesting_cap():
+    for opener, closer in (("(", ")"), ("-", ""), ("-(", ")")):
+        depth = MAX_NESTING // len(opener)
+        assert parse(opener * depth + "e" + closer * depth,
+                     "chevalley") == Generator("chevalley", "e")
+        text = opener * (depth + 1) + "e" + closer * (depth + 1)
+        with pytest.raises(ParseError) as err:
+            parse(text, "chevalley")
+        assert err.value.position == MAX_NESTING + 1
+    # sums and products at one level do not nest
+    assert parse(" + ".join(["(e)"] * 500), "chevalley") == Sum(
+        (Generator("chevalley", "e"),) * 500)
+
+
+_Q0 = Fraction(5, 3)
+
+
+def _small_tree_strategy(presentation):
+    leaves = st.one_of(_gen_strategy(presentation),
+                       st.sampled_from(_SCALARS).map(ScalarLiteral))
+
+    def extend(children):
+        return st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(make_sum),
+            st.lists(children, min_size=2, max_size=3).map(make_product),
+            children.map(make_negate),
+            st.tuples(children, st.integers(0, 2)).map(lambda t: make_power(*t)))
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+def _matrix_fold_at_q0(tree, rep):
+    # what ``uqsl2 eval --rep`` prints: the fold over the module's matrices at q0
+    matrix = fold(tree, lambda v: Matrix.identity(rep.dim).scalar_mul(v),
+                  rep.action.__getitem__)
+    return matrix.map_entries(lambda v: v.evaluate(_Q0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["chevalley", "equitable"]).flatmap(
+    lambda p: st.tuples(st.just(p), _small_tree_strategy(p))),
+       st.integers(0, 3), st.sampled_from([1, -1]))
+def test_fold_on_matrices_matches_normal_form(arg, n, eps):
+    presentation, tree = arg
+    spec = ModuleSpec.single(n, eps)
+    chev = build_chevalley(spec)
+    if presentation == "chevalley":
+        expected = evaluate(normalize_chevalley(tree), chev)
+        actual = _matrix_fold_at_q0(tree, chev)
+    else:
+        d = change_of_basis(spec)
+        expected = d.inverse() * evaluate(from_equitable(tree), chev) * d
+        actual = _matrix_fold_at_q0(tree, build_equitable(spec))
+    assert actual == expected.map_entries(lambda v: v.evaluate(_Q0))
