@@ -16,7 +16,13 @@ parsed tree is always in folded form and render/parse round-trip exactly.
 
 Parentheses and unary minus may nest at most MAX_NESTING (100) levels deep,
 counted together; deeper input is a ParseError at the first token past the
-cap.  fold() evaluates a tree given what its leaves stand for.
+cap.  A power's exponent may be at most MAX_EXPONENT (1000) in absolute
+value, and so may the product of the exponents of a caret chain such as
+e^2^3 (which is (e^2)^3 = e^6); a larger one is a ParseError at the caret
+that passes the cap, raised before any scalar power is computed.  A power
+of a power of a non-scalar collapses into one IntPower, so caret chains do
+not build deep trees.  fold() evaluates a tree given what its leaves stand
+for.
 """
 
 import re
@@ -29,6 +35,7 @@ CHEVALLEY = "chevalley"
 EQUITABLE = "equitable"
 
 MAX_NESTING = 100
+MAX_EXPONENT = 1000
 
 _LETTERS = {CHEVALLEY: ("k", "e", "f"), EQUITABLE: ("x", "y", "z")}
 _INVERSE_OF = {"k": "k^-1", "k^-1": "k", "x": "x^-1", "x^-1": "x"}
@@ -115,7 +122,16 @@ def make_product(factors):
     return Product(tuple(flat))
 
 
+def _check_exponent(e, pos):
+    if abs(e) > MAX_EXPONENT:
+        raise ParseError("exponent %d exceeds the cap of %d in absolute value"
+                         % (e, MAX_EXPONENT), pos)
+
+
 def make_power(base, e, pos=0):
+    if isinstance(base, IntPower) and e > 0:
+        base, e = base.base, base.exp * e  # (b^m)^n = b^(mn)
+    _check_exponent(e, pos)
     if isinstance(base, ScalarLiteral):
         if e < 0 and base.value.is_zero():
             raise ParseError("zero raised to a negative power", pos)
@@ -224,6 +240,7 @@ class _Parser:
 
     def factor(self):
         base = self.atom()
+        chain = 1  # product of the exponents read so far
         while self.peek()[0] == "^":
             _, _, cpos = self.advance()
             sign = 1
@@ -234,6 +251,8 @@ class _Parser:
             if kind != "int":
                 raise ParseError("expected an integer exponent", pos)
             self.advance()
+            chain *= sign * val
+            _check_exponent(chain, cpos)
             base = make_power(base, sign * val, cpos)
         return base
 

@@ -7,6 +7,21 @@ with nonzero constant term and gcd(num's polynomial part, den) = 1.  With
 this normalization, equality is structural comparison and the text
 rendering is bit-stable.
 
+The constructor, addition and inverse canonicalize through _reduce, which
+runs a gcd over Q.  RatFunc products never do; they read the canonical form
+of their operands (Henrici's product, Knuth TAOCP vol. 2, 4.5.1):
+
+- A zero operand gives zero over 1.
+- A one-term polynomial c*q^m times a/b is (c*q^m*a)/b.  It is canonical
+  because b is unchanged, c is a unit of Q, and q does not divide b (its
+  constant term is nonzero), so q^m*a has the same polynomial part as a up
+  to c and stays coprime to b.
+- For a/b * c/d, gcd(a, b) = gcd(c, d) = 1 (polynomial parts), so the only
+  factors that can cancel are g1 = gcd(a, d) and g2 = gcd(c, b).  Then
+  (a/g1)(c/g2) is coprime to (b/g2)(d/g1), and that denominator is monic
+  with nonzero constant term as a product of divisors of b and d.  When d
+  divides a, one division finds g1 = d and no gcd runs.
+
 Coefficients are Python ints where possible and fractions.Fraction
 otherwise; no floating point appears anywhere.
 """
@@ -315,12 +330,29 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
+        # canonical without _reduce; the module docstring says why each
+        # branch is exact (a canonical denominator with one term is 1)
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == _ONE_P and other.den == _ONE_P:
-            return RatFunc._raw(self.num * other.num, _ONE_P)
-        return _reduce(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.terms or not c.terms:
+            return RF_ZERO
+        if len(a.terms) == 1 and len(b.terms) == 1:
+            return _monomial_times(a, other)
+        if len(c.terms) == 1 and len(d.terms) == 1:
+            return _monomial_times(c, self)
+        if len(b.terms) == 1 and len(d.terms) == 1:
+            return RatFunc._raw(a * c, _ONE_P)
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        if len(b.terms) == 1:
+            den = d
+        elif len(d.terms) == 1:
+            den = b
+        else:
+            den = b * d
+        return RatFunc._raw(a * c, den)
 
     __rmul__ = __mul__
 
@@ -442,6 +474,31 @@ def _reduce(num, den):
         den = den * inv
         numpoly = numpoly * inv
     return RatFunc._raw(numpoly.shift(vn), den)
+
+
+def _monomial_times(mono, f):
+    # (c*q^m) * f for the one-term LaurentPoly mono = c*q^m
+    (m, c), = mono.terms.items()
+    num = f.num if c == 1 else f.num * c
+    return RatFunc._raw(num.shift(m) if m else num, f.den)
+
+
+def _cancel(num, den):
+    # divide num's polynomial part and the canonical denominator den by
+    # their monic gcd
+    if len(den.terms) == 1:
+        return num, den
+    v = num.valuation()
+    n, d = _dense(num.shift(-v)), _dense(den)
+    quo, rem = _dense_divmod(n, d)
+    if not rem:
+        return _from_dense(quo).shift(v), _ONE_P
+    # the first Euclid step is done: gcd(n, d) = gcd(d, n mod d)
+    g = _dense_gcd(d, rem)
+    if len(g) == 1:
+        return num, den
+    return (_from_dense(_dense_divmod(n, g)[0]).shift(v),
+            _from_dense(_dense_divmod(d, g)[0]))
 
 
 RF_ZERO = RatFunc._raw(_ZERO_P, _ONE_P)

@@ -267,6 +267,10 @@ _CORPUS = [
     (["normalize", "--", "-" * 3000 + "e"], 2),
     (["eval", "--q", "2", "--rep", "1,+1", "--", "(" * 3000 + "e" + ")" * 3000], 2),
     (["normalize", "(" * 100 + "e" + ")" * 100], 0),
+    (["normalize", "--", "e" + "^2" * 1500], 2),
+    (["eval", "q^-100000000", "--q", "2"], 2),
+    (["normalize", "(q+1)^3000"], 2),
+    (["normalize", "e^1000"], 0),
 ]
 
 

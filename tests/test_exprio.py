@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqsl2.exprio import (
+    MAX_EXPONENT,
     MAX_NESTING,
     Generator,
     IntPower,
@@ -184,6 +185,23 @@ def test_nesting_cap():
     # sums and products at one level do not nest
     assert parse(" + ".join(["(e)"] * 500), "chevalley") == Sum(
         (Generator("chevalley", "e"),) * 500)
+
+
+def test_exponent_cap_and_power_chains():
+    e = Generator("chevalley", "e")
+    assert parse("e^2^3", "chevalley") == IntPower(e, 6)
+    assert parse("(e^2)^3", "chevalley") == IntPower(e, 6)
+    assert parse("e^%d" % MAX_EXPONENT, "chevalley") == IntPower(e, MAX_EXPONENT)
+    assert parse("q^-%d" % MAX_EXPONENT, "chevalley") == ScalarLiteral(q_power(-MAX_EXPONENT))
+    # the error points at the caret that passes the cap
+    for text, pos in (("e^1001", 2), ("q^-1001", 2), ("(q+1)^3000", 6),
+                      ("e" + "^2" * 1500, 20), ("q^1000^2", 7), ("(e^600)^2", 8)):
+        with pytest.raises(ParseError) as err:
+            parse(text, "chevalley")
+        assert err.value.position == pos
+    # a chain is checked step by step: (k^2)^-1 stays an error
+    with pytest.raises(ParseError):
+        parse("k^2^-1", "chevalley")
 
 
 _Q0 = Fraction(5, 3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from uqsl2.qfield import (
     LaurentPoly,
     RF_ONE,
+    RF_ZERO,
     PoleError,
     RatFunc,
     SpecializationError,
@@ -19,6 +20,7 @@ from uqsl2.qfield import (
     qint,
     specialize,
 )
+from uqsl2.qfield import _reduce
 
 Q = q_power(1)
 QINV = q_power(-1)
@@ -230,3 +232,82 @@ def test_constants_hash_like_their_values():
 def test_polynomials_hash_like_their_numerators(f):
     if f.is_polynomial():
         assert f == f.num and hash(f) == hash(f.num)
+
+
+# Operands for the product and reduce checks: 0, 1, +-c*q^m with Fraction c,
+# and quotients whose numerator and denominator carry the shared factors
+# (q^2 - 1)^i and [n], so that products have cross factors to cancel.
+
+_fracs = st.one_of(st.integers(-5, 5),
+                   st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+
+
+def _frac_polys(nonzero=False):
+    polys = st.dictionaries(_exps, _fracs, max_size=4).map(LaurentPoly)
+    return polys.filter(lambda p: not p.is_zero()) if nonzero else polys
+
+
+_shared = st.builds(lambda i, n: (Q * Q - 1).num ** i * qint(n),
+                    st.integers(0, 3), st.integers(1, 4))
+
+
+def _shared_quotients():
+    return st.builds(lambda p, fp, r, fr: RatFunc(p * fp, r * fr),
+                     _frac_polys(), _shared, _frac_polys(nonzero=True), _shared)
+
+
+def _operands():
+    monomials = st.builds(lambda c, m: RatFunc(LaurentPoly({m: c})),
+                          _fracs.filter(bool), _exps)
+    return st.one_of(st.sampled_from([RF_ZERO, RF_ONE]), monomials,
+                     _shared_quotients())
+
+
+def _typed(f):
+    # structure down to the int/Fraction type of every coefficient
+    return tuple(tuple((e, type(c), c) for e, c in sorted(p.terms.items()))
+                 for p in (f.num, f.den))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands(), _operands())
+def test_product_matches_reduce(x, y):
+    # the gcd-free product is the canonical form _reduce gives
+    expected = _typed(_reduce(x.num * y.num, x.den * y.den))
+    assert _typed(x * y) == expected
+    assert _typed(y * x) == expected
+
+
+def test_product_cancels_cross_factors():
+    q2m1 = (Q * Q - 1).num
+    x = RatFunc(qint(3) * q2m1, LaurentPoly({0: 1, 1: 1, 2: 1}))
+    y = RatFunc(LaurentPoly({0: 1, 1: 1, 2: 1}), q2m1 ** 2)
+    assert _typed(x * y) == _typed(_reduce(x.num * y.num, x.den * y.den))
+    assert str(x * y) == "(q^2 + 1 + q^-2)/(q^2 - 1)"  # both cross factors cancel
+
+
+def test_reduce_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def expr(p):
+        return sympy.Add(*(sympy.Rational(str(c)) * q ** e for e, c in p.terms.items()))
+
+    @settings(max_examples=80, deadline=None)
+    @given(_frac_polys(), _shared, _frac_polys(nonzero=True), _shared)
+    def check(p, fp, r, fr):
+        num, den = p * fp, r * fr
+        top, bottom = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+        top, bottom = sympy.Poly(top, q), sympy.Poly(bottom, q)
+        # bring sympy's answer to the canonical form: the q-power of the
+        # denominator moves into the numerator, and the denominator is monic
+        shift = min(m[0] for m in bottom.monoms())
+        lc = bottom.LC()
+        want_den = {m[0] - shift: Fraction(str(c / lc)) for m, c in bottom.terms()}
+        want_num = {m[0] - shift: Fraction(str(c / lc)) for m, c in top.terms()
+                    if c}
+        f = RatFunc(num, den)
+        assert f.den.terms == want_den
+        assert f.num.terms == want_num
+
+    check()
