@@ -19,12 +19,22 @@ counted together; deeper input is a ParseError at the first token past the
 cap.  A power's exponent may be at most MAX_EXPONENT (1000) in absolute
 value, and so may the product of the exponents of a caret chain such as
 e^2^3 (which is (e^2)^3 = e^6); a larger one is a ParseError at the caret
-that passes the cap, raised before any scalar power is computed.  A power
-of a power of a non-scalar collapses into one IntPower, so caret chains do
-not build deep trees.  fold() evaluates a tree given what its leaves stand
-for.
+that passes the cap, raised before any scalar power is computed.  The
+result of a scalar power is capped too, before it is computed, since a
+parenthesized power such as ((q+1)^1000)^4 multiplies the exponents without
+a caret chain: it may have no q-exponent beyond MAX_EXPONENT in absolute
+value, and no coefficient whose numerator or denominator may exceed
+MAX_POWER_BITS (14000) bits, so each of its coefficients prints within
+Python's default limit of 4300 digits.  The coefficient bound is |e| times
+the bits of the larger of the base's l1 norm and common denominator (for
+its numerator and its denominator), since the l1 norm of a product is at
+most the product of the l1 norms.  A larger result is a ParseError at the
+caret.  A power of a power of a non-scalar collapses into one IntPower, so
+caret chains do not build deep trees.  fold() evaluates a tree given what
+its leaves stand for.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +46,7 @@ EQUITABLE = "equitable"
 
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
+MAX_POWER_BITS = 14000
 
 _LETTERS = {CHEVALLEY: ("k", "e", "f"), EQUITABLE: ("x", "y", "z")}
 _INVERSE_OF = {"k": "k^-1", "k^-1": "k", "x": "x^-1", "x^-1": "x"}
@@ -128,6 +139,23 @@ def _check_exponent(e, pos):
                          % (e, MAX_EXPONENT), pos)
 
 
+def _check_scalar_power(value, e, pos):
+    # bounds on the size of value ** e (module docstring), before computing it
+    degree = bits = 0
+    for p in (value.num, value.den):
+        if p.terms:
+            den = math.lcm(*(c.denominator for c in p.terms.values()))
+            norm = sum(abs(c) * den for c in p.terms.values())
+            degree = max(degree, abs(p.valuation()), abs(p.degree()))
+            bits = max(bits, int(norm).bit_length(), den.bit_length())
+    if abs(e) * degree > MAX_EXPONENT:
+        raise ParseError("scalar power of degree %d exceeds the cap of %d"
+                         % (abs(e) * degree, MAX_EXPONENT), pos)
+    if abs(e) * bits > MAX_POWER_BITS:
+        raise ParseError("scalar power with coefficients of up to %d bits exceeds "
+                         "the cap of %d" % (abs(e) * bits, MAX_POWER_BITS), pos)
+
+
 def make_power(base, e, pos=0):
     if isinstance(base, IntPower) and e > 0:
         base, e = base.base, base.exp * e  # (b^m)^n = b^(mn)
@@ -135,6 +163,7 @@ def make_power(base, e, pos=0):
     if isinstance(base, ScalarLiteral):
         if e < 0 and base.value.is_zero():
             raise ParseError("zero raised to a negative power", pos)
+        _check_scalar_power(base.value, e, pos)
         return ScalarLiteral(base.value ** e)
     if e == 0:
         return ScalarLiteral(RF_ONE)

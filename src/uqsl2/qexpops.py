@@ -23,7 +23,8 @@ numeric specialization q = q0.
 from dataclasses import dataclass
 
 from .qfield import CQ, RF_ZERO, LaurentPoly, RatFunc, q_power, qbinom, qint
-from .repmod import Matrix, ModuleSpec, ScalarContext, build_equitable
+from .repmod import (Matrix, ModuleSpec, ScalarContext, build_equitable,
+                     matrix_witness)
 from .report import VerificationReport, check
 
 
@@ -243,9 +244,8 @@ def _operator_env(rep, q0=None):
 
 
 def _add_eq(report, identity, mod, lhs, rhs):
-    ok = lhs == rhs
-    report.add(check(identity, mod, ok,
-                     witness=None if ok else "difference %s" % (lhs - rhs)))
+    witness = matrix_witness(lhs, rhs)
+    report.add(check(identity, mod, witness is None, witness=witness))
 
 
 def _conjugation_report(env):

@@ -22,11 +22,44 @@ of their operands (Henrici's product, Knuth TAOCP vol. 2, 4.5.1):
   with nonzero constant term as a product of divisors of b and d.  When d
   divides a, one division finds g1 = d and no gcd runs.
 
+Matrices whose entries are all integer Laurent polynomials (denominator 1,
+int coefficients) multiply by Kronecker substitution in laurent_matmul,
+which repmod.Matrix.__mul__ calls (Harvey, J. Symbolic Comput. 44 (2009)).
+Each nonzero entry a = sum c_e q^e of valuation v is packed once per
+product into the integer A = sum c_e 2^(s(e - v)): one s-bit slot per
+exponent, counted from the entry's own valuation, so entries far apart in
+valuation cost no empty slots.  Evaluation at q = 2^s is a ring
+homomorphism, so for output entry (i, j)
+
+    R = sum_k A_ik * B_kj * 2^(s(v_ik + v_kj - base))
+
+is the value at 2^s of that entry divided by q^base.  Here base is the least
+valuation in row i of the left factor plus the least valuation in column j
+of the right factor, at most every v_ik + v_kj, so each shift is
+nonnegative.  Each output coefficient is a sum, over at most `inner` values
+of k, of at most min(n_a, n_b) products c * c', where n is the most terms
+of one entry (for a fixed k an exponent of a_ik fixes that of b_kj); inner,
+n, max|a| and max|b| are taken over the entries that meet a nonzero
+partner, so the coefficient's absolute value is at most
+max|a| * max|b| * min(n_a, n_b) * inner.  The slot width s is that bound's
+bit length plus one sign bit, rounded up to whole bytes (3 to 4 and 5-7 to
+8, the widths memoryview reads), so every coefficient lies strictly between
+-2^(s-1) and 2^(s-1).  Such signed digits of R are unique, and adding the bias 2^(s-1)
+to every slot turns them into plain base-2^s digits in [1, 2^s - 1] with no
+carries between slots, which one to_bytes reads off.  Subtracting the bias
+again gives exactly the product's coefficients, as ints, over the
+canonical denominator 1.  Any other matrix (Fraction entries at a
+specialization point, or an entry with a nontrivial denominator or a
+Fraction coefficient) makes laurent_matmul return None, and Matrix.__mul__
+multiplies it entry by entry.
+
 Coefficients are Python ints where possible and fractions.Fraction
 otherwise; no floating point appears anywhere.
 """
 
+import sys
 from fractions import Fraction
+from itertools import chain
 
 Rational = Fraction
 
@@ -505,6 +538,136 @@ RF_ZERO = RatFunc._raw(_ZERO_P, _ONE_P)
 RF_ONE = RatFunc._raw(_ONE_P, _ONE_P)
 RF_Q = RatFunc._raw(LaurentPoly._raw({1: 1}), _ONE_P)
 RF_QINV = RatFunc._raw(LaurentPoly._raw({-1: 1}), _ONE_P)
+
+
+# Kronecker-packed products of integer Laurent matrices; the module
+# docstring says why they are exact
+
+# memoryview formats that read one little-endian slot of 2, 4 or 8 bytes;
+# iterating bytes reads 1-byte slots
+_SLOT_FORMATS = ({2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {})
+
+
+def _nonzero(rows):
+    # per row, the (col, terms) of each nonzero entry; None unless every
+    # entry is a RatFunc with denominator 1 (a canonical one-term denominator)
+    found = []
+    for row in rows:
+        nonzero = []
+        for k, x in enumerate(row):
+            if type(x) is not RatFunc:
+                return None
+            t = x.num.terms
+            if t:
+                if len(x.den.terms) != 1:
+                    return None
+                nonzero.append((k, t))
+        found.append(nonzero)
+    return found
+
+
+def _coeff_bound(rows):
+    # (max |coeff|, most terms in one entry) over the rows of _nonzero, or
+    # None if a coefficient is not an int
+    terms = [t for row in rows for _, t in row]
+    coeffs = list(chain.from_iterable(map(dict.values, terms)))
+    # int + Fraction is a Fraction: the sum is an int only if all are
+    if type(sum(coeffs)) is not int:
+        return None
+    return max(max(coeffs), -min(coeffs)), max(map(len, terms))
+
+
+def _pack(entries, bits):
+    """Pack each (key, terms) of entries as (key, P, v): v is the valuation
+    and P = sum of c * 2^(bits*(e - v)) over the terms c*q^e."""
+    packed = []
+    for key, terms in entries:
+        lo = min(terms)
+        p = 0
+        for e, c in terms.items():
+            p += c << bits * (e - lo)
+        packed.append((key, p, lo))
+    return packed
+
+
+def _unpack(packed, lo, bits):
+    """The terms {lo + i: c_i} with packed = sum of c_i * 2^(bits*i), given
+    packed != 0, |c_i| < 2^(bits-1) and bits a multiple of 8."""
+    low = (packed & -packed).bit_length() - 1
+    if low >= bits:  # drop whole zero slots at the bottom
+        packed >>= bits * (low // bits)
+        lo += low // bits
+    half = 1 << (bits - 1)
+    if -half < packed < half:
+        return {lo: packed}
+    width = bits >> 3
+    slots = abs(packed).bit_length() // bits + 1
+    # adding half to every slot makes each slot's digit c_i + half >= 0
+    raw = (packed + int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+           ).to_bytes(slots * width, "little")
+    fmt = _SLOT_FORMATS.get(width)
+    if width == 1:
+        digits = raw
+    elif fmt:
+        digits = memoryview(raw).cast(fmt)
+    else:
+        digits = [int.from_bytes(raw[o:o + width], "little")
+                  for o in range(0, len(raw), width)]
+    return {lo + i: d - half for i, d in enumerate(digits) if d != half}
+
+
+def laurent_matmul(a_rows, b_rows):
+    """Product of two matrices of integer Laurent polynomials (RatFunc entries).
+
+    Returns the rows of the product, or None when an entry of either factor
+    is not a RatFunc with denominator 1 and int coefficients.
+    """
+    a = _nonzero(a_rows)
+    b = None if a is None else _nonzero(b_rows)
+    if b is None:
+        return None
+    ncols = len(b_rows[0])
+    # only entries that meet a nonzero partner are packed
+    used = {k for row in a for k, _ in row}
+    b = [row if k in used else [] for k, row in enumerate(b)]
+    if not all(b):
+        a = [[e for e in row if b[e[0]]] for row in a]
+    if not any(a):
+        return [[RF_ZERO] * ncols for _ in a_rows]
+    bound_a, bound_b = _coeff_bound(a), _coeff_bound(b)
+    if bound_a is None or bound_b is None:
+        return None
+    bound = (bound_a[0] * bound_b[0] * min(bound_a[1], bound_b[1])
+             * sum(map(bool, b)))
+    width = (bound.bit_length() + 8) // 8  # one sign bit, whole bytes
+    if width in (3, 5, 6, 7):  # widen to a slot memoryview reads
+        width = 4 if width == 3 else 8
+    bits = 8 * width
+    # output (i, j) has the base valuation base + col_lo[j], base from row i
+    b_packed = [_pack(row, bits) for row in b]
+    col_lo = {}
+    for row in b_packed:
+        for j, _, lo in row:
+            if col_lo.get(j, lo) >= lo:
+                col_lo[j] = lo
+    b_packed = [[(j, p, bits * (lo - col_lo[j])) for j, p, lo in row]
+                for row in b_packed]
+    out = []
+    for row in a:
+        if not row:
+            out.append([RF_ZERO] * ncols)
+            continue
+        a_packed = _pack(row, bits)
+        base = min([lo for _, _, lo in a_packed])
+        acc = [0] * ncols
+        for k, pa, lo in a_packed:
+            sa = bits * (lo - base)
+            for j, pb, sb in b_packed[k]:
+                acc[j] += (pa * pb) << (sa + sb)
+        out.append([RatFunc._raw(LaurentPoly._raw(
+                        _unpack(v, base + col_lo[j], bits)), _ONE_P)
+                    if v else RF_ZERO for j, v in enumerate(acc)])
+    return out
 
 
 def q_power(e):

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ncore import equitable_image
-from .qfield import CQ, RF_ONE, RF_ZERO, LaurentPoly, RatFunc, q_power, qint
+from .qfield import (CQ, RF_ONE, RF_ZERO, LaurentPoly, RatFunc, laurent_matmul,
+                     q_power, qint)
 from .report import VerificationReport, check
 
 CHEVALLEY_GENS = ("k", "k^-1", "e", "f")
@@ -85,6 +86,9 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("matrix dimensions do not match")
+        packed = laurent_matmul(self.rows, other.rows)
+        if packed is not None:
+            return Matrix(packed)
         zero = self.rows[0][0] * 0
         orows = other.rows
         out = []
@@ -170,6 +174,20 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%s)" % self
+
+
+def matrix_witness(lhs, rhs):
+    """None when the matrices are equal, else a failure witness naming the
+    first differing entry (i, j) and the entry on each side."""
+    if (lhs.nrows, lhs.ncols) != (rhs.nrows, rhs.ncols):
+        return "shapes %dx%d and %dx%d differ" % (lhs.nrows, lhs.ncols,
+                                                  rhs.nrows, rhs.ncols)
+    for i, (r1, r2) in enumerate(zip(lhs.rows, rhs.rows)):
+        if r1 != r2:
+            j = next(j for j, (a, b) in enumerate(zip(r1, r2)) if a != b)
+            return "first difference at (%d, %d): lhs %s, rhs %s" % (
+                i, j, r1[j], r2[j])
+    return None
 
 
 def direct_sum_matrices(blocks):
@@ -490,8 +508,9 @@ def verify_basis_change(spec, q0=None):
         m_chev = sc.matrix(evaluate(equitable_image(g), chev))
         lhs = Dinv * m_chev * D
         rhs = sc.matrix(equit.action[g])
-        entries.append(_entry("module:basis-change:%s" % g, mod, lhs == rhs,
-                              witness=str(lhs - rhs)))
+        witness = matrix_witness(lhs, rhs)
+        entries.append(_entry("module:basis-change:%s" % g, mod, witness is None,
+                              witness=witness))
     return VerificationReport(entries)
 
 

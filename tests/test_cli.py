@@ -271,6 +271,9 @@ _CORPUS = [
     (["eval", "q^-100000000", "--q", "2"], 2),
     (["normalize", "(q+1)^3000"], 2),
     (["normalize", "e^1000"], 0),
+    (["normalize", "((q+1)^1000)^4"], 2),
+    (["normalize", "((2^1000)^1000)^1000"], 2),
+    (["normalize", "(q+1)^1000"], 0),
 ]
 
 

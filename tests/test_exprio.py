@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from uqsl2.exprio import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_POWER_BITS,
     Generator,
     IntPower,
     Negate,
@@ -202,6 +203,26 @@ def test_exponent_cap_and_power_chains():
     # a chain is checked step by step: (k^2)^-1 stays an error
     with pytest.raises(ParseError):
         parse("k^2^-1", "chevalley")
+
+
+def test_scalar_power_result_cap():
+    # the size of a scalar power's result is capped before it is computed
+    assert parse("(q+1)^1000", "chevalley").value.num.degree() == MAX_EXPONENT
+    assert parse("(q^500)^2", "chevalley") == ScalarLiteral(q_power(1000))
+    assert parse("1000^1000", "chevalley") == ScalarLiteral(RF_ONE * 1000 ** 1000)
+    # 2^1000 has 1001 bits and an l1 norm of 1002 bits, 13 * 1002 <= 14000
+    assert parse("(2^1000)^13", "chevalley") == ScalarLiteral(RF_ONE * 2 ** 13000)
+    # a denominator of 1427 bits: 9 * 1427 <= 14000 < 10 * 1427
+    assert parse("((1/3)^900)^9", "chevalley") == ScalarLiteral(
+        RF_ONE * Fraction(1, 3 ** 8100))
+    assert MAX_POWER_BITS == 14000
+    for text, pos in (("((q+1)^1000)^4", 13), ("((2^1000)^1000)^1000", 10),
+                      ("(q^500)^3", 8), ("(q^-2 + 1)^-501", 11),
+                      ("(2^1000)^14", 9), ("((1/3)^900)^10", 12),
+                      ("((q-1)/(q^600+2))^2", 18)):
+        with pytest.raises(ParseError) as err:
+            parse(text, "chevalley")
+        assert err.value.position == pos, text
 
 
 _Q0 = Fraction(5, 3)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from uqsl2 import qexpops
 from uqsl2.cli import spot_points
 from uqsl2.qexpops import (ConsistencyError, NilpotentOperator, _exp_series,
                            exp_q, exp_q_inverse, n_matrix, omega,
@@ -217,6 +218,25 @@ def test_closed_form_suite():
         "closedform:Omega^-1",
         "closedform:Omega^3=central-scalar",
     ]
+
+
+def test_closed_form_witness_on_a_broken_identity(monkeypatch):
+    real = qexpops._closed_form_matrices
+
+    def broken(n):
+        mat, inv = real(n)
+        mat = Matrix(mat.rows)
+        mat.rows[1][2] = mat.rows[1][2] + RF_ONE
+        return mat, inv
+
+    monkeypatch.setattr(qexpops, "_closed_form_matrices", broken)
+    for q0 in (None, Fraction(5, 3)):
+        report = verify_closed_form(4, 1, q0)
+        assert [e.status for e in report.entries] == ["fail", "pass", "pass"]
+        good = ScalarContext(q0).matrix(real(4)[0]).rows[1][2]
+        assert report.entries[0].witness == (
+            "first difference at (1, 2): lhs %s, rhs %s" % (good + 1, good))
+        assert [e.witness for e in report.entries[1:]] == [None, None]
 
 
 def test_numeric_specialization():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from uqsl2 import repmod
 from uqsl2.ncore import AlgebraElement
-from uqsl2.qfield import RF_ONE, RF_ZERO, q_power
+from uqsl2.qfield import CQ, RF_ONE, RF_ZERO, LaurentPoly, RatFunc, laurent_matmul, q_power
 from uqsl2.repmod import (
     Matrix,
     ModuleSpec,
@@ -20,6 +20,7 @@ from uqsl2.repmod import (
     matrix_csv,
     matrix_json_obj,
     matrix_latex,
+    matrix_witness,
     verify_basis_change,
     verify_module_suite,
     weight_spaces,
@@ -207,3 +208,127 @@ def test_matrix_emission_formats():
     assert matrix_latex(m) == "\\begin{array}{r}\n\\frac{q}{q^{2} - 1} \\\\\n\\end{array}\n"
     with pytest.raises(ValueError):
         matrix_json_obj(ModuleSpec(((1, 1), (2, -1))), "equitable", "y", y)
+
+
+def _schoolbook(a, b):
+    # the entry-by-entry product that the packed kernel replaces
+    zero = a.rows[0][0] * 0
+    return [[sum((x * b.rows[k][j] for k, x in enumerate(row)), zero)
+             for j in range(b.ncols)] for row in a.rows]
+
+
+def _assert_integer_laurent(rows):
+    for row in rows:
+        for x in row:
+            assert type(x) is RatFunc and x.den == 1
+            assert all(type(c) is int for c in x.num.terms.values())
+
+
+def _assert_packed_product(a, b):
+    want = _schoolbook(a, b)
+    got = laurent_matmul(a.rows, b.rows)
+    assert got == want
+    _assert_integer_laurent(want)
+    _assert_integer_laurent(got)
+    assert (a * b).rows == want
+
+
+# magnitudes just under, at and just over the 8, 16, 32 and 64-bit slot
+# boundaries, and far above them
+_BIG = [2 ** b + d for b in (7, 8, 15, 16, 31, 32, 63, 64, 100) for d in (-1, 0, 1)]
+_kcoeff = st.one_of(st.integers(-3, 3), st.sampled_from(_BIG),
+                    st.sampled_from(_BIG).map(lambda c: -c))
+# valuation in [-8, 8], then up to five terms at exponent gaps of 1 to 3
+_kentry = st.builds(
+    lambda v, steps: RatFunc(LaurentPoly(
+        {v + sum(g for g, _ in steps[:i + 1]): c for i, (_, c) in enumerate(steps)})),
+    st.integers(-8, 8),
+    st.lists(st.tuples(st.integers(1, 3), _kcoeff), max_size=5))
+
+
+@st.composite
+def _kernel_case(draw):
+    m, p, r = (draw(st.integers(1, 4)) for _ in range(3))
+    a = [[draw(_kentry) for _ in range(p)] for _ in range(m)]
+    b = [[draw(_kentry) for _ in range(r)] for _ in range(p)]
+    if draw(st.booleans()):  # a zero row of a and a zero column of b
+        a[draw(st.integers(0, m - 1))] = [RF_ZERO] * p
+        j = draw(st.integers(0, r - 1))
+        for row in b:
+            row[j] = RF_ZERO
+    if draw(st.booleans()):  # [a | a] * [b ; -b]: every output entry cancels
+        a = [row + row for row in a]
+        b = b + [[-x for x in row] for row in b]
+    return Matrix(a), Matrix(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_case())
+def test_packed_product_matches_schoolbook(case):
+    _assert_packed_product(*case)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9, 17])
+def test_packed_product_at_slot_boundaries(width):
+    # a slot of `width` bytes holds |c| < 2^(8*width - 1); each product's
+    # largest output coefficient equals its bound
+    half = 2 ** (8 * width - 1)
+    for c in (half - 2, half - 1, half, half + 1):
+        for sign in (1, -1):
+            mono = Matrix([[RatFunc(LaurentPoly({-3: sign * c}))]])
+            _assert_packed_product(mono, Matrix([[RatFunc(LaurentPoly({5: -1}))]]))
+            pair = Matrix([[RatFunc(LaurentPoly({-1: sign * (c // 2), 0: sign * (c // 2)}))]])
+            _assert_packed_product(pair, Matrix([[RatFunc(LaurentPoly({0: 1, 1: 1}))]]))
+            # the same bound reached by summing over the inner dimension
+            dot = Matrix([[RatFunc(LaurentPoly({2: sign * (c // 2)}))] * 2])
+            _assert_packed_product(dot, Matrix([[q_power(-2)], [q_power(-2)]]))
+    out = laurent_matmul([[RatFunc(LaurentPoly({0: 1 - half}))]], [[RF_ONE]])
+    assert out[0][0].num.terms == {0: 1 - half}
+
+
+def test_packed_product_leaves_other_matrices_to_the_loop():
+    y = build_equitable(ModuleSpec.single(2, 1)).action["y"]
+    frac = Matrix([[Fraction(1, 2), Fraction(3), Fraction(0)],
+                   [Fraction(0), Fraction(-5, 7), Fraction(1)],
+                   [Fraction(2), Fraction(0), Fraction(0)]])
+    rational = Matrix([[CQ, RF_ONE, RF_ZERO], [q_power(2), RF_ZERO, RF_ONE],
+                       [RF_ZERO, RF_ZERO, CQ * CQ]])
+    half_coeff = Matrix([[RatFunc(LaurentPoly({0: Fraction(1, 2), 1: 3}))
+                          if i == j else RF_ZERO for j in range(3)] for i in range(3)])
+    for a, b in ((frac, frac), (rational, y), (y, rational), (half_coeff, y),
+                 (y, half_coeff)):
+        assert laurent_matmul(a.rows, b.rows) is None
+        assert (a * b).rows == _schoolbook(a, b)
+    # an all-zero integer product needs no packing at all
+    zero = Matrix([[RF_ZERO] * 3] * 3)
+    assert laurent_matmul(zero.rows, y.rows) == [[RF_ZERO] * 3] * 3
+
+
+def test_matrix_witness_names_first_difference():
+    y = build_equitable(ModuleSpec.single(2, 1)).action["y"]
+    assert matrix_witness(y, y) is None
+    broken = Matrix(y.rows)
+    broken.rows[2][1] = broken.rows[2][1] + RF_ONE
+    assert matrix_witness(y, broken) == (
+        "first difference at (2, 1): lhs -q^2 + q^-2, rhs -q^2 + 1 + q^-2")
+    assert matrix_witness(y, Matrix([[RF_ONE]])) == "shapes 3x3 and 1x1 differ"
+
+
+def test_basis_change_witness_on_a_broken_identity(monkeypatch):
+    spec = ModuleSpec.single(2, -1)
+    real = repmod.build_equitable
+
+    def broken(s):
+        rep = real(s)
+        z = Matrix(rep.action["z"].rows)
+        z.rows[0][1] = z.rows[0][1] + q_power(3)
+        rep.action["z"] = z
+        return rep
+
+    monkeypatch.setattr(repmod, "build_equitable", broken)
+    report = verify_basis_change(spec)
+    assert [e.status for e in report.entries] == ["pass", "pass", "pass", "fail"]
+    assert [e.witness for e in report.entries[:3]] == [None] * 3
+    want = real(spec).action["z"].rows[0][1]
+    assert report.entries[3].witness == (
+        "first difference at (0, 1): lhs %s, rhs %s" % (want, want + q_power(3)))
