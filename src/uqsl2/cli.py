@@ -250,6 +250,16 @@ def _parse_rep_option(text):
     return n, _eps_value(parts[1])
 
 
+def _check_printable(values):
+    # the cap keeps every printed number within Python's 4300-digit str() limit
+    for v in values:
+        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+        if bits > exprio.MAX_POWER_BITS:
+            raise click.UsageError(
+                "value with a %d-bit numerator or denominator exceeds the print "
+                "cap of %d bits" % (bits, exprio.MAX_POWER_BITS))
+
+
 @main.command(name="eval")
 @click.argument("expr", required=False)
 @click.option("--expr", "expr_opt", default=None,
@@ -280,7 +290,9 @@ def eval_cmd(expr, expr_opt, presentation, q_text, rep_text):
             if not isinstance(ast, ScalarLiteral):
                 raise click.UsageError(
                     "expression is not a scalar; pass --rep n,eps to evaluate it on a module")
-            click.echo(str(ast.value.evaluate(q0)))
+            value = ast.value.evaluate(q0)
+            _check_printable([value])
+            click.echo(str(value))
         else:
             n, eps = _parse_rep_option(rep_text)
             spec = ModuleSpec.single(n, eps)
@@ -289,7 +301,9 @@ def eval_cmd(expr, expr_opt, presentation, q_text, rep_text):
             matrix = exprio.fold(
                 ast, lambda v: Matrix.identity(built.dim).scalar_mul(v),
                 built.action.__getitem__)
-            click.echo(str(matrix.map_entries(lambda v: v.evaluate(q0))))
+            values = matrix.map_entries(lambda v: v.evaluate(q0))
+            _check_printable(x for row in values.rows for x in row)
+            click.echo(str(values))
     except PoleError as err:
         raise click.UsageError(str(err))
 

@@ -29,9 +29,14 @@ Python's default limit of 4300 digits.  The coefficient bound is |e| times
 the bits of the larger of the base's l1 norm and common denominator (for
 its numerator and its denominator), since the l1 norm of a product is at
 most the product of the l1 norms.  A larger result is a ParseError at the
-caret.  A power of a power of a non-scalar collapses into one IntPower, so
-caret chains do not build deep trees.  fold() evaluates a tree given what
-its leaves stand for.
+caret.  A power is |e| copies of its base, so the scalar factors of one
+product share the same caps: their degrees and bits are summed, which bounds
+the product before its common factors cancel, and a ParseError is raised at
+the '*' or '/' that passes a cap.  Scalars commute with the generators, so
+this counts the scalars of products such as q^600*e*q^600 too.  A power
+of a power of a non-scalar collapses into one IntPower, so caret chains do
+not build deep trees.  fold() evaluates a tree given what its leaves stand
+for.
 """
 
 import math
@@ -139,8 +144,9 @@ def _check_exponent(e, pos):
                          % (e, MAX_EXPONENT), pos)
 
 
-def _check_scalar_power(value, e, pos):
-    # bounds on the size of value ** e (module docstring), before computing it
+def _scalar_size(value):
+    # (largest |q-exponent|, most coefficient bits) of value's parts, in the
+    # measure the module docstring gives
     degree = bits = 0
     for p in (value.num, value.den):
         if p.terms:
@@ -148,12 +154,23 @@ def _check_scalar_power(value, e, pos):
             norm = sum(abs(c) * den for c in p.terms.values())
             degree = max(degree, abs(p.valuation()), abs(p.degree()))
             bits = max(bits, int(norm).bit_length(), den.bit_length())
-    if abs(e) * degree > MAX_EXPONENT:
-        raise ParseError("scalar power of degree %d exceeds the cap of %d"
-                         % (abs(e) * degree, MAX_EXPONENT), pos)
-    if abs(e) * bits > MAX_POWER_BITS:
-        raise ParseError("scalar power with coefficients of up to %d bits exceeds "
-                         "the cap of %d" % (abs(e) * bits, MAX_POWER_BITS), pos)
+    return degree, bits
+
+
+def _scalar_factors_size(f):
+    # summed _scalar_size of the scalars that f brings to a product
+    factors = f.factors if isinstance(f, Product) else (f,)
+    sizes = [_scalar_size(g.value) for g in factors if isinstance(g, ScalarLiteral)]
+    return sum(d for d, _ in sizes), sum(b for _, b in sizes)
+
+
+def _check_scalar_size(what, degree, bits, pos):
+    if degree > MAX_EXPONENT:
+        raise ParseError("%s of degree %d exceeds the cap of %d"
+                         % (what, degree, MAX_EXPONENT), pos)
+    if bits > MAX_POWER_BITS:
+        raise ParseError("%s with coefficients of up to %d bits exceeds "
+                         "the cap of %d" % (what, bits, MAX_POWER_BITS), pos)
 
 
 def make_power(base, e, pos=0):
@@ -163,7 +180,8 @@ def make_power(base, e, pos=0):
     if isinstance(base, ScalarLiteral):
         if e < 0 and base.value.is_zero():
             raise ParseError("zero raised to a negative power", pos)
-        _check_scalar_power(base.value, e, pos)
+        degree, bits = _scalar_size(base.value)
+        _check_scalar_size("scalar power", abs(e) * degree, abs(e) * bits, pos)
         return ScalarLiteral(base.value ** e)
     if e == 0:
         return ScalarLiteral(RF_ONE)
@@ -255,6 +273,7 @@ class _Parser:
             _, _, pos = self.advance()
             return make_negate(self.nested(self.term, pos))
         factors = [self.factor()]
+        degree, bits = _scalar_factors_size(factors[0])
         while self.peek()[0] in ("*", "/"):
             op, _, oppos = self.advance()
             f = self.factor()
@@ -264,6 +283,9 @@ class _Parser:
                 if f.value.is_zero():
                     raise ParseError("division by zero", oppos)
                 f = ScalarLiteral(f.value.inverse())
+            d, b = _scalar_factors_size(f)
+            degree, bits = degree + d, bits + b
+            _check_scalar_size("scalar product", degree, bits, oppos)
             factors.append(f)
         return make_product(factors)
 

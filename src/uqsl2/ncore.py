@@ -34,7 +34,7 @@ from functools import lru_cache
 from . import exprio
 from .exprio import Generator, Negate, Product, ScalarLiteral, Sum
 from .qfield import CQ, RF_ONE, RatFunc, q_power
-from .report import ReportEntry, VerificationReport
+from .report import VerificationReport, check
 
 _Q2 = q_power(2)
 _QM2 = q_power(-2)
@@ -359,11 +359,8 @@ def critical_pair_entries():
                 combo[nw] = combo.get(nw, RF_ONE * 0) + coeff
             routes.append(_normalize_combo(combo))
         ok = routes[0] == routes[1]
-        entries.append(ReportEntry(
-            identity="confluence:overlap:%s" % w,
-            module=None,
-            status="pass" if ok else "fail",
-            witness=None if ok else "%r != %r" % (routes[0], routes[1])))
+        entries.append(check("confluence:overlap:%s" % w, None, ok,
+                             None if ok else "%r != %r" % (routes[0], routes[1])))
     return entries
 
 
@@ -385,7 +382,6 @@ def verify_presentation_iso():
     def weyl(a, b):
         return (a * b * qq - b * a * qi) * CQ
 
-    entries = []
     checks = [
         ("iso:relation:x*x^-1=x^-1*x=1", x * xinv == one and xinv * x == one),
         ("iso:relation:(q*x*y-q^-1*y*x)/(q-q^-1)=1", weyl(x, y) == one),
@@ -395,10 +391,7 @@ def verify_presentation_iso():
     for gen in ("k", "k^-1", "f", "e"):
         image = from_equitable(to_equitable_generators(gen))
         checks.append(("iso:composite:%s" % gen, image == AlgebraElement.generator(gen)))
-    for name, ok in checks:
-        entries.append(ReportEntry(identity=name, module=None,
-                                   status="pass" if ok else "fail"))
-    return VerificationReport(entries)
+    return VerificationReport([check(name, None, ok) for name, ok in checks])
 
 
 _auto_checked = set()
@@ -460,10 +453,9 @@ def verify_n_definitions():
         a, b = _N_AXES[axis]
         left, right = _n_sides(axis)
         ok = left == right
-        entries.append(ReportEntry(
-            identity="ndef:n_%s:q*(1-%s*%s)=q^-1*(1-%s*%s)" % (axis, a, b, b, a),
-            module=None, status="pass" if ok else "fail",
-            witness=None if ok else str(left - right)))
+        entries.append(check(
+            "ndef:n_%s:q*(1-%s*%s)=q^-1*(1-%s*%s)" % (axis, a, b, b, a), None, ok,
+            None if ok else str(left - right)))
     return VerificationReport(entries)
 
 
@@ -480,11 +472,9 @@ def verify_n_commutation():
         lhs = gens[g] * n_element(axis)
         rhs = n_element(axis) * gens[g] * q_power(exp)
         ok = lhs == rhs
-        entries.append(ReportEntry(
-            identity="ncomm:%s*n_%s=q^%d*n_%s*%s" % (g, axis, exp, axis, g),
-            module=None,
-            status="pass" if ok else "fail",
-            witness=None if ok else str(lhs - rhs)))
+        entries.append(check(
+            "ncomm:%s*n_%s=q^%d*n_%s*%s" % (g, axis, exp, axis, g), None, ok,
+            None if ok else str(lhs - rhs)))
     return VerificationReport(entries)
 
 
@@ -498,7 +488,5 @@ def verify_n_preimages():
         ("npre:n_z=-q*k*f", n_element("z"), kf * (-q_power(1))),
     ]:
         ok = lhs == rhs
-        entries.append(ReportEntry(
-            identity=name, module=None, status="pass" if ok else "fail",
-            witness=None if ok else str(lhs - rhs)))
+        entries.append(check(name, None, ok, None if ok else str(lhs - rhs)))
     return VerificationReport(entries)

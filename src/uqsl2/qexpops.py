@@ -22,7 +22,7 @@ numeric specialization q = q0.
 
 from dataclasses import dataclass
 
-from .qfield import CQ, RF_ZERO, LaurentPoly, RatFunc, q_power, qbinom, qint
+from .qfield import CQ, RF_ZERO, RatFunc, q_power, qbinom, qint
 from .repmod import (Matrix, ModuleSpec, ScalarContext, build_equitable,
                      matrix_witness)
 from .report import VerificationReport, check
@@ -107,7 +107,7 @@ def _exp_series(mat, sc, order=None):
     total = inv_total = term
     for i in range(1, dim + 2 if order is None else order):
         term = (term * mat).scalar_mul(
-            sc.scal(RatFunc(LaurentPoly.q_power(i - 1), qint(i))))
+            sc.scal(RatFunc(q_power(i - 1).num, qint(i))))
         if term.is_zero():
             return total, inv_total, i
         total = total + term

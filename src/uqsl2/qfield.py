@@ -7,9 +7,14 @@ with nonzero constant term and gcd(num's polynomial part, den) = 1.  With
 this normalization, equality is structural comparison and the text
 rendering is bit-stable.
 
-The constructor, addition and inverse canonicalize through _reduce, which
-runs a gcd over Q.  RatFunc products never do; they read the canonical form
-of their operands (Henrici's product, Knuth TAOCP vol. 2, 4.5.1):
+_cancel is the only routine that runs a gcd over Q: given a denominator
+already in canonical shape (monic, nonzero constant term), it divides it and
+the numerator's polynomial part by their monic gcd.  The constructor,
+addition and inverse go through _reduce, which first brings the denominator
+to that shape (shifting it to valuation 0 and scaling both parts by 1/lc)
+and then calls _cancel.  RatFunc products need no such step, and most need
+no gcd either, since they read the canonical form of their operands
+(Henrici's product, Knuth TAOCP vol. 2, 4.5.1):
 
 - A zero operand gives zero over 1.
 - A one-term polynomial c*q^m times a/b is (c*q^m*a)/b.  It is canonical
@@ -59,9 +64,8 @@ otherwise; no floating point appears anywhere.
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
-
-Rational = Fraction
 
 
 class PoleError(ArithmeticError):
@@ -114,10 +118,6 @@ class LaurentPoly:
     def const(cls, c):
         c = _coeff(c)
         return cls._raw({0: c} if c else {})
-
-    @classmethod
-    def q_power(cls, e):
-        return cls._raw({e: 1})
 
     def is_zero(self):
         return not self.terms
@@ -474,39 +474,20 @@ def _as_ratfunc(v):
 
 
 def _reduce(num, den):
-    # canonicalize num/den: den a monic polynomial, den(0) != 0,
-    # gcd(num's polynomial part, den) = 1
+    # canonicalize num/den: shift den to valuation 0 and scale it monic,
+    # then cancel the gcd of num's polynomial part and den
     if num.is_zero():
-        return RatFunc._raw(_ZERO_P, _ONE_P)
+        return RF_ZERO
     vd = den.valuation()
     if vd:
         den = den.shift(-vd)
         num = num.shift(-vd)
-    if den.degree() == 0:
-        c = den.terms[0]
-        if c != 1:
-            num = num * (Fraction(1, 1) / c)
-        return RatFunc._raw(num, _ONE_P)
-    vn = num.valuation()
-    numpoly = num.shift(-vn) if vn else num
-    g = _dense_gcd(_dense(numpoly), _dense(den))
-    if len(g) > 1:
-        qn, rn = _dense_divmod(_dense(numpoly), g)
-        qd, rd = _dense_divmod(_dense(den), g)
-        assert not rn and not rd
-        numpoly = _from_dense(qn)
-        den = _from_dense(qd)
-        if den.degree() == 0:
-            c = den.terms[0]
-            if c != 1:
-                numpoly = numpoly * (Fraction(1, 1) / c)
-            return RatFunc._raw(numpoly.shift(vn), _ONE_P)
     lc = den.leading_coeff()
     if lc != 1:
         inv = Fraction(1, 1) / lc
         den = den * inv
-        numpoly = numpoly * inv
-    return RatFunc._raw(numpoly.shift(vn), den)
+        num = num * inv
+    return RatFunc._raw(*_cancel(num, den))
 
 
 def _monomial_times(mono, f):
@@ -517,8 +498,8 @@ def _monomial_times(mono, f):
 
 
 def _cancel(num, den):
-    # divide num's polynomial part and the canonical denominator den by
-    # their monic gcd
+    # divide num's polynomial part and den, a monic polynomial with nonzero
+    # constant term (so den = 1 if it has one term), by their monic gcd
     if len(den.terms) == 1:
         return num, den
     v = num.valuation()
@@ -537,7 +518,6 @@ def _cancel(num, den):
 RF_ZERO = RatFunc._raw(_ZERO_P, _ONE_P)
 RF_ONE = RatFunc._raw(_ONE_P, _ONE_P)
 RF_Q = RatFunc._raw(LaurentPoly._raw({1: 1}), _ONE_P)
-RF_QINV = RatFunc._raw(LaurentPoly._raw({-1: 1}), _ONE_P)
 
 
 # Kronecker-packed products of integer Laurent matrices; the module
@@ -679,51 +659,32 @@ def q_power(e):
 CQ = (q_power(1) - q_power(-1)).inverse()
 
 
-_qint_cache = {}
-
-
+@lru_cache(maxsize=None)
 def qint(n):
     """The q-integer [n] = (q^n - q^-n)/(q - q^-1) as a Laurent polynomial."""
     if not isinstance(n, int):
         raise TypeError("qint wants an integer")
-    p = _qint_cache.get(n)
-    if p is None:
-        if n >= 0:
-            p = LaurentPoly._raw({e: 1 for e in range(n - 1, -n, -2)})
-        else:
-            p = -qint(-n)
-        _qint_cache[n] = p
-    return p
+    if n < 0:
+        return -qint(-n)
+    return LaurentPoly._raw({e: 1 for e in range(n - 1, -n, -2)})
 
 
-_qfact_cache = {0: _ONE_P}
-
-
+@lru_cache(maxsize=None)
 def qfact(n):
     """The q-factorial [n]! = [n][n-1]...[1], with [0]! = 1."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("qfact wants a nonnegative integer")
-    p = _qfact_cache.get(n)
-    if p is None:
-        p = qfact(n - 1) * qint(n)
-        _qfact_cache[n] = p
-    return p
+    return qfact(n - 1) * qint(n) if n else _ONE_P
 
 
-_qbinom_cache = {}
-
-
+@lru_cache(maxsize=None, typed=True)  # qbinom(4, 2.0) must still raise
 def qbinom(n, i):
     """The q-binomial coefficient [n]!/([i]![n-i]!); requires n >= i >= 0."""
     if not (isinstance(n, int) and isinstance(i, int)) or i < 0 or n < i:
         raise ValueError("qbinom wants integers n >= i >= 0")
-    p = _qbinom_cache.get((n, i))
-    if p is None:
-        f = RatFunc(qfact(n), qfact(i) * qfact(n - i))
-        assert f.is_polynomial()  # the division is exact
-        p = f.num
-        _qbinom_cache[(n, i)] = p
-    return p
+    f = RatFunc(qfact(n), qfact(i) * qfact(n - i))
+    assert f.is_polynomial()  # the division is exact
+    return f.num
 
 
 def check_admissible(q0):

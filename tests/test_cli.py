@@ -1,6 +1,10 @@
 """CLI tests: golden outputs, exit-code contract, and output stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -274,9 +278,29 @@ _CORPUS = [
     (["normalize", "((q+1)^1000)^4"], 2),
     (["normalize", "((2^1000)^1000)^1000"], 2),
     (["normalize", "(q+1)^1000"], 0),
+    (["normalize", "(2^1000)^13*(2^1000)^13"], 2),
+    (["eval", "(2^1000)^13*(2^1000)^13", "--q", "2"], 2),
+    (["eval", "q^1000", "--q", "1000000/3"], 2),
+    (["eval", "--presentation", "equitable", "--rep", "2,+1", "--q", "99999999/7",
+      "x^1000"], 2),
+    (["normalize", "(q+1)^600*(q+1)^600"], 2),
+    (["normalize", "(q+1)^500*(q+1)^500"], 0),
 ]
 
 
 @pytest.mark.parametrize("args,expected", _CORPUS)
 def test_exit_code_contract(runner, args, expected):
     assert runner.invoke(main, args).exit_code == expected
+
+
+def test_layer_trace_finds_every_program_name():
+    # perfbench/layertrace.py wraps program functions by name; a rename that
+    # it misses would break only the benchmark's --trace 1 pass
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import uqsl2.cli, layertrace; layertrace.install(layertrace.Tracer())"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -206,8 +206,11 @@ def test_exponent_cap_and_power_chains():
 
 
 def test_scalar_power_result_cap():
-    # the size of a scalar power's result is capped before it is computed
+    # the size of a scalar power's result is capped before it is computed,
+    # and so is the summed size of the scalar factors of one product
     assert parse("(q+1)^1000", "chevalley").value.num.degree() == MAX_EXPONENT
+    assert parse("(q+1)^500*(q+1)^500", "chevalley").value.num.degree() == MAX_EXPONENT
+    assert parse("q^500*e*q^500", "chevalley").factors[0] == ScalarLiteral(q_power(500))
     assert parse("(q^500)^2", "chevalley") == ScalarLiteral(q_power(1000))
     assert parse("1000^1000", "chevalley") == ScalarLiteral(RF_ONE * 1000 ** 1000)
     # 2^1000 has 1001 bits and an l1 norm of 1002 bits, 13 * 1002 <= 14000
@@ -219,7 +222,10 @@ def test_scalar_power_result_cap():
     for text, pos in (("((q+1)^1000)^4", 13), ("((2^1000)^1000)^1000", 10),
                       ("(q^500)^3", 8), ("(q^-2 + 1)^-501", 11),
                       ("(2^1000)^14", 9), ("((1/3)^900)^10", 12),
-                      ("((q-1)/(q^600+2))^2", 18)):
+                      ("((q-1)/(q^600+2))^2", 18), ("(q+1)^600*(q+1)^600", 10),
+                      ("(2^1000)^13*(2^1000)^13", 12), ("(2^1000)^7*(2^1000)^7", 11),
+                      ("q^600*e*q^600", 8), ("e*q^600/q^-600", 8),
+                      ("((2^1000)^13*e)*((2^1000)^13*e)", 16)):
         with pytest.raises(ParseError) as err:
             parse(text, "chevalley")
         assert err.value.position == pos, text
