@@ -61,6 +61,16 @@ def _eps_value(text):
     raise click.UsageError("--eps must be +1 or -1, got %r" % text)
 
 
+def _check_printable(values):
+    # the cap keeps every printed number within Python's 4300-digit str() limit
+    for v in values:
+        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+        if bits > exprio.MAX_POWER_BITS:
+            raise click.UsageError(
+                "value with a %d-bit numerator or denominator exceeds the print "
+                "cap of %d bits" % (bits, exprio.MAX_POWER_BITS))
+
+
 @main.command()
 @click.argument("expr")
 @click.option("--presentation", type=click.Choice(["chevalley", "equitable"]),
@@ -71,6 +81,8 @@ def normalize(expr, presentation, fmt):
     ast = _parse_or_usage(expr, presentation)
     element = (from_equitable(ast) if presentation == "equitable"
                else normalize_chevalley(ast))
+    _check_printable(c for coeff in element.terms.values()
+                     for part in (coeff.num, coeff.den) for c in part.terms.values())
     if fmt == "json":
         _echo_json({"input": expr, "presentation": presentation,
                     "normal_form": str(element)})
@@ -248,16 +260,6 @@ def _parse_rep_option(text):
     if n < 0:
         raise click.UsageError("--rep wants n >= 0, got %d" % n)
     return n, _eps_value(parts[1])
-
-
-def _check_printable(values):
-    # the cap keeps every printed number within Python's 4300-digit str() limit
-    for v in values:
-        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
-        if bits > exprio.MAX_POWER_BITS:
-            raise click.UsageError(
-                "value with a %d-bit numerator or denominator exceeds the print "
-                "cap of %d bits" % (bits, exprio.MAX_POWER_BITS))
 
 
 @main.command(name="eval")

@@ -19,24 +19,21 @@ counted together; deeper input is a ParseError at the first token past the
 cap.  A power's exponent may be at most MAX_EXPONENT (1000) in absolute
 value, and so may the product of the exponents of a caret chain such as
 e^2^3 (which is (e^2)^3 = e^6); a larger one is a ParseError at the caret
-that passes the cap, raised before any scalar power is computed.  The
-result of a scalar power is capped too, before it is computed, since a
-parenthesized power such as ((q+1)^1000)^4 multiplies the exponents without
-a caret chain: it may have no q-exponent beyond MAX_EXPONENT in absolute
-value, and no coefficient whose numerator or denominator may exceed
-MAX_POWER_BITS (14000) bits, so each of its coefficients prints within
-Python's default limit of 4300 digits.  The coefficient bound is |e| times
-the bits of the larger of the base's l1 norm and common denominator (for
-its numerator and its denominator), since the l1 norm of a product is at
-most the product of the l1 norms.  A larger result is a ParseError at the
-caret.  A power is |e| copies of its base, so the scalar factors of one
-product share the same caps: their degrees and bits are summed, which bounds
-the product before its common factors cancel, and a ParseError is raised at
-the '*' or '/' that passes a cap.  Scalars commute with the generators, so
-this counts the scalars of products such as q^600*e*q^600 too.  A power
-of a power of a non-scalar collapses into one IntPower, so caret chains do
-not build deep trees.  fold() evaluates a tree given what its leaves stand
-for.
+that passes the cap, raised before any scalar power is computed.  Scalar
+results are capped before they are computed too, as ((q+1)^1000)^4
+multiplies exponents without a caret chain: a scalar power, and each prefix
+of the scalars of one product in the order fold() multiplies them, may have
+no q-exponent beyond MAX_EXPONENT in absolute value and no coefficient
+numerator or denominator beyond MAX_POWER_BITS (14000) bits, so it prints
+within Python's 4300-digit limit.  A canonical num/den is sized by num's
+least and largest q-exponents, den's degree and the bits of each part's l1
+norm over Z and common denominator.  A product adds its factors' sizes (a
+divisor's inverse), bounding it before it cancels since norms at most
+multiply, so q^1000*q^-1000 passes and q^600*q^600 does not; a zero factor
+ends the count; a power is |e| times its base.  The error is at the caret,
+'*' or '/' that passes a cap.  A power of a power of a non-scalar collapses
+into one IntPower, so caret chains do not build deep trees.  fold()
+evaluates a tree given what its leaves stand for.
 """
 
 import math
@@ -145,32 +142,38 @@ def _check_exponent(e, pos):
 
 
 def _scalar_size(value):
-    # (largest |q-exponent|, most coefficient bits) of value's parts, in the
-    # measure the module docstring gives
-    degree = bits = 0
-    for p in (value.num, value.den):
-        if p.terms:
-            den = math.lcm(*(c.denominator for c in p.terms.values()))
-            norm = sum(abs(c) * den for c in p.terms.values())
-            degree = max(degree, abs(p.valuation()), abs(p.degree()))
-            bits = max(bits, int(norm).bit_length(), den.bit_length())
-    return degree, bits
+    # (largest and least q-exponent of num, degree of den, then the bits of
+    # the l1 norm over Z and common denominator of num and of den)
+    num, den = value.num, value.den
+    if not num.terms:
+        return [0] * 7
+    size = [num.degree(), num.valuation(), den.degree()]
+    for p in (num, den):
+        lcd = math.lcm(*(c.denominator for c in p.terms.values()))
+        size += [int(sum(abs(c) * lcd for c in p.terms.values())).bit_length(),
+                 lcd.bit_length()]
+    return size
 
 
-def _scalar_factors_size(f):
-    # summed _scalar_size of the scalars that f brings to a product
-    factors = f.factors if isinstance(f, Product) else (f,)
-    sizes = [_scalar_size(g.value) for g in factors if isinstance(g, ScalarLiteral)]
-    return sum(d for d, _ in sizes), sum(b for _, b in sizes)
+def _product_size(size, f, pos):
+    # size after the scalars of factor f, each prefix checked; () once zero
+    for g in f.factors if isinstance(f, Product) else (f,):
+        if isinstance(g, ScalarLiteral) and size:
+            if g.value.is_zero():
+                return ()
+            size = [a + b for a, b in zip(size, _scalar_size(g.value))]
+            _check_scalar_size("scalar product", size, pos)
+    return size
 
 
-def _check_scalar_size(what, degree, bits, pos):
-    if degree > MAX_EXPONENT:
+def _check_scalar_size(what, size, pos):
+    hi, lo, den_deg, *bits = size
+    if max(hi, -lo, den_deg) > MAX_EXPONENT:
         raise ParseError("%s of degree %d exceeds the cap of %d"
-                         % (what, degree, MAX_EXPONENT), pos)
-    if bits > MAX_POWER_BITS:
+                         % (what, max(hi, -lo, den_deg), MAX_EXPONENT), pos)
+    if max(bits) > MAX_POWER_BITS:
         raise ParseError("%s with coefficients of up to %d bits exceeds "
-                         "the cap of %d" % (what, bits, MAX_POWER_BITS), pos)
+                         "the cap of %d" % (what, max(bits), MAX_POWER_BITS), pos)
 
 
 def make_power(base, e, pos=0):
@@ -180,8 +183,8 @@ def make_power(base, e, pos=0):
     if isinstance(base, ScalarLiteral):
         if e < 0 and base.value.is_zero():
             raise ParseError("zero raised to a negative power", pos)
-        degree, bits = _scalar_size(base.value)
-        _check_scalar_size("scalar power", abs(e) * degree, abs(e) * bits, pos)
+        _check_scalar_size("scalar power", [abs(e) * x for x in _scalar_size(base.value)],
+                           pos)
         return ScalarLiteral(base.value ** e)
     if e == 0:
         return ScalarLiteral(RF_ONE)
@@ -273,7 +276,7 @@ class _Parser:
             _, _, pos = self.advance()
             return make_negate(self.nested(self.term, pos))
         factors = [self.factor()]
-        degree, bits = _scalar_factors_size(factors[0])
+        size = None  # summed _scalar_size, from the first '*' or '/'
         while self.peek()[0] in ("*", "/"):
             op, _, oppos = self.advance()
             f = self.factor()
@@ -283,9 +286,9 @@ class _Parser:
                 if f.value.is_zero():
                     raise ParseError("division by zero", oppos)
                 f = ScalarLiteral(f.value.inverse())
-            d, b = _scalar_factors_size(f)
-            degree, bits = degree + d, bits + b
-            _check_scalar_size("scalar product", degree, bits, oppos)
+            if size is None:
+                size = _product_size([0] * 7, factors[0], oppos)
+            size = _product_size(size, f, oppos)
             factors.append(f)
         return make_product(factors)
 

@@ -7,13 +7,11 @@ with nonzero constant term and gcd(num's polynomial part, den) = 1.  With
 this normalization, equality is structural comparison and the text
 rendering is bit-stable.
 
-_cancel is the only routine that runs a gcd over Q: given a denominator
-already in canonical shape (monic, nonzero constant term), it divides it and
-the numerator's polynomial part by their monic gcd.  The constructor,
-addition and inverse go through _reduce, which first brings the denominator
-to that shape (shifting it to valuation 0 and scaling both parts by 1/lc)
-and then calls _cancel.  RatFunc products need no such step, and most need
-no gcd either, since they read the canonical form of their operands
+_cancel is the only gcd over Q: it divides num's polynomial part and a
+monic den with nonzero constant term by their monic gcd.  The constructor,
++ and inverse reach it through _reduce, which first shifts den to valuation
+0 and scales both parts by 1/lc.  Products need no such step, and most no
+gcd either, since they read the canonical form of their operands
 (Henrici's product, Knuth TAOCP vol. 2, 4.5.1):
 
 - A zero operand gives zero over 1.

@@ -285,6 +285,10 @@ _CORPUS = [
       "x^1000"], 2),
     (["normalize", "(q+1)^600*(q+1)^600"], 2),
     (["normalize", "(q+1)^500*(q+1)^500"], 0),
+    (["normalize", "q^1000*q^-1000"], 0),
+    (["normalize", "(q^600+2)/(q^600+3)"], 0),
+    (["normalize", "((2^1000)^13*e)^2"], 2),
+    (["normalize", "(e + (2^1000)^13)^2"], 2),
 ]
 
 

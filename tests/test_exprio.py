@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqsl2.exprio import (
@@ -26,7 +26,7 @@ from uqsl2.exprio import (
     render,
 )
 from uqsl2.ncore import from_equitable, normalize_chevalley
-from uqsl2.qfield import RF_ONE, RF_Q, RatFunc, q_power
+from uqsl2.qfield import RF_ONE, RF_Q, RF_ZERO, RatFunc, q_power
 from uqsl2.repmod import (Matrix, ModuleSpec, build_chevalley, build_equitable,
                           change_of_basis, evaluate)
 
@@ -168,6 +168,10 @@ def _tree_strategy(presentation):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["chevalley", "equitable"]).flatmap(
     lambda p: st.tuples(st.just(p), _tree_strategy(p))))
+# folded quotients near the degree cap print as '/' products that parse back
+@example(("chevalley", ScalarLiteral((q_power(600) + 2) / (q_power(600) + 3))))
+@example(("equitable", Product((ScalarLiteral((1 + 2 * q_power(-1000)) / (q_power(1000) + 3)),
+                                Generator("equitable", "y")))))
 def test_render_parse_round_trip(arg):
     presentation, tree = arg
     text = render(tree)
@@ -211,6 +215,14 @@ def test_scalar_power_result_cap():
     assert parse("(q+1)^1000", "chevalley").value.num.degree() == MAX_EXPONENT
     assert parse("(q+1)^500*(q+1)^500", "chevalley").value.num.degree() == MAX_EXPONENT
     assert parse("q^500*e*q^500", "chevalley").factors[0] == ScalarLiteral(q_power(500))
+    # a product is bounded before it cancels, so factors that cancel pass
+    assert parse("q^1000*q^-1000", "chevalley") == ScalarLiteral(RF_ONE)
+    assert parse("q^600/q^600", "chevalley") == ScalarLiteral(RF_ONE)
+    assert parse("q^600*e*q^-600", "chevalley").factors[2] == ScalarLiteral(q_power(-600))
+    assert parse("(2^1000)^13/(2^1000)^13", "chevalley") == ScalarLiteral(RF_ONE)
+    assert parse("0*q^1000*q^1000", "chevalley") == ScalarLiteral(RF_ZERO)
+    ratio = parse("(q^600+2)/(q^600+3)", "chevalley").value
+    assert (ratio.num.degree(), ratio.den.degree()) == (600, 600)
     assert parse("(q^500)^2", "chevalley") == ScalarLiteral(q_power(1000))
     assert parse("1000^1000", "chevalley") == ScalarLiteral(RF_ONE * 1000 ** 1000)
     # 2^1000 has 1001 bits and an l1 norm of 1002 bits, 13 * 1002 <= 14000
@@ -225,7 +237,9 @@ def test_scalar_power_result_cap():
                       ("((q-1)/(q^600+2))^2", 18), ("(q+1)^600*(q+1)^600", 10),
                       ("(2^1000)^13*(2^1000)^13", 12), ("(2^1000)^7*(2^1000)^7", 11),
                       ("q^600*e*q^600", 8), ("e*q^600/q^-600", 8),
-                      ("((2^1000)^13*e)*((2^1000)^13*e)", 16)):
+                      ("((2^1000)^13*e)*((2^1000)^13*e)", 16), ("q^-600*q^-600", 7),
+                      ("1/(q^600+1)/(q^600+1)", 12), ("1/(2^1000)^7/(2^1000)^7", 13),
+                      ("1/(q+(2^1000)^7)/(q+(2^1000)^7)", 17)):
         with pytest.raises(ParseError) as err:
             parse(text, "chevalley")
         assert err.value.position == pos, text
