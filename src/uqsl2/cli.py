@@ -23,13 +23,11 @@ from .qexpops import (ConsistencyError, _closed_form_report,
                       _conjugation_report, _operator_env, _rewrite_report,
                       omega, omega_closed_form, verify_closed_form)
 from .qfield import PoleError, SpecializationError, check_admissible
-from .repmod import (Matrix, ModuleSpec, build_chevalley, build_equitable,
-                     json_bytes, matrix_csv, matrix_json_obj, matrix_latex,
-                     verify_basis_change, verify_module_suite)
+from .repmod import (CHEVALLEY_GENS, EQUITABLE_GENS, Matrix, ModuleSpec,
+                     build_chevalley, build_equitable, json_bytes, matrix_csv,
+                     matrix_json_obj, matrix_latex, verify_basis_change,
+                     verify_module_suite)
 from .report import ReportEntry, VerificationReport
-
-_CHEV_GENS = ("k", "k^-1", "e", "f")
-_EQUIT_GENS = ("x", "x^-1", "y", "z")
 
 _FORMAT_OPTION = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
@@ -113,7 +111,7 @@ def _emit_matrix(spec, basis, gen, matrix, fmt):
 def rep(n, eps, basis, gen, fmt):
     """Print one generator matrix of the simple module L(n, eps)."""
     eps = _eps_value(eps)
-    gens = _EQUIT_GENS if basis == "equitable" else _CHEV_GENS
+    gens = EQUITABLE_GENS if basis == "equitable" else CHEVALLEY_GENS
     if gen not in gens:
         raise click.UsageError(
             "--gen must be one of %s for the %s basis" % (", ".join(gens), basis))

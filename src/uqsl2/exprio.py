@@ -30,10 +30,15 @@ least and largest q-exponents, den's degree and the bits of each part's l1
 norm over Z and common denominator.  A product adds its factors' sizes (a
 divisor's inverse), bounding it before it cancels since norms at most
 multiply, so q^1000*q^-1000 passes and q^600*q^600 does not; a zero factor
-ends the count; a power is |e| times its base.  The error is at the caret,
-'*' or '/' that passes a cap.  A power of a power of a non-scalar collapses
-into one IntPower, so caret chains do not build deep trees.  fold()
-evaluates a tree given what its leaves stand for.
+ends the count; a power is |e| times its base (its inverse if e < 0).  The
+scalar terms of one sum are bounded the same way before each addition, from
+(n1 d2 + n2 d1)/(d1 d2), or (n1 + n2)/d when the denominators agree, so a
+folded sum still renders as text that parses back.  The error is at the
+caret, '*', '/', '+' or '-' that passes a cap.  An integer literal may have
+at most as many digits as any number below 2^MAX_POWER_BITS (4214), else it
+is a ParseError at its first digit.  A power of a power of a non-scalar
+collapses into one IntPower, so caret chains do not build deep trees.
+fold() evaluates a tree given what its leaves stand for.
 """
 
 import math
@@ -49,6 +54,9 @@ EQUITABLE = "equitable"
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
 MAX_POWER_BITS = 14000
+# the most digits an integer literal may have: every such number is below
+# 2^MAX_POWER_BITS, and int() reads it within Python's 4300-digit limit
+_MAX_DIGITS = len(str(2 ** MAX_POWER_BITS)) - 1
 
 _LETTERS = {CHEVALLEY: ("k", "e", "f"), EQUITABLE: ("x", "y", "z")}
 _INVERSE_OF = {"k": "k^-1", "k^-1": "k", "x": "x^-1", "x^-1": "x"}
@@ -166,6 +174,30 @@ def _product_size(size, f, pos):
     return size
 
 
+def _sum_size(a, b):
+    # a bound on the size of a + b from the canonical a = n1/d1, b = n2/d2,
+    # before it cancels: (n1 + n2)/d1 if d1 = d2, else (n1 d2 + n2 d1)/(d1 d2)
+    if a.is_zero() or b.is_zero():
+        return _scalar_size(b if a.is_zero() else a)
+    hi1, lo1, dd1, nb1, nl1, db1, dl1 = _scalar_size(a)
+    hi2, lo2, dd2, nb2, nl2, db2, dl2 = _scalar_size(b)
+    if a.den == b.den:
+        return [max(hi1, hi2), min(lo1, lo2), dd1,
+                max(nb1 + nl2, nb2 + nl1) + 1, nl1 + nl2, db1, dl1]
+    return [max(hi1 + dd2, hi2 + dd1), min(lo1, lo2), dd1 + dd2,
+            max(nb1 + db2 + nl2 + dl1, nb2 + db1 + nl1 + dl2) + 1,
+            nl1 + nl2 + dl1 + dl2, db1 + db2, dl1 + dl2]
+
+
+def _scalar_sum(acc, t, pos):
+    # acc plus the scalars of term t, each sum checked before it is computed
+    for g in t.terms if isinstance(t, Sum) else (t,):
+        if isinstance(g, ScalarLiteral):
+            _check_scalar_size("scalar sum", _sum_size(acc, g.value), pos)
+            acc = acc + g.value
+    return acc
+
+
 def _check_scalar_size(what, size, pos):
     hi, lo, den_deg, *bits = size
     if max(hi, -lo, den_deg) > MAX_EXPONENT:
@@ -183,8 +215,8 @@ def make_power(base, e, pos=0):
     if isinstance(base, ScalarLiteral):
         if e < 0 and base.value.is_zero():
             raise ParseError("zero raised to a negative power", pos)
-        _check_scalar_size("scalar power", [abs(e) * x for x in _scalar_size(base.value)],
-                           pos)
+        sized = base.value.inverse() if e < 0 else base.value
+        _check_scalar_size("scalar power", [abs(e) * x for x in _scalar_size(sized)], pos)
         return ScalarLiteral(base.value ** e)
     if e == 0:
         return ScalarLiteral(RF_ONE)
@@ -218,7 +250,11 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(("int", int(text[i:j]), i + 1))
+            run = text[i:j].lstrip("0") or "0"
+            if len(run) > _MAX_DIGITS:
+                raise ParseError("integer literal of %d digits exceeds the cap of %d"
+                                 % (len(run), _MAX_DIGITS), i + 1)
+            toks.append(("int", int(run), i + 1))
             i = j
             continue
         if ch.isalpha():
@@ -265,10 +301,15 @@ class _Parser:
 
     def expr(self):
         terms = [self.term()]
+        acc = None  # sum of the scalar terms so far, from the first '+' or '-'
         while self.peek()[0] in ("+", "-"):
-            op, _, _ = self.advance()
+            op, _, oppos = self.advance()
             t = self.term()
-            terms.append(make_negate(t) if op == "-" else t)
+            t = make_negate(t) if op == "-" else t
+            if acc is None:
+                acc = _scalar_sum(RF_ZERO, terms[0], oppos)
+            acc = _scalar_sum(acc, t, oppos)
+            terms.append(t)
         return make_sum(terms)
 
     def term(self):

@@ -6,11 +6,23 @@ Chevalley generators k, k^-1, e, f satisfy
     e f - f e = (k - k^-1)/(q - q^-1),
 
 and every element has a unique normal form as a Q(q)-linear combination of
-PBW monomials f^a k^b e^c (a, c >= 0, b in Z).  Normalization runs a
-confluent rewriting system on words in the letters f, k, K (= k^-1), e;
-each rule strictly reduces the number of out-of-order letter pairs, and
-all overlap ambiguities resolve (see critical_pair_entries), so normal
-forms are well defined.
+PBW monomials f^a k^b e^c (a, c >= 0, b in Z).  Monomials multiply in closed
+form: k^b f^m = q^(-2bm) f^m k^b, e^m k^b = q^(-2bm) k^b e^m, and (Jantzen,
+Lectures on Quantum Groups, Lemma 1.7; Kassel, Quantum Groups, Ch. VI)
+
+    e^r f^s = sum_t [r,t][s,t][t]! f^(s-t) prod_{j=1..t} [k; t-r-s+j] e^(r-t)
+
+with [k; m] = (q^m k - q^-m k^-1)/(q - q^-1).  The q-binomial theorem expands
+the product over j, so e^r f^s = sum_{t,i} gamma f^(s-t) k^(t-2i) e^(r-t) with
+
+    gamma = (-1)^i q^((t-2i)(3t+1-2r-2s)/2) [r,t][s,t][t]! [t,i] / (q-q^-1)^t,
+
+which _ef_table caches per exponent pair (r, s).  The same relations, read
+left to right, are rewrite rules on words in f, k, K (= k^-1), e, each one
+reducing the number of out-of-order letter pairs.  That rewriting system
+remains only as the object verify_confluence certifies: every overlap
+ambiguity resolves (critical_pair_entries), so by the diamond lemma the
+normal forms are well defined.
 
 The equitable generators x, x^-1, y, z satisfy
 
@@ -33,87 +45,64 @@ from functools import lru_cache
 
 from . import exprio
 from .exprio import Generator, Negate, Product, ScalarLiteral, Sum
-from .qfield import CQ, RF_ONE, RatFunc, q_power
+from .qfield import CQ, RF_ONE, RatFunc, q_power, qbinom, qfact
 from .report import VerificationReport, check
-
-_Q2 = q_power(2)
-_QM2 = q_power(-2)
 
 # rewrite rules over the letter alphabet f < k, K < e (K stands for k^-1);
 # each left side maps to a linear combination of replacement words
 _RULES = {
     "ef": ((RF_ONE, "fe"), (CQ, "k"), (-CQ, "K")),
-    "ek": ((_QM2, "ke"),),
-    "eK": ((_Q2, "Ke"),),
-    "kf": ((_QM2, "fk"),),
-    "Kf": ((_Q2, "fK"),),
+    "ek": ((q_power(-2), "ke"),),
+    "eK": ((q_power(2), "Ke"),),
+    "kf": ((q_power(-2), "fk"),),
+    "Kf": ((q_power(2), "fK"),),
     "kK": ((RF_ONE, ""),),
     "Kk": ((RF_ONE, ""),),
 }
 
-_nf_cache = {}
 
-
-def _first_redex(word):
-    for i in range(len(word) - 1):
-        if word[i : i + 2] in _RULES:
-            return i
-    return None
-
-
-def _normalize_word(word):
-    """Normal form of a single letter word as {normal word: coefficient}."""
-    res = _nf_cache.get(word)
-    if res is not None:
-        return res
-    pos = _first_redex(word)
-    if pos is None:
-        res = {word: RF_ONE}
+def _accumulate(res, key, coeff):
+    # res[key] += coeff, dropping the key when the sum cancels
+    s = res.get(key)
+    s = coeff if s is None else s + coeff
+    if s.is_zero():
+        res.pop(key, None)
     else:
-        res = {}
-        for coeff, repl in _RULES[word[pos : pos + 2]]:
-            sub = _normalize_word(word[:pos] + repl + word[pos + 2 :])
-            for w, c in sub.items():
-                s = res.get(w)
-                s = coeff * c if s is None else s + coeff * c
-                if s.is_zero():
-                    res.pop(w, None)
-                else:
-                    res[w] = s
-    _nf_cache[word] = res
-    return res
+        res[key] = s
 
 
-def _normalize_combo(combo):
-    """Normalize a {word: coefficient} linear combination."""
+def _rewrite(combo):
+    """Normal form of a {word: coefficient} combination under _RULES; each
+    round rewrites every word once, at its first redex."""
     res = {}
-    for word, coeff in combo.items():
-        for w, c in _normalize_word(word).items():
-            s = res.get(w)
-            s = coeff * c if s is None else s + coeff * c
-            if s.is_zero():
-                res.pop(w, None)
-            else:
-                res[w] = s
+    while combo:
+        step = {}
+        for word, coeff in combo.items():
+            pos = next((i for i in range(len(word) - 1) if word[i : i + 2] in _RULES), None)
+            if pos is None:
+                _accumulate(res, word, coeff)
+                continue
+            for c, repl in _RULES[word[pos : pos + 2]]:
+                _accumulate(step, word[:pos] + repl + word[pos + 2 :], coeff * c)
+        combo = step
     return res
 
 
-def _mono_word(mono):
-    a, b, c = mono
-    kpart = "k" * b if b >= 0 else "K" * (-b)
-    return "f" * a + kpart + "e" * c
-
-
-def _word_mono(word):
-    a = 0
-    while a < len(word) and word[a] == "f":
-        a += 1
-    i = a
-    b = 0
-    while i < len(word) and word[i] in "kK":
-        b += 1 if word[i] == "k" else -1
-        i += 1
-    return (a, b, len(word) - i)
+@lru_cache(maxsize=None)
+def _ef_table(r, s):
+    """e^r f^s as ((t, t - 2i, gamma), ...), one entry per PBW term
+    gamma f^(s-t) k^(t-2i) e^(r-t) (see the module docstring)."""
+    table = []
+    for t in range(min(r, s) + 1):
+        common = qbinom(r, t) * qbinom(s, t) * qfact(t)
+        for i in range(t + 1):
+            b = t - 2 * i
+            gamma = q_power(b * (3 * t + 1 - 2 * r - 2 * s) // 2) * (
+                common * qbinom(t, i) * (-1) ** i)
+            for _ in range(t):
+                gamma = gamma * CQ  # one factor at a time, so each gcd is against q^2 - 1
+            table.append((t, b, gamma))
+    return tuple(table)
 
 
 def _mono_str(mono):
@@ -202,12 +191,7 @@ class AlgebraElement:
             return NotImplemented
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = res.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                res.pop(m, None)
-            else:
-                res[m] = s
+            _accumulate(res, m, c)
         return AlgebraElement._raw(res)
 
     __radd__ = __add__
@@ -232,18 +216,13 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         res = {}
-        for m1, c1 in self.terms.items():
-            w1 = _mono_word(m1)
-            for m2, c2 in other.terms.items():
+        for (a, b, c), c1 in self.terms.items():
+            for (d, g, h), c2 in other.terms.items():
                 c12 = c1 * c2
-                for w, c in _normalize_word(w1 + _mono_word(m2)).items():
-                    m = _word_mono(w)
-                    s = res.get(m)
-                    s = c12 * c if s is None else s + c12 * c
-                    if s.is_zero():
-                        res.pop(m, None)
-                    else:
-                        res[m] = s
+                for t, kb, gamma in _ef_table(c, d):
+                    # k^b moves past f^(d-t), and e^(c-t) past k^g
+                    shift = q_power(-2 * (b * (d - t) + g * (c - t)))
+                    _accumulate(res, (a + d - t, b + kb + g, c - t + h), c12 * (gamma * shift))
         return AlgebraElement._raw(res)
 
     def __rmul__(self, other):
@@ -357,7 +336,7 @@ def critical_pair_entries():
             for coeff, repl in _RULES[w[pos : pos + 2]]:
                 nw = w[:pos] + repl + w[pos + 2 :]
                 combo[nw] = combo.get(nw, RF_ONE * 0) + coeff
-            routes.append(_normalize_combo(combo))
+            routes.append(_rewrite(combo))
         ok = routes[0] == routes[1]
         entries.append(check("confluence:overlap:%s" % w, None, ok,
                              None if ok else "%r != %r" % (routes[0], routes[1])))

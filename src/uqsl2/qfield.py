@@ -677,12 +677,16 @@ def qfact(n):
 
 @lru_cache(maxsize=None, typed=True)  # qbinom(4, 2.0) must still raise
 def qbinom(n, i):
-    """The q-binomial coefficient [n]!/([i]![n-i]!); requires n >= i >= 0."""
+    """The q-binomial coefficient [n]!/([i]![n-i]!); requires n >= i >= 0.
+    Built as [n,m] = [n,m-1][n-m+1]/[m] up to m = min(i, n - i), not from [n]!."""
     if not (isinstance(n, int) and isinstance(i, int)) or i < 0 or n < i:
         raise ValueError("qbinom wants integers n >= i >= 0")
-    f = RatFunc(qfact(n), qfact(i) * qfact(n - i))
-    assert f.is_polynomial()  # the division is exact
-    return f.num
+    b = _ONE_P
+    for m in range(1, min(i, n - i) + 1):
+        f = RatFunc(b * qint(n - m + 1), qint(m))
+        assert f.is_polynomial()  # the division is exact
+        b = f.num
+    return b
 
 
 def check_admissible(q0):

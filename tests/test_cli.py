@@ -289,6 +289,14 @@ _CORPUS = [
     (["normalize", "(q^600+2)/(q^600+3)"], 0),
     (["normalize", "((2^1000)^13*e)^2"], 2),
     (["normalize", "(e + (2^1000)^13)^2"], 2),
+    (["normalize", "e^1000*f"], 0),
+    (["normalize", "e^12*f^12"], 0),
+    (["normalize", "(q+q^-1)^-600"], 2),
+    (["normalize", "(q+q^-1)^-500"], 0),
+    (["normalize", "9" * 4400], 2),
+    (["normalize", "9" * 4000], 0),
+    (["normalize", "1/(q^600+3) + 1/(q^600+5)"], 2),
+    (["normalize", "q^1000 + q^-1000"], 0),
 ]
 
 

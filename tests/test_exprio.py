@@ -231,6 +231,15 @@ def test_scalar_power_result_cap():
     assert parse("((1/3)^900)^9", "chevalley") == ScalarLiteral(
         RF_ONE * Fraction(1, 3 ** 8100))
     assert MAX_POWER_BITS == 14000
+    # a negative power is sized by the inverse it computes
+    inv = parse("(q+q^-1)^-500", "chevalley").value
+    assert (inv.num.degree(), inv.den.degree()) == (500, 1000)
+    # a sum is bounded before it cancels; equal denominators add once
+    assert parse("q^1000 + q^-1000", "chevalley") == ScalarLiteral(
+        q_power(1000) + q_power(-1000))
+    assert parse("1/(q^600+3) + 2/(q^600+3)", "chevalley") == ScalarLiteral(
+        3 / (q_power(600) + 3))
+    assert parse("1 - 1/(q^600+3)", "chevalley").value.den.degree() == 600
     for text, pos in (("((q+1)^1000)^4", 13), ("((2^1000)^1000)^1000", 10),
                       ("(q^500)^3", 8), ("(q^-2 + 1)^-501", 11),
                       ("(2^1000)^14", 9), ("((1/3)^900)^10", 12),
@@ -239,7 +248,12 @@ def test_scalar_power_result_cap():
                       ("q^600*e*q^600", 8), ("e*q^600/q^-600", 8),
                       ("((2^1000)^13*e)*((2^1000)^13*e)", 16), ("q^-600*q^-600", 7),
                       ("1/(q^600+1)/(q^600+1)", 12), ("1/(2^1000)^7/(2^1000)^7", 13),
-                      ("1/(q+(2^1000)^7)/(q+(2^1000)^7)", 17)):
+                      ("1/(q+(2^1000)^7)/(q+(2^1000)^7)", 17),
+                      ("(q+q^-1)^-600", 9),
+                      ("1/(q^600+3) + 1/(q^600+5)", 13),
+                      ("e + 1/(q^600+3) - 1/(q^600+5)", 17),
+                      ("9" * 4214 + " + " + "9" * 4214, 4216),
+                      ("2 + " + "9" * 4400, 5)):
         with pytest.raises(ParseError) as err:
             parse(text, "chevalley")
         assert err.value.position == pos, text

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from uqsl2 import ncore
 from uqsl2.exprio import parse
 from uqsl2.ncore import AlgebraElement, apply_automorphism, n_element
-from uqsl2.qfield import RF_ONE, LaurentPoly, RatFunc, q_power, qint
+from uqsl2.qfield import CQ, RF_ONE, LaurentPoly, RatFunc, q_power, qint
 
 
 def nf(text):
@@ -166,6 +166,36 @@ def test_algebra_element_linear_structure(a):
     assert AlgebraElement.one() * a == a
     assert -(-a) == a
     assert a * 2 - a == a
+
+
+def _word(mono):
+    # the letter word f...k...e (or f...K...e, K = k^-1) of a PBW monomial
+    a, b, c = mono
+    return "f" * a + ("k" * b if b >= 0 else "K" * -b) + "e" * c
+
+
+def _mono(word):
+    # a normal word is f^a, then k^b or K^-b, then e^c
+    return (word.count("f"), word.count("k") - word.count("K"), word.count("e"))
+
+
+_pbw_monos = st.tuples(st.integers(0, 6), st.integers(-3, 3), st.integers(0, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pbw_monos, _coeffs, _pbw_monos, st.sampled_from([RF_ONE, q_power(-3), CQ]))
+def test_product_matches_rewriter(m1, c1, m2, c2):
+    # the closed-form product against the rewriting system verify_confluence certifies
+    got = AlgebraElement({m1: c1}) * AlgebraElement({m2: c2})
+    words = ncore._rewrite({_word(m1) + _word(m2): c2 * c1})
+    assert got.terms == {_mono(w): c for w, c in words.items()}
+
+
+def test_wide_products_match_rewriter():
+    for r, s in ((8, 8), (9, 4), (2, 10)):
+        got = nf("e^%d*f^%d" % (r, s))
+        words = ncore._rewrite({"e" * r + "f" * s: RF_ONE})
+        assert got.terms == {_mono(w): c for w, c in words.items()}
 
 
 _polys = st.dictionaries(st.integers(-3, 3),

@@ -90,6 +90,23 @@ def test_qbinom_matches_pascal_oracle():
         assert qbinom(n, i) == down[(n, i)]
 
 
+def _factorial_qbinom(n, i):
+    # reference for qbinom's recurrence: [n]! / ([i]! [n-i]!) as one exact division
+    f = RatFunc(qfact(n), qfact(i) * qfact(n - i))
+    assert f.is_polynomial()
+    return f.num
+
+
+def test_qbinom_matches_factorial_formula():
+    for n in range(15):
+        for i in range(n + 1):
+            assert qbinom(n, i) == _factorial_qbinom(n, i)
+    # large n with small i never forms [n]!
+    assert qbinom(1000, 1) == qint(1000)
+    assert qbinom(1000, 999) == qint(1000)
+    assert qbinom(1000, 0) == 1
+
+
 def test_qbinom_rejects_bad_arguments():
     with pytest.raises(ValueError):
         qbinom(2, 3)
