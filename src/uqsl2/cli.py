@@ -20,7 +20,7 @@ from .ncore import (from_equitable, normalize_chevalley, verify_confluence,
                     verify_n_commutation, verify_n_definitions,
                     verify_n_preimages, verify_presentation_iso)
 from .qexpops import (ConsistencyError, _closed_form_report,
-                      _conjugation_report, _operator_env, _rewrite_report,
+                      _conjugation_report, _OperatorEnv, _rewrite_report,
                       omega, omega_closed_form, verify_closed_form)
 from .qfield import PoleError, SpecializationError, check_admissible
 from .repmod import (CHEVALLEY_GENS, EQUITABLE_GENS, Matrix, ModuleSpec,
@@ -177,7 +177,7 @@ def _module_task(spec, q0=None):
 
 def _operator_task(spec, q0=None):
     # one operator environment serves the conjugation, rewrite and closed-form rows
-    env = _operator_env(build_equitable(spec), q0)
+    env = _OperatorEnv(build_equitable(spec), q0)
     report = VerificationReport()
     report.extend(_conjugation_report(env))
     report.extend(_rewrite_report(env))

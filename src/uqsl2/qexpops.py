@@ -18,23 +18,28 @@ weight decomposition, and
 cyclically rotates x -> y -> z -> x under conjugation, with Omega^3 central.
 Every identity is also exposed as a report row so it can be re-checked at a
 numeric specialization q = q0.
+
+Each (module, point) has one operator environment, ``_OperatorEnv``, in which
+every operator has one recipe and is built on first read, then kept.  ``omega``
+(so ``omega_closed_form``) reads n_y, n_z, their exp_q pairs, Psi, Omega and
+Omega^-1; ``verify_closed_form`` reads Omega, Omega^-1 and Omega^3, so never
+n_x, exp_q(n_x), y^-1 or z^-1; ``n_matrix`` reads n_a and its index from the
+exp_q(n_a) series; ``verify_relation_rewrites`` reads the n-element sides; and
+``verify_conjugation_suite`` and ``uqsl2 verify operators`` (whose three
+reports share one environment) read every entry.
 """
 
 from dataclasses import dataclass
 
+from .ncore import _N_AXES
 from .qfield import CQ, RF_ZERO, RatFunc, q_power, qbinom, qint
-from .repmod import (Matrix, ModuleSpec, ScalarContext, build_equitable,
-                     matrix_witness)
+from .repmod import (EQUITABLE_GENS, Matrix, ModuleSpec, ScalarContext,
+                     build_equitable, matrix_witness)
 from .report import VerificationReport, check
 
 
 class ConsistencyError(RuntimeError):
     """Two independently computed forms of the same operator disagreed."""
-
-
-# axis -> the other two axes in cyclic order (axis, next, previous)
-_NEXT = {"x": "y", "y": "z", "z": "x"}
-_PREV = {"y": "x", "z": "y", "x": "z"}
 
 
 @dataclass
@@ -47,50 +52,27 @@ class NilpotentOperator:
 
 @dataclass
 class OmegaOperator:
-    """Omega together with its factor-built inverse and how it was built."""
+    """Omega together with its factor-built inverse."""
 
     matrix: Matrix
     inverse: Matrix
-    provenance: str  # "compositional" | "closedForm"
 
 
-def _nil_index(m):
-    dim = len(m.rows)
-    power = m
-    index = 1
-    while not power.is_zero():
-        if index > dim:
-            raise ConsistencyError("matrix is not nilpotent")
-        power = power * m
-        index += 1
-    return index
-
-
-def _n_sides(axis, mats, sc):
-    """q(1 - ab) and q^-1(1 - ba), (a, b) = (next, prev): each is (q - q^-1) n_axis."""
-    if axis not in _NEXT:
-        raise ValueError("axis must be one of x, y, z")
-    a, b = mats[_NEXT[axis]], mats[_PREV[axis]]
-    ident = Matrix.identity(len(a.rows), sc.one)
+def _n_sides(env, axis):
+    """q(1 - ab) and q^-1(1 - ba), (a, b) = _N_AXES[axis]: each is (q - q^-1) n_axis."""
+    a, b = (env[g] for g in _N_AXES[axis])
+    ident, sc = env["I"], env["sc"]
     return ((ident - a * b).scalar_mul(sc.scal(q_power(1))),
             (ident - b * a).scalar_mul(sc.scal(q_power(-1))))
 
 
-def _n_checked(axis, mats, sc):
+def _n_checked(env, axis):
     # n_axis has two defining expressions; agreement is a consistency check
-    left, right = sides = _n_sides(axis, mats, sc)
+    left, right = env["n_sides_" + axis]
     if left != right:
         raise ConsistencyError(
             "the two defining expressions of n_%s disagree" % axis)
-    return left.scalar_mul(sc.scal(CQ)), sides
-
-
-def n_matrix(axis, rep):
-    """The matrix of n_axis on an equitable-basis module, with its nil index."""
-    if rep.basis != "equitable":
-        raise ValueError("n-matrices are defined on the equitable basis")
-    mat = _n_checked(axis, rep.action, ScalarContext())[0]
-    return NilpotentOperator(matrix=mat, nil_index=_nil_index(mat))
+    return left.scalar_mul(env["sc"].scal(CQ))
 
 
 def _exp_series(mat, sc, order=None):
@@ -118,22 +100,10 @@ def _exp_series(mat, sc, order=None):
     return total, inv_total, order
 
 
-def _exp_pair(mat, order=None):
-    # exp_q(mat) and its inverse from one series, checked to multiply to 1
-    exp, inv, _ = _exp_series(mat, ScalarContext(), order)
-    if exp * inv != Matrix.identity(len(mat.rows)):
-        raise ConsistencyError("exp_q(T) * exp_q_inverse(T) != 1")
-    return exp, inv
-
-
-def exp_q(op):
-    """The truncated q-exponential of a NilpotentOperator."""
-    return _exp_series(op.matrix, ScalarContext(), op.nil_index)[0]
-
-
-def exp_q_inverse(op):
-    """exp_{q^-1}(-T); checked against exp_q(T) at construction."""
-    return _exp_pair(op.matrix, op.nil_index)[1]
+def _check_inverse(mat, inv, what):
+    # a factor-built inverse is checked by one product against the identity
+    if mat * inv != Matrix.identity(len(mat.rows)):
+        raise ConsistencyError("%s != 1" % what)
 
 
 def _psi_exponents(rep):
@@ -171,17 +141,74 @@ def psi_inverse(rep):
     return _psi_pair(rep)[1]
 
 
+def _recipes():
+    # key -> (the keys one recipe builds, the recipe: env -> their values in order)
+    table = {
+        ("I",): lambda env: [Matrix.identity(env["rep"].dim, env["sc"].one)],
+        ("n_sides",): lambda env: [{a: env["n_sides_" + a] for a in _N_AXES}],
+        ("Psi", "Psi^-1"): lambda env: map(env["sc"].matrix, _psi_pair(env["rep"])),
+        ("Omega",): lambda env: [env["Ez"] * env["Psi"] * env["Ey"]],
+        ("Omega^-1",): lambda env: [env["Ey^-1"] * env["Psi^-1"] * env["Ez^-1"]],
+        ("Omega^3",): lambda env: [env["Omega"] * env["Omega"] * env["Omega"]],
+    }
+    for g in EQUITABLE_GENS:
+        table[g,] = lambda env, g=g: [env["sc"].matrix(env["rep"].action[g])]
+    for a in ("y", "z"):
+        table[a + "^-1",] = lambda env, a=a: [env[a].inverse()]
+    for a in _N_AXES:
+        table["n_sides_" + a,] = lambda env, a=a: [_n_sides(env, a)]
+        table["n_" + a,] = lambda env, a=a: [_n_checked(env, a)]
+        table["E" + a, "E" + a + "^-1", "idx_" + a] = (
+            lambda env, a=a: _exp_series(env["n_" + a], env["sc"]))
+    return {key: (keys, recipe) for keys, recipe in table.items() for key in keys}
+
+
+_RECIPES = _recipes()
+
+
+class _OperatorEnv(dict):
+    """The operators of one equitable-basis module over Q(q) or at q = q0,
+    each built by its recipe in _RECIPES when first read, then kept."""
+
+    def __init__(self, rep, q0=None, what="operator suites run"):
+        if rep.basis != "equitable":
+            raise ValueError("%s on the equitable basis" % what)
+        super().__init__(rep=rep, spec=rep.spec, sc=ScalarContext(q0))
+
+    def __missing__(self, key):
+        keys, recipe = _RECIPES[key]
+        self.update(zip(keys, recipe(self)))
+        return self[key]
+
+
+def n_matrix(axis, rep):
+    """The matrix of n_axis on an equitable-basis module, with its nil index."""
+    env = _OperatorEnv(rep, what="n-matrices are defined")
+    if axis not in _N_AXES:
+        raise ValueError("axis must be one of x, y, z")
+    return NilpotentOperator(matrix=env["n_" + axis], nil_index=env["idx_" + axis])
+
+
+def exp_q(op):
+    """The truncated q-exponential of a NilpotentOperator."""
+    return _exp_series(op.matrix, ScalarContext(), op.nil_index)[0]
+
+
+def exp_q_inverse(op):
+    """exp_{q^-1}(-T); checked against exp_q(T) at construction."""
+    exp, inv, _ = _exp_series(op.matrix, ScalarContext(), op.nil_index)
+    _check_inverse(exp, inv, "exp_q(T) * exp_q_inverse(T)")
+    return inv
+
+
 def omega(rep):
     """Omega = exp_q(n_z) * Psi * exp_q(n_y), with its factor-built inverse."""
-    p, pi = _psi_pair(rep)  # raises unless rep is on the equitable basis
-    sc = ScalarContext()
-    ey, eyi = _exp_pair(_n_checked("y", rep.action, sc)[0])
-    ez, ezi = _exp_pair(_n_checked("z", rep.action, sc)[0])
-    mat = ez * p * ey
-    inv = eyi * pi * ezi
-    if mat * inv != Matrix.identity(rep.dim):
-        raise ConsistencyError("Omega * Omega^-1 != 1")
-    return OmegaOperator(matrix=mat, inverse=inv, provenance="compositional")
+    env = _OperatorEnv(rep, what="Psi is defined")
+    for a in ("y", "z"):
+        _check_inverse(env["E" + a], env["E" + a + "^-1"],
+                       "exp_q(T) * exp_q_inverse(T)")
+    _check_inverse(env["Omega"], env["Omega^-1"], "Omega * Omega^-1")
+    return OmegaOperator(matrix=env["Omega"], inverse=env["Omega^-1"])
 
 
 def _closed_form_matrices(n):
@@ -210,7 +237,7 @@ def omega_closed_form(n, eps):
     built = omega(build_equitable(ModuleSpec.single(n, eps)))
     if mat != built.matrix or inv != built.inverse:
         raise ConsistencyError("closed-form Omega disagrees with the compositional build")
-    return OmegaOperator(matrix=mat, inverse=inv, provenance="closedForm")
+    return OmegaOperator(matrix=mat, inverse=inv)
 
 
 def omega_cube_scalar(n):
@@ -218,29 +245,6 @@ def omega_cube_scalar(n):
     if n % 2 == 0:
         return q_power(-(n * (n + 2)) // 2)
     return -q_power(((1 - n) * (n + 3)) // 2)
-
-
-def _operator_env(rep, q0=None):
-    """All operator matrices for one module, over Q(q) or at q = q0."""
-    if rep.basis != "equitable":
-        raise ValueError("operator suites run on the equitable basis")
-    sc = ScalarContext(q0)
-    env = {"spec": rep.spec, "sc": sc, "I": Matrix.identity(rep.dim, sc.one)}
-    for g in ("x", "y", "z"):
-        env[g] = sc.matrix(rep.action[g])
-    env["x^-1"] = sc.matrix(rep.action["x^-1"])
-    env["y^-1"] = env["y"].inverse()
-    env["z^-1"] = env["z"].inverse()
-    env["n_sides"] = {}
-    for a in ("x", "y", "z"):
-        env["n_" + a], env["n_sides"][a] = _n_checked(a, env, sc)
-        env["E" + a], env["E" + a + "^-1"], env["idx_" + a] = _exp_series(
-            env["n_" + a], sc)
-    env["Psi"], env["Psi^-1"] = (sc.matrix(m) for m in _psi_pair(rep))
-    env["Omega"] = env["Ez"] * env["Psi"] * env["Ey"]
-    env["Omega^-1"] = env["Ey^-1"] * env["Psi^-1"] * env["Ez^-1"]
-    env["Omega^3"] = env["Omega"] * env["Omega"] * env["Omega"]
-    return env
 
 
 def _add_eq(report, identity, mod, lhs, rhs):
@@ -265,7 +269,7 @@ def _conjugation_report(env):
 
     rows = []
     for a in ("x", "y", "z"):
-        p, nx = _PREV[a], _NEXT[a]
+        nx, p = _N_AXES[a]
         E, Ei = env["E" + a], env["E" + a + "^-1"]
         P, N, A = env[p], env[nx], env[a]
         rows.append(("conj:exp_q(n_%s)^-1*%s*exp_q(n_%s)=%s^-1" % (a, p, a, nx),
@@ -281,7 +285,7 @@ def _conjugation_report(env):
         rows.append(("conj:exp_q(n_%s)*%s*exp_q(n_%s)^-1=%s+%s-%s^-1" % (a, a, a, a, p, p),
                      E * A * Ei, A + P - env[p + "^-1"]))
     for a in ("x", "y", "z"):
-        p, nx = _PREV[a], _NEXT[a]
+        nx, p = _N_AXES[a]
         E = env["E" + a]
         rows.append(("conj:%s*exp_q(n_%s)-exp_q(n_%s)*%s=exp_q(n_%s)*%s-%s*exp_q(n_%s)"
                      % (a, a, a, a, a, nx, p, a),
@@ -297,8 +301,8 @@ def _conjugation_report(env):
     Om, Omi = env["Omega"], env["Omega^-1"]
     rows.append(("omega:Omega*Omega^-1=1", Om * Omi, env["I"]))
     for a in ("x", "y", "z"):
-        rows.append(("omega:Omega^-1*%s*Omega=%s" % (a, _NEXT[a]),
-                     Omi * env[a] * Om, env[_NEXT[a]]))
+        rows.append(("omega:Omega^-1*%s*Omega=%s" % (a, _N_AXES[a][0]),
+                     Omi * env[a] * Om, env[_N_AXES[a][0]]))
     cube = env["Omega^3"]
     for a in ("x", "y", "z"):
         rows.append(("omega:Omega^3*%s=%s*Omega^3" % (a, a),
@@ -317,7 +321,7 @@ def _conjugation_report(env):
 
 def verify_conjugation_suite(rep, q0=None):
     """Nilpotency, exp_q invertibility, and every conjugation identity on one module."""
-    return _conjugation_report(_operator_env(rep, q0))
+    return _conjugation_report(_OperatorEnv(rep, q0))
 
 
 def _rewrite_report(env):
@@ -325,7 +329,7 @@ def _rewrite_report(env):
     mod = env["spec"].json_obj()
     report = VerificationReport()
     for axis in ("x", "y", "z"):
-        a, b = _NEXT[axis], _PREV[axis]
+        a, b = _N_AXES[axis]
         lhs, rhs = env["n_sides"][axis]
         _add_eq(report, "rewrite:q*(1-%s*%s)=q^-1*(1-%s*%s)" % (a, b, b, a),
                 mod, lhs, rhs)
@@ -334,12 +338,7 @@ def _rewrite_report(env):
 
 def verify_relation_rewrites(rep, q0=None):
     """q(1 - yz) = q^-1(1 - zy) and its two cyclic rotations, as matrices."""
-    if rep.basis != "equitable":
-        raise ValueError("relation rewrites run on the equitable basis")
-    sc = ScalarContext(q0)
-    mats = {g: sc.matrix(rep.action[g]) for g in ("x", "y", "z")}
-    return _rewrite_report({"spec": rep.spec, "n_sides": {
-        a: _n_sides(a, mats, sc) for a in ("x", "y", "z")}})
+    return _rewrite_report(_OperatorEnv(rep, q0, what="relation rewrites run"))
 
 
 def _closed_form_report(env):
@@ -361,4 +360,4 @@ def _closed_form_report(env):
 def verify_closed_form(n, eps, q0=None):
     """Closed-form Omega entries against the compositional build, plus the Omega^3 scalar."""
     rep = build_equitable(ModuleSpec.single(n, eps))
-    return _closed_form_report(_operator_env(rep, q0))
+    return _closed_form_report(_OperatorEnv(rep, q0))

@@ -1,5 +1,6 @@
 """CLI tests: golden outputs, exit-code contract, and output stability."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -183,6 +184,15 @@ def test_verify_q_spot_adds_tagged_rows(runner):
     points = spot_points(2)
     assert any(name.endswith("@q=%s" % points[0]) for name in names)
     assert any(name.endswith("@q=%s" % points[1]) for name in names)
+
+
+def test_verify_battery_bytes_pinned(runner):
+    # the byte-stable JSON of the symbolic and spot rows is the contract
+    res = runner.invoke(main, ["verify", "all", "--nmax", "6", "--q-spot", "2",
+                               "--format", "json"])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == (
+        "12a6c5148f8efdd12305c474ae40b33d131f2d624661b1025adb98f76169acda")
 
 
 def _separate_suites_rows(nmax, window=4):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from uqsl2 import qexpops
+from uqsl2 import cli, qexpops
 from uqsl2.cli import spot_points
 from uqsl2.qexpops import (ConsistencyError, NilpotentOperator, _exp_series,
                            exp_q, exp_q_inverse, n_matrix, omega,
@@ -107,9 +107,6 @@ def test_exp_inverse_checked_at_construction():
 
 
 def test_nil_index_rejects_invertible_matrices():
-    from uqsl2.qexpops import _nil_index
-    with pytest.raises(ConsistencyError):
-        _nil_index(_rep(1, 1).action["x"])
     with pytest.raises(ConsistencyError):
         _exp_series(_rep(1, 1).action["x"], ScalarContext())
 
@@ -134,7 +131,6 @@ def test_psi_frozen_and_quadratic_exponent_form():
 
 def test_omega_frozen():
     om = omega(_rep(1, 1))
-    assert om.provenance == "compositional"
     assert _strs(om.matrix) == [["1", "-1"], ["1", "0"]]
     assert _strs(om.inverse) == [["0", "1"], ["-1", "1"]]
     cube = om.matrix * om.matrix * om.matrix
@@ -153,7 +149,6 @@ def test_omega_closed_form_matches_compositional():
     for n in range(9):
         for eps in (1, -1):
             cf = omega_closed_form(n, eps)
-            assert cf.provenance == "closedForm"
             om = omega(_rep(n, eps))
             assert cf.matrix == om.matrix
             assert cf.inverse == om.inverse
@@ -237,6 +232,38 @@ def test_closed_form_witness_on_a_broken_identity(monkeypatch):
         assert report.entries[0].witness == (
             "first difference at (1, 2): lhs %s, rhs %s" % (good + 1, good))
         assert [e.witness for e in report.entries[1:]] == [None, None]
+
+
+def test_env_builds_only_what_is_read(monkeypatch):
+    # (exp_q series, matrix inverses) that each entry point builds: the
+    # closed form reads Omega alone, so no n_x, exp_q(n_x), y^-1 or z^-1
+    calls = {"series": 0, "inverse": 0}
+    real_series, real_inverse = qexpops._exp_series, Matrix.inverse
+
+    def series(*args, **kwargs):
+        calls["series"] += 1
+        return real_series(*args, **kwargs)
+
+    def inverse(self):
+        calls["inverse"] += 1
+        return real_inverse(self)
+
+    monkeypatch.setattr(qexpops, "_exp_series", series)
+    monkeypatch.setattr(Matrix, "inverse", inverse)
+
+    def counted(run):
+        calls.update(series=0, inverse=0)
+        run()
+        return calls["series"], calls["inverse"]
+
+    assert counted(lambda: omega(_rep(3, 1))) == (2, 0)
+    for q0 in (None, Fraction(5, 3)):
+        assert counted(lambda: verify_closed_form(3, 1, q0)) == (2, 0)
+        assert counted(lambda: verify_relation_rewrites(_rep(3, 1), q0)) == (0, 0)
+        assert counted(lambda: verify_conjugation_suite(_rep(3, 1), q0)) == (3, 2)
+        # three reports read one environment
+        assert counted(lambda: cli._operator_task(
+            ModuleSpec.single(3, 1), q0)) == (3, 2)
 
 
 def test_numeric_specialization():
