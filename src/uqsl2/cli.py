@@ -2,31 +2,33 @@
 
 Exit codes: 0 all checks pass / output emitted, 1 verification failure,
 2 usage or parse error (including inadmissible specialization points).
-JSON output is byte-stable across runs: the task list is built in a fixed
-order and run in that order.
+JSON output is byte-stable across runs: ``verify`` walks its suites in a
+fixed order and prints four sections in turn: algebra, modules, operators,
+gamma.  The walk visits each (module, point) once, with one environment
+that its module rows and operator rows both read.
 """
 
 import random
 import sys
 from fractions import Fraction
-from functools import partial
 
 import click
 
 from . import exprio
 from .exprio import ParseError, ScalarLiteral
 from .gammamod import GAMMA_Y, GAMMA_Z, verify_gamma
-from .ncore import (from_equitable, normalize_chevalley, verify_confluence,
-                    verify_n_commutation, verify_n_definitions,
-                    verify_n_preimages, verify_presentation_iso)
+from .ncore import (ProductSizeError, from_equitable, normalize_chevalley,
+                    verify_confluence, verify_n_commutation,
+                    verify_n_definitions, verify_n_preimages,
+                    verify_presentation_iso)
 from .qexpops import (ConsistencyError, _closed_form_report,
                       _conjugation_report, _OperatorEnv, _rewrite_report,
                       omega, omega_closed_form, verify_closed_form)
 from .qfield import PoleError, SpecializationError, check_admissible
 from .repmod import (CHEVALLEY_GENS, EQUITABLE_GENS, Matrix, ModuleSpec,
                      build_chevalley, build_equitable, json_bytes, matrix_csv,
-                     matrix_json_obj, matrix_latex, verify_basis_change,
-                     verify_module_suite)
+                     matrix_json_obj, matrix_latex, _module_report,
+                     verify_basis_change, verify_module_suite)
 from .report import ReportEntry, VerificationReport
 
 _FORMAT_OPTION = click.option(
@@ -77,8 +79,11 @@ def _check_printable(values):
 def normalize(expr, presentation, fmt):
     """Print the PBW normal form of EXPR."""
     ast = _parse_or_usage(expr, presentation)
-    element = (from_equitable(ast) if presentation == "equitable"
-               else normalize_chevalley(ast))
+    try:
+        element = (from_equitable(ast) if presentation == "equitable"
+                   else normalize_chevalley(ast))
+    except ProductSizeError as err:
+        raise click.UsageError(str(err))
     _check_printable(c for coeff in element.terms.values()
                      for part in (coeff.num, coeff.den) for c in part.terms.values())
     if fmt == "json":
@@ -167,23 +172,24 @@ def _tagged(report, q0):
     return tagged
 
 
-def _module_task(spec, q0=None):
+def _module_task(env):
+    # the equitable rows read env; the Chevalley and basis-change rows build their own
+    spec, q0 = env["spec"], env["sc"].q0
     report = VerificationReport()
-    report.extend(verify_module_suite(build_equitable(spec), q0=q0))
+    report.extend(_module_report(env))
     report.extend(verify_module_suite(build_chevalley(spec), q0=q0))
     report.extend(verify_basis_change(spec, q0=q0))
     return _tagged(report, q0)
 
 
-def _operator_task(spec, q0=None):
-    # one operator environment serves the conjugation, rewrite and closed-form rows
-    env = _OperatorEnv(build_equitable(spec), q0)
+def _operator_task(env):
+    # the conjugation, rewrite and closed-form rows read the env the module rows read
     report = VerificationReport()
     report.extend(_conjugation_report(env))
     report.extend(_rewrite_report(env))
-    if spec.is_single:
+    if env["spec"].is_single:
         report.extend(_closed_form_task(env))
-    return _tagged(report, q0)
+    return _tagged(report, env["sc"].q0)
 
 
 def _closed_form_task(env):
@@ -193,32 +199,6 @@ def _closed_form_task(env):
 
 def _gamma_task(module, window):
     return verify_gamma(module, imax=window, jmax=window)
-
-
-def _verify_tasks(scope, nmax, window, q_spot):
-    tasks = []
-    if scope in ("iso", "all"):
-        tasks.append(verify_presentation_iso)
-    if scope in ("relations", "all"):
-        tasks.extend([verify_confluence, verify_n_definitions,
-                      verify_n_commutation, verify_n_preimages])
-    specs = [ModuleSpec.single(n, eps)
-             for n in range(nmax + 1) for eps in (1, -1)]
-    specs.append(ModuleSpec(((1, 1), (2, -1))))
-    specs.append(ModuleSpec(((0, -1), (3, 1))))
-    points = [None] + spot_points(q_spot)
-    if scope in ("modules", "all"):
-        for spec in specs:
-            for q0 in points:
-                tasks.append(partial(_module_task, spec, q0))
-    if scope in ("operators", "all"):
-        for spec in specs:
-            for q0 in points:
-                tasks.append(partial(_operator_task, spec, q0))
-    if scope in ("gamma", "all"):
-        tasks.append(partial(_gamma_task, GAMMA_Y, window))
-        tasks.append(partial(_gamma_task, GAMMA_Z, window))
-    return tasks
 
 
 def _emit_report(report, fmt):
@@ -240,8 +220,32 @@ def _emit_report(report, fmt):
 def verify(scope, nmax, window, q_spot, fmt):
     """Run the verification battery for SCOPE and report every identity."""
     combined = VerificationReport()
-    for task in _verify_tasks(scope, nmax, window, q_spot):
-        combined.extend(task())
+    if scope in ("iso", "all"):
+        combined.extend(verify_presentation_iso())
+    if scope in ("relations", "all"):
+        for suite in (verify_confluence, verify_n_definitions,
+                      verify_n_commutation, verify_n_preimages):
+            combined.extend(suite())
+    if scope in ("modules", "operators", "all"):
+        specs = [ModuleSpec.single(n, eps)
+                 for n in range(nmax + 1) for eps in (1, -1)]
+        specs.append(ModuleSpec(((1, 1), (2, -1))))
+        specs.append(ModuleSpec(((0, -1), (3, 1))))
+        points = [None] + spot_points(q_spot)
+        # one visit and one environment per (module, point); the module rows
+        # all print before the operator rows
+        modules, operators = VerificationReport(), VerificationReport()
+        for spec in specs:
+            for q0 in points:
+                env = _OperatorEnv(build_equitable(spec), q0)
+                if scope != "operators":
+                    modules.extend(_module_task(env))
+                if scope != "modules":
+                    operators.extend(_operator_task(env))
+        combined.extend(modules).extend(operators)
+    if scope in ("gamma", "all"):
+        for module in (GAMMA_Y, GAMMA_Z):
+            combined.extend(_gamma_task(module, window))
     _emit_report(combined, fmt)
     if not combined.passed:
         sys.exit(1)

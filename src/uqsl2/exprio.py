@@ -54,6 +54,10 @@ EQUITABLE = "equitable"
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
 MAX_POWER_BITS = 14000
+# the most coefficient terms one PBW product table e^r f^s may hold
+# (ncore._ef_table): e^22*f^22 has 89,608 and e^1000*f^5 70,042; the slowest
+# table within the cap, e^400*f^8, normalizes in about 6 s on a 2-vCPU host
+MAX_PRODUCT_TERMS = 100000
 # the most digits an integer literal may have: every such number is below
 # 2^MAX_POWER_BITS, and int() reads it within Python's 4300-digit limit
 _MAX_DIGITS = len(str(2 ** MAX_POWER_BITS)) - 1

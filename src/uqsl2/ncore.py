@@ -88,10 +88,30 @@ def _rewrite(combo):
     return res
 
 
+class ProductSizeError(ValueError):
+    """A PBW product whose table e^r f^s would pass exprio.MAX_PRODUCT_TERMS."""
+
+
+def _ef_terms(r, s):
+    # coefficient terms of _ef_table(r, s): gamma's numerator has
+    # t(r-t) + t(s-t) + t(t-1)/2 + i(t-i) + 1 terms, its denominator
+    # (q^2 - 1)^t has t + 1, and the sum over i of i(t-i) is (t^3 - t)/6
+    return sum((t + 1) * (t * (r + s - 2 * t) + t * (t + 1) // 2 + 2) + (t ** 3 - t) // 6
+               for t in range(min(r, s) + 1))
+
+
 @lru_cache(maxsize=None)
 def _ef_table(r, s):
     """e^r f^s as ((t, t - 2i, gamma), ...), one entry per PBW term
-    gamma f^(s-t) k^(t-2i) e^(r-t) (see the module docstring)."""
+    gamma f^(s-t) k^(t-2i) e^(r-t) (see the module docstring).
+
+    Raises ProductSizeError, before building, when the table's coefficients
+    would hold more than exprio.MAX_PRODUCT_TERMS terms."""
+    terms = _ef_terms(r, s)
+    if terms > exprio.MAX_PRODUCT_TERMS:
+        raise ProductSizeError(
+            "e^%d*f^%d expands to %d coefficient terms, beyond the cap of %d"
+            % (r, s, terms, exprio.MAX_PRODUCT_TERMS))
     table = []
     for t in range(min(r, s) + 1):
         common = qbinom(r, t) * qbinom(s, t) * qfact(t)

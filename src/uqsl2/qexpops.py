@@ -19,22 +19,28 @@ cyclically rotates x -> y -> z -> x under conjugation, with Omega^3 central.
 Every identity is also exposed as a report row so it can be re-checked at a
 numeric specialization q = q0.
 
-Each (module, point) has one operator environment, ``_OperatorEnv``, in which
-every operator has one recipe and is built on first read, then kept.  ``omega``
-(so ``omega_closed_form``) reads n_y, n_z, their exp_q pairs, Psi, Omega and
-Omega^-1; ``verify_closed_form`` reads Omega, Omega^-1 and Omega^3, so never
-n_x, exp_q(n_x), y^-1 or z^-1; ``n_matrix`` reads n_a and its index from the
-exp_q(n_a) series; ``verify_relation_rewrites`` reads the n-element sides; and
-``verify_conjugation_suite`` and ``uqsl2 verify operators`` (whose three
-reports share one environment) read every entry.
+Each (module, point) has one operator environment, ``_OperatorEnv``: the
+module environment ``repmod._ModuleEnv`` (generators, I, y^-1, z^-1 and the
+six products a*b of x, y, z) extended by one recipe per operator, each
+built on first read, then kept.  The operator entries are the two defining
+sides of each n_a (read from the products), n_a, exp_q(n_a) with its
+inverse and index, Psi, Omega, Omega^-1, Omega^3 and the Omega^3 central
+scalar matrix.  ``omega`` (so ``omega_closed_form``) reads n_y, n_z, their
+exp_q pairs, Psi, Omega and Omega^-1; ``verify_closed_form`` reads Omega,
+Omega^-1, Omega^3 and the scalar matrix, so never n_x, exp_q(n_x), y^-1 or
+z^-1; ``n_matrix`` reads n_a and its index from the exp_q(n_a) series;
+``verify_relation_rewrites`` reads the n-element sides; and
+``verify_conjugation_suite`` reads every entry.  ``uqsl2 verify`` builds
+one environment per (module, point) and reads it for the module rows and
+then for the conjugation, rewrite and closed-form rows.
 """
 
 from dataclasses import dataclass
 
 from .ncore import _N_AXES
 from .qfield import CQ, RF_ZERO, RatFunc, q_power, qbinom, qint
-from .repmod import (EQUITABLE_GENS, Matrix, ModuleSpec, ScalarContext,
-                     build_equitable, matrix_witness)
+from .repmod import (Matrix, ModuleSpec, ScalarContext, _ModuleEnv,
+                     _recipe_index, build_equitable, matrix_witness)
 from .report import VerificationReport, check
 
 
@@ -60,10 +66,10 @@ class OmegaOperator:
 
 def _n_sides(env, axis):
     """q(1 - ab) and q^-1(1 - ba), (a, b) = _N_AXES[axis]: each is (q - q^-1) n_axis."""
-    a, b = (env[g] for g in _N_AXES[axis])
+    a, b = _N_AXES[axis]
     ident, sc = env["I"], env["sc"]
-    return ((ident - a * b).scalar_mul(sc.scal(q_power(1))),
-            (ident - b * a).scalar_mul(sc.scal(q_power(-1))))
+    return ((ident - env[a + "*" + b]).scalar_mul(sc.scal(q_power(1))),
+            (ident - env[b + "*" + a]).scalar_mul(sc.scal(q_power(-1))))
 
 
 def _n_checked(env, axis):
@@ -141,44 +147,35 @@ def psi_inverse(rep):
     return _psi_pair(rep)[1]
 
 
-def _recipes():
-    # key -> (the keys one recipe builds, the recipe: env -> their values in order)
+def _operator_recipes():
+    # the module recipes of _ModuleEnv, plus one recipe per operator
     table = {
-        ("I",): lambda env: [Matrix.identity(env["rep"].dim, env["sc"].one)],
         ("n_sides",): lambda env: [{a: env["n_sides_" + a] for a in _N_AXES}],
         ("Psi", "Psi^-1"): lambda env: map(env["sc"].matrix, _psi_pair(env["rep"])),
         ("Omega",): lambda env: [env["Ez"] * env["Psi"] * env["Ey"]],
         ("Omega^-1",): lambda env: [env["Ey^-1"] * env["Psi^-1"] * env["Ez^-1"]],
         ("Omega^3",): lambda env: [env["Omega"] * env["Omega"] * env["Omega"]],
+        ("Omega^3-scalar",): lambda env: [env["I"].scalar_mul(env["sc"].scal(
+            omega_cube_scalar(env["spec"].summands[0][0])))],
     }
-    for g in EQUITABLE_GENS:
-        table[g,] = lambda env, g=g: [env["sc"].matrix(env["rep"].action[g])]
-    for a in ("y", "z"):
-        table[a + "^-1",] = lambda env, a=a: [env[a].inverse()]
     for a in _N_AXES:
         table["n_sides_" + a,] = lambda env, a=a: [_n_sides(env, a)]
         table["n_" + a,] = lambda env, a=a: [_n_checked(env, a)]
         table["E" + a, "E" + a + "^-1", "idx_" + a] = (
             lambda env, a=a: _exp_series(env["n_" + a], env["sc"]))
-    return {key: (keys, recipe) for keys, recipe in table.items() for key in keys}
+    return {**_ModuleEnv.recipes, **_recipe_index(table)}
 
 
-_RECIPES = _recipes()
+class _OperatorEnv(_ModuleEnv):
+    """The module environment of one equitable-basis module, extended by the
+    operator recipes: each operator is built when first read, then kept."""
 
-
-class _OperatorEnv(dict):
-    """The operators of one equitable-basis module over Q(q) or at q = q0,
-    each built by its recipe in _RECIPES when first read, then kept."""
+    recipes = _operator_recipes()
 
     def __init__(self, rep, q0=None, what="operator suites run"):
         if rep.basis != "equitable":
             raise ValueError("%s on the equitable basis" % what)
-        super().__init__(rep=rep, spec=rep.spec, sc=ScalarContext(q0))
-
-    def __missing__(self, key):
-        keys, recipe = _RECIPES[key]
-        self.update(zip(keys, recipe(self)))
-        return self[key]
+        super().__init__(rep, q0)
 
 
 def n_matrix(axis, rep):
@@ -312,10 +309,8 @@ def _conjugation_report(env):
         _add_eq(report, identity, mod, lhs, rhs)
 
     if spec.is_single:
-        n = spec.summands[0][0]
-        scalar = env["sc"].scal(omega_cube_scalar(n))
         _add_eq(report, "omega:Omega^3=central-scalar", mod, cube,
-                env["I"].scalar_mul(scalar))
+                env["Omega^3-scalar"])
     return report
 
 
@@ -353,7 +348,7 @@ def _closed_form_report(env):
             sc.matrix(mat), env["Omega"])
     _add_eq(report, "closedform:Omega^-1", mod, sc.matrix(inv), env["Omega^-1"])
     _add_eq(report, "closedform:Omega^3=central-scalar", mod, env["Omega^3"],
-            env["I"].scalar_mul(sc.scal(omega_cube_scalar(n))))
+            env["Omega^3-scalar"])
     return report
 
 

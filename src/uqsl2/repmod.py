@@ -12,16 +12,26 @@ u_i = gamma_i v_i with gamma_0 = 1, gamma_i = -eps q^(n-i) gamma_{i-1}:
     z u_i = eps q^(2i-n) u_i + eps (q^n - q^(2i-2-n)) u_{i-1}.
 
 Matrices act on column vectors: the matrix of g holds g(u_j) in column j.
+
+Each (module, point) has one lazy environment, ``_ModuleEnv``, whose entries
+are each built by one recipe the first time they are read, then kept: the
+specialized generators and ``I`` (read by the module suite on either basis),
+``y^-1`` and ``z^-1`` (its invertibility rows) and the six ordered products
+``x*y``, ``y*x``, ``y*z``, ``z*y``, ``z*x``, ``x*z`` (its three defining
+relations).  ``qexpops._OperatorEnv`` extends it with the operator recipes,
+whose n-element sides read the same products, so ``uqsl2 verify`` forms each
+product and each inverse once per (module, point).
 """
 
 import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .ncore import equitable_image
-from .qfield import (CQ, RF_ONE, RF_ZERO, LaurentPoly, RatFunc, laurent_matmul,
-                     q_power, qint)
+from .qfield import (CQ, RF_ONE, RF_ZERO, LaurentPoly, RatFunc, check_admissible,
+                     laurent_matmul, q_power, qint)
 from .report import VerificationReport, check
 
 CHEVALLEY_GENS = ("k", "k^-1", "e", "f")
@@ -381,6 +391,8 @@ class ScalarContext:
     """Adapter so identity checks run symbolically or at a rational q0."""
 
     def __init__(self, q0=None):
+        if q0 is not None:
+            check_admissible(q0)
         self.q0 = q0
         self.one = RF_ONE if q0 is None else Fraction(1)
 
@@ -397,6 +409,39 @@ class ScalarContext:
         return m.map_entries(lambda x: x.evaluate(self.q0))
 
 
+def _recipe_index(table):
+    """{keys: recipe} -> {key: (keys, recipe)}; one recipe builds all its keys."""
+    return {key: (keys, recipe) for keys, recipe in table.items() for key in keys}
+
+
+def _module_recipes():
+    # key -> (the keys one recipe builds, the recipe: env -> their values in order)
+    table = {("I",): lambda env: [Matrix.identity(env["rep"].dim, env["sc"].one)]}
+    for g in EQUITABLE_GENS + CHEVALLEY_GENS:
+        table[g,] = lambda env, g=g: [env["sc"].matrix(env["rep"].action[g])]
+    for a in ("y", "z"):
+        table[a + "^-1",] = lambda env, a=a: [env[a].inverse()]
+    for a, b in permutations("xyz", 2):
+        table[a + "*" + b,] = lambda env, a=a, b=b: [env[a] * env[b]]
+    return _recipe_index(table)
+
+
+class _ModuleEnv(dict):
+    """The matrices of one module over Q(q) or at q = q0, each built by its
+    recipe in ``recipes`` when first read, then kept (see the module
+    docstring for the entries and their readers)."""
+
+    recipes = _module_recipes()
+
+    def __init__(self, rep, q0=None):
+        super().__init__(rep=rep, spec=rep.spec, sc=ScalarContext(q0))
+
+    def __missing__(self, key):
+        keys, recipe = self.recipes[key]
+        self.update(zip(keys, recipe(self)))
+        return self[key]
+
+
 def _eig_multiset(values):
     counts = {}
     for v in values:
@@ -404,26 +449,21 @@ def _eig_multiset(values):
     return counts
 
 
-def _expected_eigs(spec, sc):
-    vals = []
-    for n, eps in spec.summands:
-        for i in range(n + 1):
-            vals.append(sc.scal(q_power(n - 2 * i) * eps))
-    return _eig_multiset(vals)
-
-
-def verify_module_suite(rep, q0=None):
-    """Check defining relations, eigenvalues, invertibility, and sum vectors."""
-    sc = ScalarContext(q0)
-    mats = {g: sc.matrix(m) for g, m in rep.action.items()}
-    spec = rep.spec
+def _module_report(env):
+    """The rows of verify_module_suite for the module ``env`` was built on."""
+    rep, spec, sc = env["rep"], env["spec"], env["sc"]
     mod = spec.json_obj()
-    ident = Matrix.identity(rep.dim, sc.one)
+    ident = env["I"]
     cq = sc.scal(CQ)
     qq, qi = sc.scal(q_power(1)), sc.scal(q_power(-1))
+    # the diagonal of y and z, eps q^(2i-n) blockwise; as a multiset it is
+    # also the spectrum eps q^(n-2i) of x and of k
+    low_diag = [sc.scal(q_power(2 * i - n) * eps)
+                for _, n, eps in spec.blocks() for i in range(n + 1)]
+    expected = _eig_multiset(low_diag)
     entries = []
     if rep.basis == "chevalley":
-        K, Kinv, E, F = mats["k"], mats["k^-1"], mats["e"], mats["f"]
+        K, Kinv, E, F = (env[g] for g in CHEVALLEY_GENS)
         entries.append(check("module:chevalley:k*k^-1=k^-1*k=1", mod,
                              K * Kinv == ident and Kinv * K == ident))
         entries.append(check("module:chevalley:k*e=q^2*e*k", mod,
@@ -433,33 +473,29 @@ def verify_module_suite(rep, q0=None):
         entries.append(check("module:chevalley:e*f-f*e=(k-k^-1)/(q-q^-1)", mod,
                              E * F - F * E == (K - Kinv).scalar_mul(cq)))
         actual = _eig_multiset(K.diagonal()) if K.is_diagonal() else None
-        entries.append(check("module:eigenvalues:k", mod,
-                             actual == _expected_eigs(spec, sc)))
+        entries.append(check("module:eigenvalues:k", mod, actual == expected))
         return VerificationReport(entries)
 
-    X, Xinv, Y, Z = mats["x"], mats["x^-1"], mats["y"], mats["z"]
+    X, Xinv, Y, Z = (env[g] for g in EQUITABLE_GENS)
     entries.append(check("module:equitable:x*x^-1=x^-1*x=1", mod,
                          X * Xinv == ident and Xinv * X == ident))
-    for a, b, A, B in (("x", "y", X, Y), ("y", "z", Y, Z), ("z", "x", Z, X)):
-        lhs = ((A * B).scalar_mul(qq) - (B * A).scalar_mul(qi)).scalar_mul(cq)
+    for a, b in (("x", "y"), ("y", "z"), ("z", "x")):
+        lhs = (env[a + "*" + b].scalar_mul(qq)
+               - env[b + "*" + a].scalar_mul(qi)).scalar_mul(cq)
         entries.append(check(
             "module:equitable:(q*%s*%s-q^-1*%s*%s)/(q-q^-1)=1" % (a, b, b, a),
             mod, lhs == ident))
-    expected = _expected_eigs(spec, sc)
     entries.append(check("module:eigenvalues:x", mod,
                          X.is_diagonal() and _eig_multiset(X.diagonal()) == expected))
-    # y is lower, z upper triangular with (i,i) entry eps q^(2i-n) blockwise
-    low_diag = [sc.scal(q_power(2 * i - n) * eps)
-                for _, n, eps in spec.blocks() for i in range(n + 1)]
     entries.append(check("module:eigenvalues:y", mod,
                          Y.is_lower_triangular() and Y.diagonal() == low_diag))
     entries.append(check("module:eigenvalues:z", mod,
                          Z.is_upper_triangular() and Z.diagonal() == low_diag))
-    for name, M in (("y", Y), ("z", Z)):
+    for name in ("y", "z"):
         try:
-            Minv = M.inverse()
-            ok = M * Minv == ident
-            if ok and q0 is None:
+            Minv = env[name + "^-1"]
+            ok = env[name] * Minv == ident
+            if ok and sc.q0 is None:
                 # determinant is +-1, so the inverse has Laurent entries
                 ok = all(x.is_polynomial() for row in Minv.rows for x in row)
         except ZeroDivisionError:
@@ -475,6 +511,11 @@ def verify_module_suite(rep, q0=None):
         entries.append(check("module:note:z*u=eps*q^n*u", block,
                              Z * u == u.scalar_mul(sc.scal(q_power(n) * eps))))
     return VerificationReport(entries)
+
+
+def verify_module_suite(rep, q0=None):
+    """Check defining relations, eigenvalues, invertibility, and sum vectors."""
+    return _module_report(_ModuleEnv(rep, q0))
 
 
 def verify_basis_change(spec, q0=None):

@@ -168,6 +168,21 @@ def test_verify_scopes(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("scope", ["modules", "operators", "iso", "relations", "gamma"])
+def test_verify_scope_rows_are_a_run_of_verify_all(runner, scope):
+    # one walk fills every section: a scope's rows appear in verify all
+    # unchanged, in order and together
+    args = ["--nmax", "3", "--q-spot", "1", "--window", "2", "--format", "json"]
+    whole = runner.invoke(main, ["verify", "all"] + args)
+    part = runner.invoke(main, ["verify", scope] + args)
+    assert whole.exit_code == part.exit_code == 0
+    rows = json.loads(whole.output)["entries"]
+    run = json.loads(part.output)["entries"]
+    starts = [i for i in range(len(rows) - len(run) + 1)
+              if rows[i : i + len(run)] == run]
+    assert run and len(starts) == 1
+
+
 def test_verify_json_stable_across_jobs_and_runs(runner):
     args = ["verify", "modules", "--nmax", "2", "--format", "json"]
     first = runner.invoke(main, args)
@@ -307,6 +322,8 @@ _CORPUS = [
     (["normalize", "9" * 4000], 0),
     (["normalize", "1/(q^600+3) + 1/(q^600+5)"], 2),
     (["normalize", "q^1000 + q^-1000"], 0),
+    (["normalize", "e^40*f^40"], 2),
+    (["normalize", "e^1000*f^1000"], 2),
 ]
 
 

@@ -110,6 +110,18 @@ def test_degree_bound_for_ef_powers():
         assert all(a <= m and c <= m for a, _, c in power.terms)
 
 
+def test_product_size_is_counted_before_the_table_is_built():
+    # _ef_terms is the exact term count of the table it guards
+    for r in range(9):
+        for s in range(9):
+            table = ncore._ef_table(r, s)
+            assert ncore._ef_terms(r, s) == sum(
+                len(g.num.terms) + len(g.den.terms) for _, _, g in table)
+    with pytest.raises(ncore.ProductSizeError):
+        nf("e^40*f^40")
+    assert ncore._ef_terms(1000, 1000) > 10 ** 11  # counted, not built
+
+
 def test_scalar_elements_hash_like_their_values():
     assert len({AlgebraElement.one(), RF_ONE, 1}) == 1
     assert hash(AlgebraElement.zero()) == hash(0)

@@ -7,13 +7,14 @@ import pytest
 from uqsl2 import cli, qexpops
 from uqsl2.cli import spot_points
 from uqsl2.qexpops import (ConsistencyError, NilpotentOperator, _exp_series,
-                           exp_q, exp_q_inverse, n_matrix, omega,
+                           _OperatorEnv, exp_q, exp_q_inverse, n_matrix, omega,
                            omega_closed_form, omega_cube_scalar, psi, psi_inverse,
                            verify_closed_form, verify_conjugation_suite,
                            verify_relation_rewrites)
-from uqsl2.qfield import RF_ONE, RF_ZERO, RatFunc, q_power, qbinom, qfact, qint
+from uqsl2.qfield import (RF_ONE, RF_ZERO, RatFunc, SpecializationError, q_power,
+                          qbinom, qfact, qint)
 from uqsl2.repmod import (Matrix, ModuleSpec, ScalarContext, build_chevalley,
-                          build_equitable)
+                          build_equitable, verify_basis_change, verify_module_suite)
 
 
 def _rep(n, eps):
@@ -263,7 +264,31 @@ def test_env_builds_only_what_is_read(monkeypatch):
         assert counted(lambda: verify_conjugation_suite(_rep(3, 1), q0)) == (3, 2)
         # three reports read one environment
         assert counted(lambda: cli._operator_task(
-            ModuleSpec.single(3, 1), q0)) == (3, 2)
+            _OperatorEnv(_rep(3, 1), q0))) == (3, 2)
+
+        # the module rows and the operator rows read one environment: y^-1
+        # and z^-1 once, and the basis change's D^-1
+        def both():
+            env = _OperatorEnv(_rep(3, 1), q0)
+            cli._module_task(env)
+            cli._operator_task(env)
+
+        assert counted(both) == (3, 3)
+
+
+@pytest.mark.parametrize("q0", [0, 1, -1])
+@pytest.mark.parametrize("suite", [
+    lambda q0: verify_module_suite(_rep(2, 1), q0),
+    lambda q0: verify_module_suite(build_chevalley(ModuleSpec.single(2, 1)), q0),
+    lambda q0: verify_basis_change(ModuleSpec.single(2, 1), q0),
+    lambda q0: verify_conjugation_suite(_rep(2, 1), q0),
+    lambda q0: verify_relation_rewrites(_rep(2, 1), q0),
+    lambda q0: verify_closed_form(2, 1, q0),
+], ids=["module", "module-chevalley", "basis-change", "conjugation", "rewrites",
+        "closed-form"])
+def test_suites_reject_inadmissible_points(suite, q0):
+    with pytest.raises(SpecializationError):
+        suite(q0)
 
 
 def test_numeric_specialization():
