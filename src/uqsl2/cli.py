@@ -4,12 +4,14 @@ Exit codes: 0 all checks pass / output emitted, 1 verification failure,
 2 usage or parse error (including inadmissible specialization points).
 JSON output is byte-stable across runs: ``verify`` walks its suites in a
 fixed order and prints four sections in turn: algebra, modules, operators,
-gamma.  The walk visits each (module, point) once, with one environment
-that its module rows and operator rows both read.
+gamma.  The walk builds one environment per module, with the q0-free inputs
+of both bases, and visits each (module, point) once with the environment
+derived from it, which its module rows (both bases) and operator rows read.
 """
 
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import click
@@ -26,10 +28,10 @@ from .qexpops import (ConsistencyError, _closed_form_report,
                       omega, omega_closed_form, verify_closed_form)
 from .qfield import PoleError, SpecializationError, check_admissible
 from .repmod import (CHEVALLEY_GENS, EQUITABLE_GENS, Matrix, ModuleSpec,
-                     build_chevalley, build_equitable, json_bytes, matrix_csv,
-                     matrix_json_obj, matrix_latex, _module_report,
-                     verify_basis_change, verify_module_suite)
-from .report import ReportEntry, VerificationReport
+                     _basis_change_report, _chevalley_report,
+                     _equitable_report, build_chevalley, build_equitable,
+                     json_bytes, matrix_csv, matrix_json_obj, matrix_latex)
+from .report import VerificationReport
 
 _FORMAT_OPTION = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
@@ -165,21 +167,16 @@ def spot_points(count, seed=1729):
 def _tagged(report, q0):
     if q0 is None:
         return report
-    tagged = VerificationReport()
-    for e in report.entries:
-        tagged.add(ReportEntry(identity="%s@q=%s" % (e.identity, q0),
-                               module=e.module, status=e.status, witness=e.witness))
-    return tagged
+    return VerificationReport([replace(e, identity="%s@q=%s" % (e.identity, q0))
+                               for e in report.entries])
 
 
 def _module_task(env):
-    # the equitable rows read env; the Chevalley and basis-change rows build their own
-    spec, q0 = env["spec"], env["sc"].q0
+    # the equitable, Chevalley and basis-change rows all read env
     report = VerificationReport()
-    report.extend(_module_report(env))
-    report.extend(verify_module_suite(build_chevalley(spec), q0=q0))
-    report.extend(verify_basis_change(spec, q0=q0))
-    return _tagged(report, q0)
+    for rows in (_equitable_report, _chevalley_report, _basis_change_report):
+        report.extend(rows(env))
+    return _tagged(report, env["sc"].q0)
 
 
 def _operator_task(env):
@@ -232,12 +229,13 @@ def verify(scope, nmax, window, q_spot, fmt):
         specs.append(ModuleSpec(((1, 1), (2, -1))))
         specs.append(ModuleSpec(((0, -1), (3, 1))))
         points = [None] + spot_points(q_spot)
-        # one visit and one environment per (module, point); the module rows
-        # all print before the operator rows
+        # one symbolic env per module builds its q0-free inputs; each point
+        # reads its own env from it; module rows all print before operators
         modules, operators = VerificationReport(), VerificationReport()
         for spec in specs:
+            sym = _OperatorEnv(build_equitable(spec))
             for q0 in points:
-                env = _OperatorEnv(build_equitable(spec), q0)
+                env = sym.at(q0)
                 if scope != "operators":
                     modules.extend(_module_task(env))
                 if scope != "modules":

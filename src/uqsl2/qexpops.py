@@ -19,28 +19,27 @@ cyclically rotates x -> y -> z -> x under conjugation, with Omega^3 central.
 Every identity is also exposed as a report row so it can be re-checked at a
 numeric specialization q = q0.
 
-Each (module, point) has one operator environment, ``_OperatorEnv``: the
-module environment ``repmod._ModuleEnv`` (generators, I, y^-1, z^-1 and the
-six products a*b of x, y, z) extended by one recipe per operator, each
-built on first read, then kept.  The operator entries are the two defining
-sides of each n_a (read from the products), n_a, exp_q(n_a) with its
-inverse and index, Psi, Omega, Omega^-1, Omega^3 and the Omega^3 central
+Each module has one operator environment, ``_OperatorEnv``: the module
+environment ``repmod._ModuleEnv`` (the q0-free inputs of both bases, built
+once per module; at each point from ``at(q0)``, I, y^-1, z^-1 and the six
+products a*b of x, y, z) extended by one recipe per operator, each built on
+first read, then kept: the two defining sides of each n_a, n_a, exp_q(n_a)
+with its inverse and index, Psi, Omega, Omega^-1, Omega^3 and the Omega^3
 scalar matrix.  ``omega`` (so ``omega_closed_form``) reads n_y, n_z, their
 exp_q pairs, Psi, Omega and Omega^-1; ``verify_closed_form`` reads Omega,
-Omega^-1, Omega^3 and the scalar matrix, so never n_x, exp_q(n_x), y^-1 or
-z^-1; ``n_matrix`` reads n_a and its index from the exp_q(n_a) series;
-``verify_relation_rewrites`` reads the n-element sides; and
-``verify_conjugation_suite`` reads every entry.  ``uqsl2 verify`` builds
-one environment per (module, point) and reads it for the module rows and
-then for the conjugation, rewrite and closed-form rows.
+Omega^-1, Omega^3 and the scalar matrix, never n_x, y^-1 or z^-1;
+``n_matrix`` reads n_a and its index; ``verify_relation_rewrites`` the
+n-element sides; ``verify_conjugation_suite`` every entry.  ``uqsl2 verify``
+reads one env per (module, point) for the module rows of both bases, then
+for the conjugation, rewrite and closed-form rows.
 """
 
 from dataclasses import dataclass
 
 from .ncore import _N_AXES
 from .qfield import CQ, RF_ZERO, RatFunc, q_power, qbinom, qint
-from .repmod import (Matrix, ModuleSpec, ScalarContext, _ModuleEnv,
-                     _recipe_index, build_equitable, matrix_witness)
+from .repmod import (Matrix, ModuleSpec, ScalarContext, _add_eq, _ModuleEnv,
+                     _recipe_index, build_equitable)
 from .report import VerificationReport, check
 
 
@@ -130,10 +129,7 @@ def _psi_pair(rep):
     # Psi and Psi^-1: the diagonals q^e and q^-e, e from _psi_exponents
     if rep.basis != "equitable":
         raise ValueError("Psi is defined on the equitable basis")
-    exps = _psi_exponents(rep)
-    dim = rep.dim
-    return tuple(Matrix([[q_power(sign * exps[i]) if i == j else RF_ZERO
-                          for j in range(dim)] for i in range(dim)])
+    return tuple(Matrix.diag([q_power(sign * e) for e in _psi_exponents(rep)])
                  for sign in (1, -1))
 
 
@@ -172,10 +168,10 @@ class _OperatorEnv(_ModuleEnv):
 
     recipes = _operator_recipes()
 
-    def __init__(self, rep, q0=None, what="operator suites run"):
+    def __init__(self, rep, what="operator suites run"):
         if rep.basis != "equitable":
             raise ValueError("%s on the equitable basis" % what)
-        super().__init__(rep, q0)
+        super().__init__(rep)
 
 
 def n_matrix(axis, rep):
@@ -242,11 +238,6 @@ def omega_cube_scalar(n):
     if n % 2 == 0:
         return q_power(-(n * (n + 2)) // 2)
     return -q_power(((1 - n) * (n + 3)) // 2)
-
-
-def _add_eq(report, identity, mod, lhs, rhs):
-    witness = matrix_witness(lhs, rhs)
-    report.add(check(identity, mod, witness is None, witness=witness))
 
 
 def _conjugation_report(env):
@@ -316,7 +307,7 @@ def _conjugation_report(env):
 
 def verify_conjugation_suite(rep, q0=None):
     """Nilpotency, exp_q invertibility, and every conjugation identity on one module."""
-    return _conjugation_report(_OperatorEnv(rep, q0))
+    return _conjugation_report(_OperatorEnv(rep).at(q0))
 
 
 def _rewrite_report(env):
@@ -333,7 +324,7 @@ def _rewrite_report(env):
 
 def verify_relation_rewrites(rep, q0=None):
     """q(1 - yz) = q^-1(1 - zy) and its two cyclic rotations, as matrices."""
-    return _rewrite_report(_OperatorEnv(rep, q0, what="relation rewrites run"))
+    return _rewrite_report(_OperatorEnv(rep, what="relation rewrites run").at(q0))
 
 
 def _closed_form_report(env):
@@ -355,4 +346,4 @@ def _closed_form_report(env):
 def verify_closed_form(n, eps, q0=None):
     """Closed-form Omega entries against the compositional build, plus the Omega^3 scalar."""
     rep = build_equitable(ModuleSpec.single(n, eps))
-    return _closed_form_report(_OperatorEnv(rep, q0))
+    return _closed_form_report(_OperatorEnv(rep).at(q0))

@@ -678,15 +678,17 @@ def qfact(n):
 @lru_cache(maxsize=None, typed=True)  # qbinom(4, 2.0) must still raise
 def qbinom(n, i):
     """The q-binomial coefficient [n]!/([i]![n-i]!); requires n >= i >= 0.
-    Built as [n,m] = [n,m-1][n-m+1]/[m] up to m = min(i, n - i), not from [n]!."""
+    Built as [n,m] = [n,m-1][n-m+1]/[m] with m = min(i, n - i), reading the
+    cached [n,m-1], not from [n]!; a cold query recurses m levels deep."""
     if not (isinstance(n, int) and isinstance(i, int)) or i < 0 or n < i:
         raise ValueError("qbinom wants integers n >= i >= 0")
-    b = _ONE_P
-    for m in range(1, min(i, n - i) + 1):
-        f = RatFunc(b * qint(n - m + 1), qint(m))
-        assert f.is_polynomial()  # the division is exact
-        b = f.num
-    return b
+    m = min(i, n - i)
+    if m == 0:
+        return _ONE_P
+    f = RatFunc(qbinom(n, m - 1) * qint(n - m + 1), qint(m))
+    if not f.is_polynomial():
+        raise ArithmeticError("[%d,%d] is not a Laurent polynomial" % (n, m))
+    return f.num
 
 
 def check_admissible(q0):

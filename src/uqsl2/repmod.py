@@ -13,18 +13,20 @@ u_i = gamma_i v_i with gamma_0 = 1, gamma_i = -eps q^(n-i) gamma_{i-1}:
 
 Matrices act on column vectors: the matrix of g holds g(u_j) in column j.
 
-Each (module, point) has one lazy environment, ``_ModuleEnv``, whose entries
-are each built by one recipe the first time they are read, then kept: the
-specialized generators and ``I`` (read by the module suite on either basis),
-``y^-1`` and ``z^-1`` (its invertibility rows) and the six ordered products
-``x*y``, ``y*x``, ``y*z``, ``z*y``, ``z*x``, ``x*z`` (its three defining
-relations).  ``qexpops._OperatorEnv`` extends it with the operator recipes,
-whose n-element sides read the same products, so ``uqsl2 verify`` forms each
-product and each inverse once per (module, point).
+Each module has one lazy environment, ``_ModuleEnv``, whose entries are each
+built by one recipe when first read, then kept; ``at(q0)`` derives the env
+at a point.  The q0-free inputs (both ``Rep``s, their generators, the basis
+change ``D`` and the Chevalley images ``image:g`` of x, x^-1, y, z) are built
+once, in the symbolic env; a point env specializes those it reads and forms
+``I``, ``D^-1`` (reciprocals of D's diagonal), ``y^-1``, ``z^-1`` and the six
+products ``a*b`` of x, y, z at q0.  The equitable, Chevalley and basis-change
+reports and the operator recipes of ``qexpops._OperatorEnv`` read one env;
+one read only by equitable rows never builds the Chevalley side.
 """
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -51,8 +53,13 @@ class Matrix:
 
     @classmethod
     def identity(cls, dim, one=RF_ONE):
-        zero = one - one
-        return cls([[one if i == j else zero for j in range(dim)] for i in range(dim)])
+        return cls.diag([one] * dim)
+
+    @classmethod
+    def diag(cls, entries):
+        zero = entries[0] * 0
+        return cls([[x if i == j else zero for j in range(len(entries))]
+                    for i, x in enumerate(entries)])
 
     @property
     def nrows(self):
@@ -121,9 +128,8 @@ class Matrix:
         if not isinstance(n, int) or n < 0:
             raise ValueError("matrix power wants a nonnegative integer")
         result = Matrix.identity(self.nrows, self._one_like())
-        base = self
         for _ in range(n):
-            result = result * base
+            result = result * self
         return result
 
     def is_zero(self):
@@ -150,9 +156,8 @@ class Matrix:
         if n != self.ncols:
             raise ValueError("only square matrices have inverses")
         one = self._one_like()
-        zero = one - one
         a = [[one * x for x in row] for row in self.rows]
-        inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        inv = Matrix.identity(n, one).rows
         for col in range(n):
             piv = next((r for r in range(col, n) if a[r][col]), None)
             if piv is None:
@@ -198,6 +203,12 @@ def matrix_witness(lhs, rhs):
             return "first difference at (%d, %d): lhs %s, rhs %s" % (
                 i, j, r1[j], r2[j])
     return None
+
+
+def _add_eq(report, identity, mod, lhs, rhs):
+    # one row: pass when lhs == rhs, else fail with matrix_witness's witness
+    witness = matrix_witness(lhs, rhs)
+    report.add(check(identity, mod, witness is None, witness=witness))
 
 
 def direct_sum_matrices(blocks):
@@ -273,37 +284,21 @@ class Rep:
 
 
 def _chev_block(n, eps):
-    dim = n + 1
-    K = [[RF_ZERO] * dim for _ in range(dim)]
-    Kinv = [[RF_ZERO] * dim for _ in range(dim)]
-    E = [[RF_ZERO] * dim for _ in range(dim)]
-    F = [[RF_ZERO] * dim for _ in range(dim)]
-    for i in range(dim):
-        K[i][i] = q_power(n - 2 * i) * eps
-        Kinv[i][i] = q_power(2 * i - n) * eps
-        if i < n:
-            F[i + 1][i] = RatFunc(qint(i + 1))
-        if i > 0:
-            E[i - 1][i] = RatFunc(qint(n - i + 1)) * eps
-    return {"k": Matrix(K), "k^-1": Matrix(Kinv), "e": Matrix(E), "f": Matrix(F)}
+    K = Matrix.diag([q_power(n - 2 * i) * eps for i in range(n + 1)])
+    E, F = Matrix.diag([RF_ZERO] * (n + 1)), Matrix.diag([RF_ZERO] * (n + 1))
+    for i in range(n):
+        E.rows[i][i + 1] = RatFunc(qint(n - i)) * eps
+        F.rows[i + 1][i] = RatFunc(qint(i + 1))
+    return {"k": K, "k^-1": Matrix.diag(K.diagonal()[::-1]), "e": E, "f": F}
 
 
 def _equit_block(n, eps):
-    dim = n + 1
-    X = [[RF_ZERO] * dim for _ in range(dim)]
-    Xinv = [[RF_ZERO] * dim for _ in range(dim)]
-    Y = [[RF_ZERO] * dim for _ in range(dim)]
-    Z = [[RF_ZERO] * dim for _ in range(dim)]
-    for i in range(dim):
-        X[i][i] = q_power(n - 2 * i) * eps
-        Xinv[i][i] = q_power(2 * i - n) * eps
-        Y[i][i] = q_power(2 * i - n) * eps
-        Z[i][i] = q_power(2 * i - n) * eps
-        if i < n:
-            Y[i + 1][i] = (q_power(-n) - q_power(2 * i + 2 - n)) * eps
-        if i > 0:
-            Z[i - 1][i] = (q_power(n) - q_power(2 * i - 2 - n)) * eps
-    return {"x": Matrix(X), "x^-1": Matrix(Xinv), "y": Matrix(Y), "z": Matrix(Z)}
+    low = [q_power(2 * i - n) * eps for i in range(n + 1)]
+    Y, Z = Matrix.diag(low), Matrix.diag(low)
+    for i in range(n):
+        Y.rows[i + 1][i] = (q_power(-n) - q_power(2 * i + 2 - n)) * eps
+        Z.rows[i][i + 1] = (q_power(n) - q_power(2 * i - n)) * eps
+    return {"x": Matrix.diag(low[::-1]), "x^-1": Matrix.diag(low), "y": Y, "z": Z}
 
 
 def build_chevalley(spec):
@@ -329,9 +324,7 @@ def change_of_basis(spec):
         for i in range(1, n + 1):
             gamma = gamma * (q_power(n - i) * (-eps))
             entries.append(gamma)
-    dim = len(entries)
-    return Matrix([[entries[i] if i == j else RF_ZERO for j in range(dim)]
-                   for i in range(dim)])
+    return Matrix.diag(entries)
 
 
 def evaluate(element, rep):
@@ -373,18 +366,14 @@ def weight_spaces(rep):
     m = rep.action[gen]
     if not m.is_diagonal():
         raise ValueError("%s does not act diagonally in this basis" % gen)
-    groups = {}
-    order = []
+    groups = {}  # in order of first appearance
     for col, entry in enumerate(m.diagonal()):
         sp = entry.as_sign_q_power()
         if sp is None:
             raise ValueError("eigenvalue %s is not of the form +-q^m" % entry)
-        if sp not in groups:
-            groups[sp] = []
-            order.append(sp)
-        groups[sp].append(col)
-    return [WeightSpace(eps=sgn, weight=e, columns=tuple(groups[(sgn, e)]))
-            for sgn, e in order]
+        groups.setdefault(sp, []).append(col)
+    return [WeightSpace(eps=sgn, weight=e, columns=tuple(cols))
+            for (sgn, e), cols in groups.items()]
 
 
 class ScalarContext:
@@ -416,9 +405,28 @@ def _recipe_index(table):
 
 def _module_recipes():
     # key -> (the keys one recipe builds, the recipe: env -> their values in order)
-    table = {("I",): lambda env: [Matrix.identity(env["rep"].dim, env["sc"].one)]}
-    for g in EQUITABLE_GENS + CHEVALLEY_GENS:
-        table[g,] = lambda env, g=g: [env["sc"].matrix(env["rep"].action[g])]
+    table = {
+        ("equitable",): lambda env: [build_equitable(env["spec"])],
+        ("chevalley",): lambda env: [build_chevalley(env["spec"])],
+        ("I",): lambda env: [Matrix.identity(env["spec"].dim, env["sc"].one)],
+        # D is diagonal, so its inverse holds the reciprocals of its diagonal
+        ("D^-1",): lambda env: [Matrix.diag([env["sc"].one / d
+                                             for d in env["D"].diagonal()])],
+    }
+
+    def q0_free(key, build):
+        # built once, in the symbolic env, from the Reps that only it reads;
+        # a point env specializes that matrix
+        table[key,] = lambda env: [build(env) if env.sym is None
+                                   else env["sc"].matrix(env.sym[key])]
+
+    for basis, gens in (("equitable", EQUITABLE_GENS), ("chevalley", CHEVALLEY_GENS)):
+        for g in gens:
+            q0_free(g, lambda env, basis=basis, g=g: env[basis].action[g])
+    q0_free("D", lambda env: change_of_basis(env["spec"]))
+    for g in EQUITABLE_GENS:
+        q0_free("image:" + g,
+                lambda env, g=g: evaluate(equitable_image(g), env["chevalley"]))
     for a in ("y", "z"):
         table[a + "^-1",] = lambda env, a=a: [env[a].inverse()]
     for a, b in permutations("xyz", 2):
@@ -427,14 +435,23 @@ def _module_recipes():
 
 
 class _ModuleEnv(dict):
-    """The matrices of one module over Q(q) or at q = q0, each built by its
-    recipe in ``recipes`` when first read, then kept (see the module
-    docstring for the entries and their readers)."""
+    """One module's matrices, symbolic or at a point (see the module docstring)."""
 
     recipes = _module_recipes()
 
-    def __init__(self, rep, q0=None):
-        super().__init__(rep=rep, spec=rep.spec, sc=ScalarContext(q0))
+    def __init__(self, rep):
+        super().__init__(rep=rep, spec=rep.spec, sc=ScalarContext(), **{rep.basis: rep})
+        self.sym = None  # a point env's symbolic env; None, not self: no cycle
+
+    def at(self, q0):
+        """The env at q = q0 (at(None) is the symbolic env) of this module."""
+        sym = self if self.sym is None else self.sym
+        if q0 is None:
+            return sym
+        env = dict.__new__(type(self))
+        env.update(rep=sym["rep"], spec=sym["spec"], sc=ScalarContext(q0))
+        env.sym = sym
+        return env
 
     def __missing__(self, key):
         keys, recipe = self.recipes[key]
@@ -442,51 +459,30 @@ class _ModuleEnv(dict):
         return self[key]
 
 
-def _eig_multiset(values):
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return counts
+def _low_diag(env):
+    # the diagonal eps q^(2i-n) of y and z; as a multiset, the spectrum of x and k
+    return [env["sc"].scal(q_power(2 * i - n) * eps)
+            for _, n, eps in env["spec"].blocks() for i in range(n + 1)]
 
 
-def _module_report(env):
-    """The rows of verify_module_suite for the module ``env`` was built on."""
-    rep, spec, sc = env["rep"], env["spec"], env["sc"]
+def _equitable_report(env):
+    """The rows of verify_module_suite on the equitable basis of env's module."""
+    spec, sc = env["spec"], env["sc"]
     mod = spec.json_obj()
     ident = env["I"]
-    cq = sc.scal(CQ)
-    qq, qi = sc.scal(q_power(1)), sc.scal(q_power(-1))
-    # the diagonal of y and z, eps q^(2i-n) blockwise; as a multiset it is
-    # also the spectrum eps q^(n-2i) of x and of k
-    low_diag = [sc.scal(q_power(2 * i - n) * eps)
-                for _, n, eps in spec.blocks() for i in range(n + 1)]
-    expected = _eig_multiset(low_diag)
-    entries = []
-    if rep.basis == "chevalley":
-        K, Kinv, E, F = (env[g] for g in CHEVALLEY_GENS)
-        entries.append(check("module:chevalley:k*k^-1=k^-1*k=1", mod,
-                             K * Kinv == ident and Kinv * K == ident))
-        entries.append(check("module:chevalley:k*e=q^2*e*k", mod,
-                             K * E == (E * K).scalar_mul(sc.scal(q_power(2)))))
-        entries.append(check("module:chevalley:k*f=q^-2*f*k", mod,
-                             K * F == (F * K).scalar_mul(sc.scal(q_power(-2)))))
-        entries.append(check("module:chevalley:e*f-f*e=(k-k^-1)/(q-q^-1)", mod,
-                             E * F - F * E == (K - Kinv).scalar_mul(cq)))
-        actual = _eig_multiset(K.diagonal()) if K.is_diagonal() else None
-        entries.append(check("module:eigenvalues:k", mod, actual == expected))
-        return VerificationReport(entries)
-
+    qq, qi, cq = (sc.scal(v) for v in (q_power(1), q_power(-1), CQ))
+    low_diag = _low_diag(env)
     X, Xinv, Y, Z = (env[g] for g in EQUITABLE_GENS)
-    entries.append(check("module:equitable:x*x^-1=x^-1*x=1", mod,
-                         X * Xinv == ident and Xinv * X == ident))
+    entries = [check("module:equitable:x*x^-1=x^-1*x=1", mod,
+                     X * Xinv == ident and Xinv * X == ident)]
     for a, b in (("x", "y"), ("y", "z"), ("z", "x")):
         lhs = (env[a + "*" + b].scalar_mul(qq)
                - env[b + "*" + a].scalar_mul(qi)).scalar_mul(cq)
         entries.append(check(
             "module:equitable:(q*%s*%s-q^-1*%s*%s)/(q-q^-1)=1" % (a, b, b, a),
             mod, lhs == ident))
-    entries.append(check("module:eigenvalues:x", mod,
-                         X.is_diagonal() and _eig_multiset(X.diagonal()) == expected))
+    entries.append(check("module:eigenvalues:x", mod, X.is_diagonal() and
+                         Counter(X.diagonal()) == Counter(low_diag)))
     entries.append(check("module:eigenvalues:y", mod,
                          Y.is_lower_triangular() and Y.diagonal() == low_diag))
     entries.append(check("module:eigenvalues:z", mod,
@@ -504,7 +500,7 @@ def _module_report(env):
     zero = sc.one - sc.one
     for off, n, eps in spec.blocks():
         u = Matrix([[sc.one if off <= i <= off + n else zero]
-                    for i in range(rep.dim)])
+                    for i in range(spec.dim)])
         block = {"n": n, "eps": eps}
         entries.append(check("module:note:y*u=eps*q^-n*u", block,
                              Y * u == u.scalar_mul(sc.scal(q_power(-n) * eps))))
@@ -513,28 +509,43 @@ def _module_report(env):
     return VerificationReport(entries)
 
 
+def _chevalley_report(env):
+    """The rows of verify_module_suite on the Chevalley basis of env's module."""
+    sc, ident, mod = env["sc"], env["I"], env["spec"].json_obj()
+    K, Kinv, E, F = (env[g] for g in CHEVALLEY_GENS)
+    actual = Counter(K.diagonal()) if K.is_diagonal() else None
+    return VerificationReport([
+        check("module:chevalley:k*k^-1=k^-1*k=1", mod,
+              K * Kinv == ident and Kinv * K == ident),
+        check("module:chevalley:k*e=q^2*e*k", mod,
+              K * E == (E * K).scalar_mul(sc.scal(q_power(2)))),
+        check("module:chevalley:k*f=q^-2*f*k", mod,
+              K * F == (F * K).scalar_mul(sc.scal(q_power(-2)))),
+        check("module:chevalley:e*f-f*e=(k-k^-1)/(q-q^-1)", mod,
+              E * F - F * E == (K - Kinv).scalar_mul(sc.scal(CQ))),
+        check("module:eigenvalues:k", mod, actual == Counter(_low_diag(env))),
+    ])
+
+
+def _basis_change_report(env):
+    """D^-1 (Chevalley image of g) D = g for each equitable generator g."""
+    mod = env["spec"].json_obj()
+    report = VerificationReport()
+    for g in EQUITABLE_GENS:
+        _add_eq(report, "module:basis-change:%s" % g, mod,
+                env["D^-1"] * env["image:" + g] * env["D"], env[g])
+    return report
+
+
 def verify_module_suite(rep, q0=None):
     """Check defining relations, eigenvalues, invertibility, and sum vectors."""
-    return _module_report(_ModuleEnv(rep, q0))
+    report = _chevalley_report if rep.basis == "chevalley" else _equitable_report
+    return report(_ModuleEnv(rep).at(q0))
 
 
 def verify_basis_change(spec, q0=None):
     """Conjugation by the basis-change matrix maps Chevalley images to equitable."""
-    sc = ScalarContext(q0)
-    chev = build_chevalley(spec)
-    equit = build_equitable(spec)
-    D = sc.matrix(change_of_basis(spec))
-    Dinv = D.inverse()
-    mod = spec.json_obj()
-    entries = []
-    for g in EQUITABLE_GENS:
-        m_chev = sc.matrix(evaluate(equitable_image(g), chev))
-        lhs = Dinv * m_chev * D
-        rhs = sc.matrix(equit.action[g])
-        witness = matrix_witness(lhs, rhs)
-        entries.append(check("module:basis-change:%s" % g, mod, witness is None,
-                             witness=witness))
-    return VerificationReport(entries)
+    return _basis_change_report(_ModuleEnv(build_equitable(spec)).at(q0))
 
 
 # --- matrix emission -------------------------------------------------------

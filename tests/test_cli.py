@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from uqsl2 import cli
+from uqsl2 import cli, repmod
 from uqsl2.cli import main, spot_points
 from uqsl2.gammamod import GAMMA_Y, GAMMA_Z, verify_gamma
 from uqsl2.ncore import (verify_confluence, verify_n_commutation,
@@ -256,6 +256,41 @@ def test_verify_all_rows_match_separate_suites(runner):
             before = entries[at[0] - 1]
             assert before["module"] == module
             assert before["identity"] == "rewrite:q*(1-x*y)=q^-1*(1-y*x)"
+
+
+def test_verify_builds_each_input_once_per_module(runner, monkeypatch):
+    # each module's symbolic env builds both Reps and the four Chevalley
+    # images once, whatever --q-spot is; each (module, point) inverts y and z
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append((name, args[-1].spec if name == "evaluate" else args[0]))
+            return fn(*args)
+        return wrapper
+
+    for module in (cli, repmod):
+        monkeypatch.setattr(module, "build_equitable",
+                            counting("build_equitable", repmod.build_equitable))
+    monkeypatch.setattr(repmod, "build_chevalley",
+                        counting("build_chevalley", repmod.build_chevalley))
+    monkeypatch.setattr(repmod, "evaluate", counting("evaluate", repmod.evaluate))
+    real_inverse = repmod.Matrix.inverse
+    monkeypatch.setattr(repmod.Matrix, "inverse",
+                        lambda self: calls.append(("inverse", None)) or real_inverse(self))
+    specs = [ModuleSpec.single(n, eps) for n in range(4) for eps in (1, -1)]
+    specs += [ModuleSpec(((1, 1), (2, -1))), ModuleSpec(((0, -1), (3, 1)))]
+    for q_spot in ("0", "2"):
+        calls.clear()
+        res = runner.invoke(main, ["verify", "modules", "--nmax", "3",
+                                   "--q-spot", q_spot, "--format", "json"])
+        assert res.exit_code == 0
+        for name, per_spec in (("build_equitable", 1), ("build_chevalley", 1),
+                               ("evaluate", 4)):
+            assert sorted(s.label() for n, s in calls if n == name) == sorted(
+                s.label() for s in specs for _ in range(per_spec))
+        points = 1 + int(q_spot)
+        assert calls.count(("inverse", None)) == 2 * len(specs) * points
 
 
 def test_verify_failure_exits_1(runner, monkeypatch):

@@ -264,16 +264,16 @@ def test_env_builds_only_what_is_read(monkeypatch):
         assert counted(lambda: verify_conjugation_suite(_rep(3, 1), q0)) == (3, 2)
         # three reports read one environment
         assert counted(lambda: cli._operator_task(
-            _OperatorEnv(_rep(3, 1), q0))) == (3, 2)
+            _OperatorEnv(_rep(3, 1)).at(q0))) == (3, 2)
 
         # the module rows and the operator rows read one environment: y^-1
-        # and z^-1 once, and the basis change's D^-1
+        # and z^-1 once; the basis change's D^-1 takes reciprocals, no inverse
         def both():
-            env = _OperatorEnv(_rep(3, 1), q0)
+            env = _OperatorEnv(_rep(3, 1)).at(q0)
             cli._module_task(env)
             cli._operator_task(env)
 
-        assert counted(both) == (3, 3)
+        assert counted(both) == (3, 2)
 
 
 @pytest.mark.parametrize("q0", [0, 1, -1])

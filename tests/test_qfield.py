@@ -88,6 +88,12 @@ def test_qbinom_matches_pascal_oracle():
     for (n, i), v in up.items():
         assert qbinom(n, i) == v
         assert qbinom(n, i) == down[(n, i)]
+    # a cold cache queried from the middle row down, so [n, m] recurses
+    # through every [n, m-1] before any of them is cached
+    qbinom.cache_clear()
+    for (n, i), v in sorted(up.items(),
+                            key=lambda kv: (kv[0][0], -min(kv[0][1], kv[0][0] - kv[0][1]))):
+        assert qbinom(n, i) == v
 
 
 def _factorial_qbinom(n, i):

@@ -1,17 +1,22 @@
 """Tests for module construction, matrix arithmetic, and the module suite."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqsl2 import repmod
+from uqsl2 import cli, repmod
+from uqsl2.cli import spot_points
 from uqsl2.ncore import AlgebraElement
 from uqsl2.qfield import CQ, RF_ONE, RF_ZERO, LaurentPoly, RatFunc, laurent_matmul, q_power
 from uqsl2.repmod import (
     Matrix,
     ModuleSpec,
+    ScalarContext,
+    _ModuleEnv,
     build_chevalley,
     build_equitable,
     change_of_basis,
@@ -332,3 +337,51 @@ def test_basis_change_witness_on_a_broken_identity(monkeypatch):
     want = real(spec).action["z"].rows[0][1]
     assert report.entries[3].witness == (
         "first difference at (0, 1): lhs %s, rhs %s" % (want, want + q_power(3)))
+
+
+def test_diagonal_inverse_matches_gauss_jordan():
+    # D^-1 takes the reciprocals of D's diagonal; elimination is the reference
+    specs = [ModuleSpec.single(n, eps) for n in range(7) for eps in (1, -1)]
+    specs += [ModuleSpec(((1, 1), (2, -1))), ModuleSpec(((0, -1), (3, 1)))]
+    for spec in specs:
+        sym = _ModuleEnv(build_equitable(spec))
+        for q0 in [None] + spot_points(2):
+            D = ScalarContext(q0).matrix(change_of_basis(spec))
+            assert sym.at(q0)["D^-1"] == D.inverse()
+
+
+def test_broken_chevalley_fails_both_bases_rows(monkeypatch):
+    # the Chevalley rows and the basis-change rows read the same e in the env
+    spec = ModuleSpec.single(2, -1)
+    real = repmod.build_chevalley
+
+    def broken(s):
+        rep = real(s)
+        e = Matrix(rep.action["e"].rows)
+        e.rows[0][1] = e.rows[0][1] + q_power(3)
+        rep.action["e"] = e
+        return rep
+
+    monkeypatch.setattr(repmod, "build_chevalley", broken)
+    report = cli._module_task(_ModuleEnv(build_equitable(spec)))
+    failed = {e.identity: e.witness for e in report.entries if e.status == "fail"}
+    assert failed == {
+        "module:chevalley:e*f-f*e=(k-k^-1)/(q-q^-1)": None,
+        "module:basis-change:z":
+            "first difference at (0, 1): lhs q^4 - 2*q^2 + q^-2, rhs -q^2 + q^-2",
+    }
+    assert len(report.entries) == 20
+
+
+def test_envs_are_freed_without_the_cycle_collector():
+    # an env that referenced itself would hold its matrices until a gc pass
+    gc.disable()
+    try:
+        sym = _ModuleEnv(build_equitable(ModuleSpec.single(3, 1)))
+        point = sym.at(Fraction(5, 3))
+        assert point["x*y"] is not None and sym["x*y"] is not None
+        refs = [weakref.ref(sym), weakref.ref(point)]
+        del sym, point
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
