@@ -11,27 +11,32 @@ derived from it, which its module rows (both bases) and operator rows read.
 
 import random
 import sys
+from itertools import chain
 from dataclasses import replace
 from fractions import Fraction
 
 import click
 
 from . import exprio
-from .exprio import ParseError, ScalarLiteral
+from .exprio import MAX_EXPONENT, BudgetError, ParseError, ScalarLiteral
 from .gammamod import GAMMA_Y, GAMMA_Z, verify_gamma
-from .ncore import (ProductSizeError, from_equitable, normalize_chevalley,
-                    verify_confluence, verify_n_commutation,
-                    verify_n_definitions, verify_n_preimages,
-                    verify_presentation_iso)
+from .ncore import (from_equitable, normalize_chevalley, verify_confluence,
+                    verify_n_commutation, verify_n_definitions,
+                    verify_n_preimages, verify_presentation_iso)
 from .qexpops import (ConsistencyError, _closed_form_report,
                       _conjugation_report, _OperatorEnv, _rewrite_report,
                       omega, omega_closed_form, verify_closed_form)
-from .qfield import PoleError, SpecializationError, check_admissible
+from .qfield import RF_ONE, PoleError, SpecializationError, check_admissible
 from .repmod import (CHEVALLEY_GENS, EQUITABLE_GENS, Matrix, ModuleSpec,
                      _basis_change_report, _chevalley_report,
                      _equitable_report, build_chevalley, build_equitable,
                      json_bytes, matrix_csv, matrix_json_obj, matrix_latex)
 from .report import VerificationReport
+
+# the largest module L(n, eps) a command builds: rep and eval --rep print
+# entries up to q^n, which parse back up to MAX_EXPONENT; omega --n 32 takes
+# about 7 s in each mode on a 2-vCPU host
+MAX_OMEGA_N = 32
 
 _FORMAT_OPTION = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
@@ -63,16 +68,6 @@ def _eps_value(text):
     raise click.UsageError("--eps must be +1 or -1, got %r" % text)
 
 
-def _check_printable(values):
-    # the cap keeps every printed number within Python's 4300-digit str() limit
-    for v in values:
-        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
-        if bits > exprio.MAX_POWER_BITS:
-            raise click.UsageError(
-                "value with a %d-bit numerator or denominator exceeds the print "
-                "cap of %d bits" % (bits, exprio.MAX_POWER_BITS))
-
-
 @main.command()
 @click.argument("expr")
 @click.option("--presentation", type=click.Choice(["chevalley", "equitable"]),
@@ -84,10 +79,8 @@ def normalize(expr, presentation, fmt):
     try:
         element = (from_equitable(ast) if presentation == "equitable"
                    else normalize_chevalley(ast))
-    except ProductSizeError as err:
+    except BudgetError as err:
         raise click.UsageError(str(err))
-    _check_printable(c for coeff in element.terms.values()
-                     for part in (coeff.num, coeff.den) for c in part.terms.values())
     if fmt == "json":
         _echo_json({"input": expr, "presentation": presentation,
                     "normal_form": str(element)})
@@ -107,7 +100,7 @@ def _emit_matrix(spec, basis, gen, matrix, fmt):
 
 
 @main.command()
-@click.option("--n", type=click.IntRange(min=0), required=True)
+@click.option("--n", type=click.IntRange(min=0, max=MAX_EXPONENT), required=True)
 @click.option("--eps", required=True)
 @click.option("--basis", type=click.Choice(["equitable", "chevalley"]),
               default="equitable", show_default=True)
@@ -128,7 +121,7 @@ def rep(n, eps, basis, gen, fmt):
 
 
 @main.command(name="omega")
-@click.option("--n", type=click.IntRange(min=0), required=True)
+@click.option("--n", type=click.IntRange(min=0, max=MAX_OMEGA_N), required=True)
 @click.option("--eps", required=True)
 @click.option("--mode", type=click.Choice(["compositional", "closed-form", "check"]),
               default="compositional", show_default=True)
@@ -257,8 +250,8 @@ def _parse_rep_option(text):
         n = int(parts[0])
     except ValueError:
         raise click.UsageError("--rep wants an integer n, got %r" % parts[0])
-    if n < 0:
-        raise click.UsageError("--rep wants n >= 0, got %d" % n)
+    if not 0 <= n <= MAX_EXPONENT:
+        raise click.UsageError("--rep wants 0 <= n <= %d, got %d" % (MAX_EXPONENT, n))
     return n, _eps_value(parts[1])
 
 
@@ -293,7 +286,7 @@ def eval_cmd(expr, expr_opt, presentation, q_text, rep_text):
                 raise click.UsageError(
                     "expression is not a scalar; pass --rep n,eps to evaluate it on a module")
             value = ast.value.evaluate(q0)
-            _check_printable([value])
+            exprio.check(exprio.size(RF_ONE * value))
             click.echo(str(value))
         else:
             n, eps = _parse_rep_option(rep_text)
@@ -304,9 +297,10 @@ def eval_cmd(expr, expr_opt, presentation, q_text, rep_text):
                 ast, lambda v: Matrix.identity(built.dim).scalar_mul(v),
                 built.action.__getitem__)
             values = matrix.map_entries(lambda v: v.evaluate(q0))
-            _check_printable(x for row in values.rows for x in row)
+            for x in chain.from_iterable(values.rows):
+                exprio.check(exprio.size(RF_ONE * x))
             click.echo(str(values))
-    except PoleError as err:
+    except (PoleError, BudgetError) as err:
         raise click.UsageError(str(err))
 
 

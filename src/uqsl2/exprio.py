@@ -16,28 +16,31 @@ parsed tree is always in folded form and render/parse round-trip exactly.
 
 Parentheses and unary minus may nest at most MAX_NESTING (100) levels deep,
 counted together; deeper input is a ParseError at the first token past the
-cap.  A power's exponent may be at most MAX_EXPONENT (1000) in absolute
-value, and so may the product of the exponents of a caret chain such as
-e^2^3 (which is (e^2)^3 = e^6); a larger one is a ParseError at the caret
-that passes the cap, raised before any scalar power is computed.  Scalar
-results are capped before they are computed too, as ((q+1)^1000)^4
-multiplies exponents without a caret chain: a scalar power, and each prefix
-of the scalars of one product in the order fold() multiplies them, may have
-no q-exponent beyond MAX_EXPONENT in absolute value and no coefficient
-numerator or denominator beyond MAX_POWER_BITS (14000) bits, so it prints
-within Python's 4300-digit limit.  A canonical num/den is sized by num's
-least and largest q-exponents, den's degree and the bits of each part's l1
-norm over Z and common denominator.  A product adds its factors' sizes (a
-divisor's inverse), bounding it before it cancels since norms at most
-multiply, so q^1000*q^-1000 passes and q^600*q^600 does not; a zero factor
-ends the count; a power is |e| times its base (its inverse if e < 0).  The
-scalar terms of one sum are bounded the same way before each addition, from
-(n1 d2 + n2 d1)/(d1 d2), or (n1 + n2)/d when the denominators agree, so a
-folded sum still renders as text that parses back.  The error is at the
-caret, '*', '/', '+' or '-' that passes a cap.  An integer literal may have
-at most as many digits as any number below 2^MAX_POWER_BITS (4214), else it
-is a ParseError at its first digit.  A power of a power of a non-scalar
-collapses into one IntPower, so caret chains do not build deep trees.
+cap.  A power of a power of a non-scalar collapses into one IntPower, so
+caret chains do not build deep trees.
+
+Everything the parser folds, and every coefficient that a sum or product
+in ncore forms from two others, is held to one size budget, checked before
+the value is computed.  The size of a scalar (size()) is, for its
+numerator and its denominator, the least and largest q-exponent, the span
+between them, and the bits of the l1 norm over Z and of the common
+denominator of the coefficients; the size of several scalars covers each.
+bound() gives the size of a sum, product or power from the sizes of its
+operands, before anything cancels: exponents, spans and bits add in a
+product (norms at most multiply), a sum is bounded as (n1 d2 + n2 d1)/(d1 d2),
+or (n1 + n2)/d over one denominator, and a power is |e| times its base (its
+inverse if e < 0).  check() raises BudgetError when a size has a q-exponent
+beyond MAX_EXPONENT (1000) in absolute value or a part of more than
+MAX_POWER_BITS (14000) bits, so that a folded scalar prints within Python's
+4300-digit limit and its rendering parses back, or when an operation would
+do more than MAX_WORK units of work (see ncore._product_budget).  The parser
+checks each exponent (and the product of the exponents of a caret chain
+such as e^2^3, which is (e^2)^3 = e^6) as q^e, an integer literal of d
+digits as 10^d before it is read, each scalar power, and the running sum or
+product of the scalars of one sum or product in the order fold() combines
+them, so q^1000*q^-1000 passes and q^600*q^600 does not.  Its BudgetError,
+a ParseError, is at the caret, '*', '/', '+' or '-' (or the first digit)
+that passes the budget.
 fold() evaluates a tree given what its leaves stand for.
 """
 
@@ -45,32 +48,35 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add, attrgetter, sub
 
-from .qfield import RF_ONE, RF_Q, RF_ZERO, RatFunc
+from .qfield import RF_ONE, RF_Q, RF_ZERO, RatFunc, q_power
 
 CHEVALLEY = "chevalley"
 EQUITABLE = "equitable"
 
 MAX_NESTING = 100
+# the size budget (see check())
 MAX_EXPONENT = 1000
 MAX_POWER_BITS = 14000
-# the most coefficient terms one PBW product table e^r f^s may hold
-# (ncore._ef_table): e^22*f^22 has 89,608 and e^1000*f^5 70,042; the slowest
-# table within the cap, e^400*f^8, normalizes in about 6 s on a 2-vCPU host
-MAX_PRODUCT_TERMS = 100000
-# the most digits an integer literal may have: every such number is below
-# 2^MAX_POWER_BITS, and int() reads it within Python's 4300-digit limit
-_MAX_DIGITS = len(str(2 ** MAX_POWER_BITS)) - 1
+MAX_WORK = 10 ** 7
 
 _LETTERS = {CHEVALLEY: ("k", "e", "f"), EQUITABLE: ("x", "y", "z")}
 _INVERSE_OF = {"k": "k^-1", "k^-1": "k", "x": "x^-1", "x^-1": "x"}
 
 
 class ParseError(ValueError):
-    def __init__(self, message, position):
-        super().__init__("%s (at position %d)" % (message, position))
+    def __init__(self, message, position=None):
+        super().__init__(message if position is None
+                         else "%s (at position %d)" % (message, position))
         self.message = message
         self.position = position
+
+
+class BudgetError(ParseError):
+    """A value whose size bound passes the budget; its position is that of
+    the operator when the parser raised it, else None."""
 
 
 @dataclass(frozen=True)
@@ -147,81 +153,89 @@ def make_product(factors):
     return Product(tuple(flat))
 
 
-def _check_exponent(e, pos):
-    if abs(e) > MAX_EXPONENT:
-        raise ParseError("exponent %d exceeds the cap of %d in absolute value"
-                         % (e, MAX_EXPONENT), pos)
+_DENOMINATOR, _NUM, _DEN = map(attrgetter, ("denominator", "num.terms", "den.terms"))
 
 
-def _scalar_size(value):
-    # (largest and least q-exponent of num, degree of den, then the bits of
-    # the l1 norm over Z and common denominator of num and of den)
-    num, den = value.num, value.den
-    if not num.terms:
-        return [0] * 7
-    size = [num.degree(), num.valuation(), den.degree()]
-    for p in (num, den):
-        lcd = math.lcm(*(c.denominator for c in p.terms.values()))
-        size += [int(sum(abs(c) * lcd for c in p.terms.values())).bit_length(),
-                 lcd.bit_length()]
-    return size
+def _part(terms):
+    # of polynomials (as term dicts): the least and largest q-exponent, the
+    # widest span of one, and the bits of the l1 norm over Z and of the
+    # common denominator of all their coefficients; None if all are zero
+    terms = list(filter(None, terms))
+    if not terms:
+        return None
+    los, his = list(map(min, terms)), list(map(max, terms))
+    l1 = sum(map(abs, chain.from_iterable(map(dict.values, terms))))
+    lcd = 1 if type(l1) is int else math.lcm(
+        *map(_DENOMINATOR, chain.from_iterable(map(dict.values, terms))))
+    return (min(los), max(his), max(map(sub, his, los)), int(l1 * lcd).bit_length(),
+            lcd.bit_length())
 
 
-def _product_size(size, f, pos):
-    # size after the scalars of factor f, each prefix checked; () once zero
-    for g in f.factors if isinstance(f, Product) else (f,):
-        if isinstance(g, ScalarLiteral) and size:
-            if g.value.is_zero():
-                return ()
-            size = [a + b for a, b in zip(size, _scalar_size(g.value))]
-            _check_scalar_size("scalar product", size, pos)
-    return size
+def size(*values):
+    """The size of a scalar (a RatFunc), or of one that covers each of
+    several: _part of the numerators and of the denominators; None for zero."""
+    num = _part(list(map(_NUM, values)))
+    return num and (num, _part(list(map(_DEN, values))))
 
 
-def _sum_size(a, b):
-    # a bound on the size of a + b from the canonical a = n1/d1, b = n2/d2,
-    # before it cancels: (n1 + n2)/d1 if d1 = d2, else (n1 d2 + n2 d1)/(d1 d2)
-    if a.is_zero() or b.is_zero():
-        return _scalar_size(b if a.is_zero() else a)
-    hi1, lo1, dd1, nb1, nl1, db1, dl1 = _scalar_size(a)
-    hi2, lo2, dd2, nb2, nl2, db2, dl2 = _scalar_size(b)
-    if a.den == b.den:
-        return [max(hi1, hi2), min(lo1, lo2), dd1,
-                max(nb1 + nl2, nb2 + nl1) + 1, nl1 + nl2, db1, dl1]
-    return [max(hi1 + dd2, hi2 + dd1), min(lo1, lo2), dd1 + dd2,
-            max(nb1 + db2 + nl2 + dl1, nb2 + db1 + nl1 + dl2) + 1,
-            nl1 + nl2 + dl1 + dl2, db1 + db2, dl1 + dl2]
+def _plus(a, b):
+    # parts of p1 + p2 over the common denominator L1 L2 of their coefficients
+    lo, hi = min(a[0], b[0]), max(a[1], b[1])
+    return (lo, hi, hi - lo, max(a[3] + b[4], b[3] + a[4]) + 1, a[4] + b[4])
 
 
-def _scalar_sum(acc, t, pos):
-    # acc plus the scalars of term t, each sum checked before it is computed
-    for g in t.terms if isinstance(t, Sum) else (t,):
+def _times(a, b):
+    return tuple(map(add, a, b))
+
+
+def bound(a, op, b, same_den=False):
+    """The size of x op y from the sizes a, b of scalars x, y: op is '*',
+    '+' (same_den if x and y have one denominator) or '^', where b is the
+    exponent and a the size of x (of 1/x if b < 0)."""
+    if op == "+" and (a is None or b is None):
+        return b if a is None else a
+    if a is None or b is None:
+        return None
+    if op == "^":
+        return tuple(tuple(abs(b) * x for x in part) for part in a)
+    if op == "*":
+        return (_times(a[0], b[0]), _times(a[1], b[1]))
+    if same_den:
+        return (_plus(a[0], b[0]), a[1])
+    return (_plus(_times(a[0], b[1]), _times(b[0], a[1])), _times(a[1], b[1]))
+
+
+def check(size, work=0, pos=None):
+    """Raise BudgetError when a size or an amount of work passes the budget."""
+    (lo, hi, _, *bits), (_, dhi, _, *dbits) = size or ((0,) * 5,) * 2
+    for what, value, cap in (("exponent", max(hi, -lo, dhi), MAX_EXPONENT),
+                             ("coefficient size in bits", max(bits + dbits), MAX_POWER_BITS),
+                             ("work in units", work, MAX_WORK)):
+        if value > cap:
+            raise BudgetError("%s %d exceeds the budget of %d" % (what, value, cap), pos)
+
+
+def _fold(acc, t, op, pos):
+    # acc op each scalar of t, or of t's terms ('+') or factors ('*'), each
+    # checked before it is computed
+    kind, parts = (Sum, "terms") if op == "+" else (Product, "factors")
+    for g in getattr(t, parts) if isinstance(t, kind) else (t,):
         if isinstance(g, ScalarLiteral):
-            _check_scalar_size("scalar sum", _sum_size(acc, g.value), pos)
-            acc = acc + g.value
+            check(bound(size(acc), op, size(g.value), acc.den == g.value.den), pos=pos)
+            acc = acc + g.value if op == "+" else acc * g.value
     return acc
-
-
-def _check_scalar_size(what, size, pos):
-    hi, lo, den_deg, *bits = size
-    if max(hi, -lo, den_deg) > MAX_EXPONENT:
-        raise ParseError("%s of degree %d exceeds the cap of %d"
-                         % (what, max(hi, -lo, den_deg), MAX_EXPONENT), pos)
-    if max(bits) > MAX_POWER_BITS:
-        raise ParseError("%s with coefficients of up to %d bits exceeds "
-                         "the cap of %d" % (what, max(bits), MAX_POWER_BITS), pos)
 
 
 def make_power(base, e, pos=0):
     if isinstance(base, IntPower) and e > 0:
         base, e = base.base, base.exp * e  # (b^m)^n = b^(mn)
-    _check_exponent(e, pos)
+    check(size(q_power(e)), pos=pos)
     if isinstance(base, ScalarLiteral):
         if e < 0 and base.value.is_zero():
             raise ParseError("zero raised to a negative power", pos)
-        sized = base.value.inverse() if e < 0 else base.value
-        _check_scalar_size("scalar power", [abs(e) * x for x in _scalar_size(sized)], pos)
-        return ScalarLiteral(base.value ** e)
+        v = base.value
+        check(bound(size(v if e >= 0 else v.inverse()), "^", e), pos=pos)
+        return ScalarLiteral(v ** e)
     if e == 0:
         return ScalarLiteral(RF_ONE)
     if e == 1:
@@ -255,9 +269,7 @@ def _tokenize(text):
             while j < n and text[j].isdigit():
                 j += 1
             run = text[i:j].lstrip("0") or "0"
-            if len(run) > _MAX_DIGITS:
-                raise ParseError("integer literal of %d digits exceeds the cap of %d"
-                                 % (len(run), _MAX_DIGITS), i + 1)
+            check(size(RF_ONE * 10 ** len(run)), pos=i + 1)  # before int() reads it
             toks.append(("int", int(run), i + 1))
             i = j
             continue
@@ -311,8 +323,8 @@ class _Parser:
             t = self.term()
             t = make_negate(t) if op == "-" else t
             if acc is None:
-                acc = _scalar_sum(RF_ZERO, terms[0], oppos)
-            acc = _scalar_sum(acc, t, oppos)
+                acc = _fold(RF_ZERO, terms[0], "+", oppos)
+            acc = _fold(acc, t, "+", oppos)
             terms.append(t)
         return make_sum(terms)
 
@@ -321,7 +333,7 @@ class _Parser:
             _, _, pos = self.advance()
             return make_negate(self.nested(self.term, pos))
         factors = [self.factor()]
-        size = None  # summed _scalar_size, from the first '*' or '/'
+        acc = None  # product of the scalar factors so far, from the first '*' or '/'
         while self.peek()[0] in ("*", "/"):
             op, _, oppos = self.advance()
             f = self.factor()
@@ -331,9 +343,9 @@ class _Parser:
                 if f.value.is_zero():
                     raise ParseError("division by zero", oppos)
                 f = ScalarLiteral(f.value.inverse())
-            if size is None:
-                size = _product_size([0] * 7, factors[0], oppos)
-            size = _product_size(size, f, oppos)
+            if acc is None:
+                acc = _fold(RF_ONE, factors[0], "*", oppos)
+            acc = _fold(acc, f, "*", oppos)
             factors.append(f)
         return make_product(factors)
 
@@ -351,7 +363,7 @@ class _Parser:
                 raise ParseError("expected an integer exponent", pos)
             self.advance()
             chain *= sign * val
-            _check_exponent(chain, cpos)
+            check(size(q_power(chain)), pos=cpos)
             base = make_power(base, sign * val, cpos)
         return base
 

@@ -40,13 +40,18 @@ with inverse map k = x, k^-1 = x^-1, f = (y - x^-1)/(q - q^-1),
 e = (1 - x z) q^-1/(q - q^-1).
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter
 
 from . import exprio
 from .exprio import Generator, Negate, Product, ScalarLiteral, Sum
 from .qfield import CQ, RF_ONE, RatFunc, q_power, qbinom, qfact
 from .report import VerificationReport, check
+
+_F, _E = itemgetter(0), itemgetter(2)  # the exponents of f and e in a monomial
 
 # rewrite rules over the letter alphabet f < k, K < e (K stands for k^-1);
 # each left side maps to a linear combination of replacement words
@@ -88,10 +93,7 @@ def _rewrite(combo):
     return res
 
 
-class ProductSizeError(ValueError):
-    """A PBW product whose table e^r f^s would pass exprio.MAX_PRODUCT_TERMS."""
-
-
+@lru_cache(maxsize=None)
 def _ef_terms(r, s):
     # coefficient terms of _ef_table(r, s): gamma's numerator has
     # t(r-t) + t(s-t) + t(t-1)/2 + i(t-i) + 1 terms, its denominator
@@ -103,15 +105,7 @@ def _ef_terms(r, s):
 @lru_cache(maxsize=None)
 def _ef_table(r, s):
     """e^r f^s as ((t, t - 2i, gamma), ...), one entry per PBW term
-    gamma f^(s-t) k^(t-2i) e^(r-t) (see the module docstring).
-
-    Raises ProductSizeError, before building, when the table's coefficients
-    would hold more than exprio.MAX_PRODUCT_TERMS terms."""
-    terms = _ef_terms(r, s)
-    if terms > exprio.MAX_PRODUCT_TERMS:
-        raise ProductSizeError(
-            "e^%d*f^%d expands to %d coefficient terms, beyond the cap of %d"
-            % (r, s, terms, exprio.MAX_PRODUCT_TERMS))
+    gamma f^(s-t) k^(t-2i) e^(r-t) (see the module docstring)."""
     table = []
     for t in range(min(r, s) + 1):
         common = qbinom(r, t) * qbinom(s, t) * qfact(t)
@@ -123,6 +117,55 @@ def _ef_table(r, s):
                 gamma = gamma * CQ  # one factor at a time, so each gcd is against q^2 - 1
             table.append((t, b, gamma))
     return tuple(table)
+
+
+def _product_budget(a, b, spent=0):
+    # Check a*b against the budget before its loop (exprio.check): the
+    # products c1*c2 of a coefficient of a and one of b, and the work, with
+    # the work already spent by a power this product is a step of; return
+    # the product's work.  Of the terms c1*c2*gamma it adds, all but those of
+    # the widest table may meet another (the table's land on distinct
+    # monomials).  A term costs about (w1 + w2) * wg / 20 units, for the
+    # widest coefficient spans w1, w2 of a and b and wg of the table; a
+    # meeting costs about w * (d + 1), for w = w1 + w2 + wg and d the summed
+    # widest denominator degrees; a table costs 100 units per coefficient
+    # term to build.  A unit is about 0.5 us on a 2-vCPU host.
+    if not a.terms or not b.terms:
+        return 0
+    sa, sb = a.size(), b.size()
+    r, s = max(map(_E, a.terms)), max(map(_F, b.terms))
+    if len(b.terms) == 1:
+        added = sum(map(_entries, map(min, map(_E, a.terms), repeat(s))))
+    else:
+        es, fs = Counter(map(_E, a.terms)), Counter(map(_F, b.terms))
+        added = sum(x * y * _entries(min(c, d)) for c, x in es.items() for d, y in fs.items())
+    wa, wb, wg = sa[0][2] + sa[1][2], sb[0][2] + sb[1][2], _ef_span(r, s)
+    d = sa[1][1] + sb[1][1] + 2 * min(r, s)
+    meets = (added - _entries(min(r, s))) * (wa + wb + wg) * (d + 1)
+    work = 100 * _ef_terms(r, s) + added * (wa + wb) * wg // 20 + meets
+    exprio.check(exprio.bound(sa, "*", sb), spent + work)
+    return work
+
+
+def _moves_terms(el, axis):
+    # el is one monomial of coefficient 1 without f (axis 0) or e (axis 2):
+    # a product by it, on that side, moves each term of the other factor to
+    # one term and scales its coefficient by a power of q, so it forms no
+    # coefficient product or sum and reads no table but e^c f^0 = e^c
+    return len(el.terms) == 1 and all(c is RF_ONE and not m[axis] for m, c in el.terms.items())
+
+
+@lru_cache(maxsize=None)
+def _ef_span(r, s):
+    # the widest span (numerator, plus the denominator's degree) of a gamma
+    # in _ef_table(r, s): twice its numerator's terms less one, plus 2t
+    return max(2 * (t * (r + s - 2 * t) + t * (t - 1) // 2 + t * t // 4 + t)
+               for t in range(min(r, s) + 1))
+
+
+def _entries(m):
+    # entries of _ef_table(r, s) with min(r, s) = m
+    return (m + 1) * (m + 2) // 2
 
 
 def _mono_str(mono):
@@ -140,7 +183,7 @@ def _mono_str(mono):
 class AlgebraElement:
     """Element of U_q(sl2) as a Q(q)-combination of PBW monomials f^a k^b e^c."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_size")
 
     def __init__(self, terms=None):
         t = {}
@@ -151,11 +194,13 @@ class AlgebraElement:
                 if not coeff.is_zero():
                     t[mono] = coeff
         self.terms = t
+        self._size = None
 
     @classmethod
     def _raw(cls, terms):
         el = cls.__new__(cls)
         el.terms = terms
+        el._size = None
         return el
 
     @classmethod
@@ -174,10 +219,16 @@ class AlgebraElement:
 
     @classmethod
     def generator(cls, name):
-        mono = {"f": (1, 0, 0), "k": (0, 1, 0), "k^-1": (0, -1, 0), "e": (0, 0, 1)}.get(name)
-        if mono is None:
+        gen = _GENERATORS.get(name)
+        if gen is None:
             raise ValueError("unknown Chevalley generator %r" % (name,))
-        return cls._raw({mono: RF_ONE})
+        return gen
+
+    def size(self):
+        # the size (exprio.size) of one scalar that covers every coefficient
+        if self._size is None:
+            self._size = exprio.size(*self.terms.values())
+        return self._size
 
     def is_zero(self):
         return not self.terms
@@ -209,6 +260,9 @@ class AlgebraElement:
             other = AlgebraElement.scalar(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
+        for m in self.terms.keys() & other.terms.keys():
+            c1, c2 = self.terms[m], other.terms[m]
+            exprio.check(exprio.bound(exprio.size(c1), "+", exprio.size(c2), c1.den == c2.den))
         res = dict(self.terms)
         for m, c in other.terms.items():
             _accumulate(res, m, c)
@@ -235,14 +289,22 @@ class AlgebraElement:
             return AlgebraElement._raw({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, AlgebraElement):
             return NotImplemented
+        if not (_moves_terms(other, 0) or _moves_terms(self, 2)):
+            _product_budget(self, other)
+        return self._times(other)
+
+    def _times(self, other):
+        # the product of two elements, term pair by term pair
         res = {}
         for (a, b, c), c1 in self.terms.items():
             for (d, g, h), c2 in other.terms.items():
-                c12 = c1 * c2
+                c12 = c1 if c2 is RF_ONE else c1 * c2
                 for t, kb, gamma in _ef_table(c, d):
                     # k^b moves past f^(d-t), and e^(c-t) past k^g
-                    shift = q_power(-2 * (b * (d - t) + g * (c - t)))
-                    _accumulate(res, (a + d - t, b + kb + g, c - t + h), c12 * (gamma * shift))
+                    shift = b * (d - t) + g * (c - t)
+                    if shift:
+                        gamma = gamma * q_power(-2 * shift)
+                    _accumulate(res, (a + d - t, b + kb + g, c - t + h), c12 * gamma)
         return AlgebraElement._raw(res)
 
     def __rmul__(self, other):
@@ -258,9 +320,10 @@ class AlgebraElement:
                 if a == 0 and c == 0:  # powers of k are invertible
                     return AlgebraElement._raw({(0, b * n, 0): coeff ** n})
             raise ValueError("cannot raise this element to power %r" % (n,))
-        result = AlgebraElement.one()
-        for _ in range(n):
-            result = result * self
+        result, spent = AlgebraElement.one(), 0
+        for _ in range(n):  # the steps share one work budget
+            spent += _product_budget(result, self, spent)
+            result = result._times(self)
         return result
 
     def __str__(self):
@@ -291,6 +354,9 @@ class AlgebraElement:
     def __repr__(self):
         return "AlgebraElement(%s)" % self
 
+
+_GENERATORS = {name: AlgebraElement._raw({mono: RF_ONE}) for name, mono in (
+    ("f", (1, 0, 0)), ("k", (0, 1, 0)), ("k^-1", (0, -1, 0)), ("e", (0, 0, 1)))}
 
 # Chevalley images of the equitable generators
 _EQ_IMAGES = None
@@ -407,14 +473,18 @@ def apply_automorphism(element, i, alpha):
     k = AlgebraElement.generator("k")
     e_img = (AlgebraElement.generator("e") * (k ** i)) * alpha
     f_img = ((k ** (-i)) * AlgebraElement.generator("f")) * alpha.inverse()
-    key = (i, str(alpha))
-    if key not in _auto_checked:
+    if (i, alpha) not in _auto_checked:
         # the images must satisfy the defining relations
         kinv = AlgebraElement.generator("k^-1")
-        assert k * e_img == e_img * k * q_power(2)
-        assert k * f_img == f_img * k * q_power(-2)
-        assert e_img * f_img - f_img * e_img == (k - kinv) * CQ
-        _auto_checked.add(key)
+        for relation, ok in (
+                ("k*e = q^2*e*k", k * e_img == e_img * k * q_power(2)),
+                ("k*f = q^-2*f*k", k * f_img == f_img * k * q_power(-2)),
+                ("e*f - f*e = (k - k^-1)/(q - q^-1)",
+                 e_img * f_img - f_img * e_img == (k - kinv) * CQ)):
+            if not ok:
+                raise RuntimeError("the images of e and f under the automorphism "
+                                   "(i=%d, alpha=%s) break %s" % (i, alpha, relation))
+        _auto_checked.add((i, alpha))
     res = AlgebraElement.zero()
     for (a, b, c), coeff in element.terms.items():
         term = (f_img ** a) * AlgebraElement._raw({(0, b, 0): RF_ONE}) * (e_img ** c)

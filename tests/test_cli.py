@@ -5,10 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqsl2 import cli, repmod
 from uqsl2.cli import main, spot_points
@@ -359,12 +362,67 @@ _CORPUS = [
     (["normalize", "q^1000 + q^-1000"], 0),
     (["normalize", "e^40*f^40"], 2),
     (["normalize", "e^1000*f^1000"], 2),
+    (["normalize", "1/(q^600+3)*e + 1/(q^600+5)*e"], 2),
+    (["normalize", "(e^12*f^12)^2"], 2),
+    (["normalize", "(e^8*f^8)^2"], 2),
+    (["rep", "--n", "1001", "--eps", "+1", "--gen", "x"], 2),
+    (["rep", "--n", "1000000", "--eps", "+1", "--gen", "x"], 2),
+    (["omega", "--n", "33", "--eps", "+1"], 2),
+    (["omega", "--n", "1000000", "--eps", "+1", "--mode", "check"], 2),
+    (["eval", "--rep", "1001,+1", "--q", "2", "k"], 2),
+    (["eval", "--rep", "1000000,+1", "--q", "2", "k"], 2),
 ]
 
 
 @pytest.mark.parametrize("args,expected", _CORPUS)
 def test_exit_code_contract(runner, args, expected):
     assert runner.invoke(main, args).exit_code == expected
+
+
+# pieces of normalize/eval input: letters of both presentations, numbers,
+# operators and exponents within and past the budget
+_PIECES = ["e", "f", "k", "k^-1", "x", "x^-1", "y", "z", "q", "2", "7", "+", "-",
+           "*", "/", "^", "(", ")", "^2", "^3", "^-1", "^12", "^1001", " "]
+_EXPRESSIONS = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
+    st.recursive(
+        st.sampled_from(["e", "f", "k", "k^-1", "x", "x^-1", "y", "z", "q", "2", "(q+1)"]),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map("(%s%s%s)".__mod__),
+            st.tuples(inner, st.sampled_from(["2", "3", "-1", "12", "1001"])).map(
+                "%s^%s".__mod__),
+            inner.map("-{}".format)),
+        max_leaves=8))
+_RUN_SECONDS = 30
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["normalize", "eval"]), _EXPRESSIONS,
+       st.sampled_from(["chevalley", "equitable"]),
+       st.sampled_from(["2", "-1/3", "5/2", "0", "1", "q"]),
+       st.sampled_from([None, "0,+1", "2,-1", "1001,+1", "a,+1", "1"]))
+def test_fuzz_normalize_and_eval_exit_cleanly(command, expr, presentation, q0, rep):
+    # every argument vector answers or exits 2, with no traceback, in bounded time
+    args = [command, "--presentation", presentation]
+    if command == "eval":
+        args += ["--q", q0] + ([] if rep is None else ["--rep", rep])
+    start = time.perf_counter()
+    res = CliRunner().invoke(main, args + ["--", expr])
+    assert time.perf_counter() - start < _RUN_SECONDS
+    assert res.exit_code in (0, 1, 2)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+    assert "Traceback" not in res.output
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["chevalley", "equitable"]), _EXPRESSIONS)
+def test_normalize_output_parses_back(presentation, expr):
+    # an answer of normalize is a Chevalley normal form that normalize reads back
+    runner = CliRunner()
+    res = runner.invoke(main, ["normalize", "--presentation", presentation, "--", expr])
+    if res.exit_code == 0:
+        again = runner.invoke(main, ["normalize", "--", res.output.strip()])
+        assert (again.exit_code, again.output) == (0, res.output)
 
 
 def test_layer_trace_finds_every_program_name():

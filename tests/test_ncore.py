@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqsl2 import ncore
-from uqsl2.exprio import parse
+from uqsl2.exprio import BudgetError, parse
 from uqsl2.ncore import AlgebraElement, apply_automorphism, n_element
 from uqsl2.qfield import CQ, RF_ONE, LaurentPoly, RatFunc, q_power, qint
 
@@ -110,16 +110,23 @@ def test_degree_bound_for_ef_powers():
         assert all(a <= m and c <= m for a, _, c in power.terms)
 
 
-def test_product_size_is_counted_before_the_table_is_built():
-    # _ef_terms is the exact term count of the table it guards
+def test_product_work_is_bounded_before_the_table_is_built():
+    # _ef_terms and _ef_span are the exact term count and widest span of the
+    # table the product budget reads
     for r in range(9):
         for s in range(9):
             table = ncore._ef_table(r, s)
             assert ncore._ef_terms(r, s) == sum(
                 len(g.num.terms) + len(g.den.terms) for _, _, g in table)
-    with pytest.raises(ncore.ProductSizeError):
+            assert ncore._ef_span(r, s) == max(
+                g.num.degree() - g.num.valuation() + g.den.degree() for _, _, g in table)
+            assert ncore._entries(min(r, s)) == len(table)
+    with pytest.raises(BudgetError):
         nf("e^40*f^40")
     assert ncore._ef_terms(1000, 1000) > 10 ** 11  # counted, not built
+    square = nf("e^12*f^12")
+    with pytest.raises(BudgetError):
+        square * square  # refused before its loop
 
 
 def test_scalar_elements_hash_like_their_values():
@@ -140,6 +147,16 @@ def test_automorphism_frozen_values():
         apply_automorphism(e, 1, RF_ONE * 0)
     with pytest.raises(TypeError):
         apply_automorphism(e, "1", RF_ONE)
+
+
+def test_automorphism_checks_its_images_without_assert(monkeypatch):
+    # the relation checks raise, so they hold under python -O too
+    e = AlgebraElement.generator("e")
+    monkeypatch.setattr(ncore, "_auto_checked", set())
+    monkeypatch.setitem(ncore._GENERATORS, "e", e * 2)
+    with pytest.raises(RuntimeError, match=r"break e\*f - f\*e"):
+        apply_automorphism(e, 1, q_power(1))
+    assert not ncore._auto_checked
 
 
 _monos = st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(0, 2))
