@@ -60,7 +60,7 @@ MAX_NESTING = 100
 # the size budget (see check())
 MAX_EXPONENT = 1000
 MAX_POWER_BITS = 14000
-MAX_WORK = 10 ** 7
+MAX_WORK = 3 * 10 ** 7
 
 _LETTERS = {CHEVALLEY: ("k", "e", "f"), EQUITABLE: ("x", "y", "z")}
 _INVERSE_OF = {"k": "k^-1", "k^-1": "k", "x": "x^-1", "x^-1": "x"}
