@@ -11,9 +11,9 @@ derived from it, which its module rows (both bases) and operator rows read.
 
 import random
 import sys
-from itertools import chain
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 import click
 
