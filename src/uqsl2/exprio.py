@@ -19,28 +19,31 @@ counted together; deeper input is a ParseError at the first token past the
 cap.  A power of a power of a non-scalar collapses into one IntPower, so
 caret chains do not build deep trees.
 
-Everything the parser folds, and every coefficient that a sum or product
-in ncore forms from two others, is held to one size budget, checked before
-the value is computed.  The size of a scalar (size()) is, for its
-numerator and its denominator, the least and largest q-exponent, the span
-between them, and the bits of the l1 norm over Z and of the common
-denominator of the coefficients; the size of several scalars covers each.
-bound() gives the size of a sum, product or power from the sizes of its
-operands, before anything cancels: exponents, spans and bits add in a
-product (norms at most multiply), a sum is bounded as (n1 d2 + n2 d1)/(d1 d2),
-or (n1 + n2)/d over one denominator, and a power is |e| times its base (its
-inverse if e < 0).  check() raises BudgetError when a size has a q-exponent
-beyond MAX_EXPONENT (1000) in absolute value or a part of more than
-MAX_POWER_BITS (14000) bits, so that a folded scalar prints within Python's
-4300-digit limit and its rendering parses back, or when an operation would
-do more than MAX_WORK units of work (see ncore._product_budget).  The parser
-checks each exponent (and the product of the exponents of a caret chain
-such as e^2^3, which is (e^2)^3 = e^6) as q^e, an integer literal of d
-digits as 10^d before it is read, each scalar power, and the running sum or
-product of the scalars of one sum or product in the order fold() combines
-them, so q^1000*q^-1000 passes and q^600*q^600 does not.  Its BudgetError,
-a ParseError, is at the caret, '*', '/', '+' or '-' (or the first digit)
-that passes the budget.
+One size budget bounds what the parser folds and what ncore builds from
+it.  The size of a scalar (size()) is, for its numerator and its
+denominator, the least and largest q-exponent, the widest span of one, and
+the bits of the l1 norm over Z and of the common denominator of the
+coefficients; the size of several scalars covers each.  bound() gives the
+size of a sum, product or power from the sizes of its operands, before
+anything cancels: exponents, spans and bits add in a product (norms at most
+multiply), a sum is bounded as (n1 d2 + n2 d1)/(d1 d2), or (n1 + n2)/d over
+one denominator, and a power is |e| times its base (its inverse if e < 0).
+check() raises BudgetError when a size has a q-exponent beyond MAX_EXPONENT
+(1000) in absolute value or a part of more than MAX_POWER_BITS (14000)
+bits, so that a number prints within Python's 4300-digit limit, or when an
+operation would do more than MAX_WORK units of work.  The parser checks
+each exponent (and the product of the exponents of a caret chain such as
+e^2^3, which is (e^2)^3 = e^6) as q^e, the digits of an integer literal
+(at most _MAX_DIGITS) before it is read, each scalar power, and the running
+sum or product of the scalars of one sum or product in the order fold()
+combines them, all before the value is computed, so q^1000*q^-1000 passes,
+q^600*q^600 does not, and every folded scalar renders as text that parses
+back.  Its BudgetError, a ParseError, is at the caret, '*', '/', '+' or '-'
+(or the first digit) that passes the budget.  In ncore a product checks
+its work (ncore._work) before its loop, and a sum or product checks the
+bits and the denominator degrees of its result; numerator exponents there
+are not bounded, so a normal form whose tables, k-shifts or coefficient
+products raise one past MAX_EXPONENT prints but does not parse back.
 fold() evaluates a tree given what its leaves stand for.
 """
 
@@ -51,7 +54,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import add, attrgetter, sub
 
-from .qfield import RF_ONE, RF_Q, RF_ZERO, RatFunc, q_power
+from .qfield import RF_ONE, RF_Q, RF_ZERO, RatFunc
 
 CHEVALLEY = "chevalley"
 EQUITABLE = "equitable"
@@ -61,6 +64,9 @@ MAX_NESTING = 100
 MAX_EXPONENT = 1000
 MAX_POWER_BITS = 14000
 MAX_WORK = 3 * 10 ** 7
+# the most digits an integer literal may have: every such number is below
+# 2^MAX_POWER_BITS, and int() reads it within Python's 4300-digit limit
+_MAX_DIGITS = len(str(2 ** MAX_POWER_BITS)) - 1
 
 _LETTERS = {CHEVALLEY: ("k", "e", "f"), EQUITABLE: ("x", "y", "z")}
 _INVERSE_OF = {"k": "k^-1", "k^-1": "k", "x": "x^-1", "x^-1": "x"}
@@ -192,17 +198,21 @@ def bound(a, op, b, same_den=False):
     """The size of x op y from the sizes a, b of scalars x, y: op is '*',
     '+' (same_den if x and y have one denominator) or '^', where b is the
     exponent and a the size of x (of 1/x if b < 0)."""
-    if op == "+" and (a is None or b is None):
-        return b if a is None else a
     if a is None or b is None:
-        return None
+        return (a or b) if op == "+" else None
     if op == "^":
         return tuple(tuple(abs(b) * x for x in part) for part in a)
+    (an, ad), (bn, bd) = a, b
     if op == "*":
-        return (_times(a[0], b[0]), _times(a[1], b[1]))
+        return (_times(an, bn), _times(ad, bd))
     if same_den:
-        return (_plus(a[0], b[0]), a[1])
-    return (_plus(_times(a[0], b[1]), _times(b[0], a[1])), _times(a[1], b[1]))
+        return (_plus(an, bn), ad)
+    return (_plus(_times(an, bd), _times(bn, ad)), _times(ad, bd))
+
+
+def _exponent_size(e):
+    # size(q_power(e)), read off without building q^e
+    return ((e, e, 0, 1, 1), (0, 0, 0, 1, 1))
 
 
 def check(size, work=0, pos=None):
@@ -229,7 +239,7 @@ def _fold(acc, t, op, pos):
 def make_power(base, e, pos=0):
     if isinstance(base, IntPower) and e > 0:
         base, e = base.base, base.exp * e  # (b^m)^n = b^(mn)
-    check(size(q_power(e)), pos=pos)
+    check(_exponent_size(e), pos=pos)
     if isinstance(base, ScalarLiteral):
         if e < 0 and base.value.is_zero():
             raise ParseError("zero raised to a negative power", pos)
@@ -269,7 +279,9 @@ def _tokenize(text):
             while j < n and text[j].isdigit():
                 j += 1
             run = text[i:j].lstrip("0") or "0"
-            check(size(RF_ONE * 10 ** len(run)), pos=i + 1)  # before int() reads it
+            if len(run) > _MAX_DIGITS:
+                raise BudgetError("integer literal of %d digits exceeds the budget of %d"
+                                  % (len(run), _MAX_DIGITS), i + 1)
             toks.append(("int", int(run), i + 1))
             i = j
             continue
@@ -317,15 +329,15 @@ class _Parser:
 
     def expr(self):
         terms = [self.term()]
-        acc = None  # sum of the scalar terms so far, from the first '+' or '-'
+        acc = _fold(RF_ZERO, terms[0], "+", None)  # the sum of the scalar terms
         while self.peek()[0] in ("+", "-"):
             op, _, oppos = self.advance()
             t = self.term()
             t = make_negate(t) if op == "-" else t
-            if acc is None:
-                acc = _fold(RF_ZERO, terms[0], "+", oppos)
             acc = _fold(acc, t, "+", oppos)
             terms.append(t)
+        if all(isinstance(t, ScalarLiteral) for t in terms):
+            return ScalarLiteral(acc)
         return make_sum(terms)
 
     def term(self):
@@ -333,7 +345,7 @@ class _Parser:
             _, _, pos = self.advance()
             return make_negate(self.nested(self.term, pos))
         factors = [self.factor()]
-        acc = None  # product of the scalar factors so far, from the first '*' or '/'
+        acc = _fold(RF_ONE, factors[0], "*", None)  # the product of the scalar factors
         while self.peek()[0] in ("*", "/"):
             op, _, oppos = self.advance()
             f = self.factor()
@@ -343,10 +355,10 @@ class _Parser:
                 if f.value.is_zero():
                     raise ParseError("division by zero", oppos)
                 f = ScalarLiteral(f.value.inverse())
-            if acc is None:
-                acc = _fold(RF_ONE, factors[0], "*", oppos)
             acc = _fold(acc, f, "*", oppos)
             factors.append(f)
+        if all(isinstance(f, ScalarLiteral) for f in factors):
+            return ScalarLiteral(acc)
         return make_product(factors)
 
     def factor(self):
@@ -363,7 +375,7 @@ class _Parser:
                 raise ParseError("expected an integer exponent", pos)
             self.advance()
             chain *= sign * val
-            check(size(q_power(chain)), pos=cpos)
+            check(_exponent_size(chain), pos=cpos)
             base = make_power(base, sign * val, cpos)
         return base
 

@@ -40,10 +40,8 @@ with inverse map k = x, k^-1 = x^-1, f = (y - x^-1)/(q - q^-1),
 e = (1 - x z) q^-1/(q - q^-1).
 """
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from operator import itemgetter
 
 from . import exprio
@@ -119,54 +117,36 @@ def _ef_table(r, s):
     return tuple(table)
 
 
-def _product_budget(a, b, spent=0):
-    # Check a*b against the budget before its loop (exprio.check): the
-    # products c1*c2 of a coefficient of a and one of b, and the work, with
-    # the work already spent by a power this product is a step of; return
-    # the product's work.  Of the terms c1*c2*gamma it adds, all but those of
-    # the widest table may meet another (the table's land on distinct
-    # monomials).  A term costs about (w1 + w2) * wg / 8 units, for the
-    # widest coefficient spans w1, w2 of a and b and wg of the table; a
-    # meeting, whose cost is the gcd in _accumulate, about
-    # w * (d + 1) * (d + 8) / 8, for w = w1 + w2 + wg and d the summed widest
-    # denominator degrees; a table 300 units per coefficient term to build.
-    # Over 36 timed product steps a unit took 0.06 to 0.24 us on a 2-vCPU host.
+def _work(a, b):
+    # units of work of a*b, from sizes at hand: 300 per coefficient term of
+    # the widest e^r f^s table it reads, and per term pair the products of
+    # coefficients of total span w with table entries of span about
+    # wg = 2m(r + s), m = min(r, s), plus, where terms can meet, their gcds
+    # in _accumulate against denominators of degree d.  Over 29 products
+    # that took 0.3 s or more on a 2-vCPU host a unit took 0.1 to 0.8 us
+    # (1.6 for (f^3*e^3)^4), except where coprime denominators meet, whose
+    # gcd costs more than any power of d predicts.
     if not a.terms or not b.terms:
         return 0
-    sa, sb = a.size(), b.size()
+    (_, _, na, *_), (_, da, wa, *_) = a.size()
+    (_, _, nb, *_), (_, db, wb, *_) = b.size()
     r, s = max(map(_E, a.terms)), max(map(_F, b.terms))
-    if len(b.terms) == 1:
-        added = sum(map(_entries, map(min, map(_E, a.terms), repeat(s))))
-    else:
-        es, fs = Counter(map(_E, a.terms)), Counter(map(_F, b.terms))
-        added = sum(x * y * _entries(min(c, d)) for c, x in es.items() for d, y in fs.items())
-    wa, wb, wg = sa[0][2] + sa[1][2], sb[0][2] + sb[1][2], _ef_span(r, s)
-    d = sa[1][1] + sb[1][1] + 2 * min(r, s)
-    meets = (added - _entries(min(r, s))) * (wa + wb + wg) * (d + 1) * (d + 8) // 8
-    work = 300 * _ef_terms(r, s) + added * (wa + wb) * wg // 8 + meets
-    exprio.check(exprio.bound(sa, "*", sb), spent + work)
-    return work
+    m = min(r, s)
+    w, wg, d = na + wa + nb + wb, 2 * m * (r + s), da + db + 2 * m
+    pairs = len(a.terms) * len(b.terms)
+    # the terms of one pair land on distinct monomials, and so do those of
+    # one factor times one term when every table read has one entry (m = 0)
+    meets = pairs > 1 and (m > 0 or min(len(a.terms), len(b.terms)) > 1)
+    return 300 * _ef_terms(r, s) + pairs * (
+        (w + 1) * (wg + 1) + meets * (w + wg + 1) * (d + 1) ** 2) // 12
 
 
 def _moves_terms(el, axis):
     # el is one monomial of coefficient 1 without f (axis 0) or e (axis 2):
     # a product by it, on that side, moves each term of the other factor to
-    # one term and scales its coefficient by a power of q, so it forms no
-    # coefficient product or sum and reads no table but e^c f^0 = e^c
+    # one term and scales its coefficient by a power of q, which changes no
+    # span, denominator or bits, so it passes the budget as that factor did
     return len(el.terms) == 1 and all(c is RF_ONE and not m[axis] for m, c in el.terms.items())
-
-
-@lru_cache(maxsize=None)
-def _ef_span(r, s):
-    # the widest span (numerator, plus the denominator's degree) of a gamma
-    # in _ef_table(r, s): twice its numerator's terms less one, plus 2t
-    return max(2 * (t * (r + s - 2 * t) + t * (t - 1) // 2 + t * t // 4 + t)
-               for t in range(min(r, s) + 1))
-
-
-def _entries(m):
-    # entries of _ef_table(r, s) with min(r, s) = m
-    return (m + 1) * (m + 2) // 2
 
 
 def _mono_str(mono):
@@ -226,10 +206,19 @@ class AlgebraElement:
         return gen
 
     def size(self):
-        # the size (exprio.size) of one scalar that covers every coefficient
+        # the size (exprio.size) of one scalar that covers every coefficient,
+        # less its numerator's exponents, which the algebra does not bound:
+        # the tables and k-shifts of a product raise them (e^1000*f^5)
         if self._size is None:
-            self._size = exprio.size(*self.terms.values())
+            size = exprio.size(*self.terms.values())
+            self._size = size and ((0, 0) + size[0][2:], size[1])
         return self._size
+
+    def _checked(self):
+        # what + and * return is held to the budget in its coefficients'
+        # bits and denominator degrees
+        exprio.check(self.size())
+        return self
 
     def is_zero(self):
         return not self.terms
@@ -261,13 +250,10 @@ class AlgebraElement:
             other = AlgebraElement.scalar(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        for m in self.terms.keys() & other.terms.keys():
-            c1, c2 = self.terms[m], other.terms[m]
-            exprio.check(exprio.bound(exprio.size(c1), "+", exprio.size(c2), c1.den == c2.den))
         res = dict(self.terms)
         for m, c in other.terms.items():
             _accumulate(res, m, c)
-        return AlgebraElement._raw(res)
+        return AlgebraElement._raw(res)._checked()
 
     __radd__ = __add__
 
@@ -287,15 +273,13 @@ class AlgebraElement:
                 other = RF_ONE * other
             if other.is_zero():
                 return AlgebraElement._raw({})
-            return AlgebraElement._raw({m: c * other for m, c in self.terms.items()})
+            return AlgebraElement._raw({m: c * other for m, c in self.terms.items()})._checked()
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        if not (_moves_terms(other, 0) or _moves_terms(self, 2)):
-            _product_budget(self, other)
-        return self._times(other)
-
-    def _times(self, other):
-        # the product of two elements, term pair by term pair
+        # the factor whose terms the other one only moves (see _moves_terms)
+        kept = self if _moves_terms(other, 0) else other if _moves_terms(self, 2) else None
+        if kept is None:
+            exprio.check(None, _work(self, other))
         res = {}
         for (a, b, c), c1 in self.terms.items():
             for (d, g, h), c2 in other.terms.items():
@@ -306,7 +290,11 @@ class AlgebraElement:
                     if shift:
                         gamma = gamma * q_power(-2 * shift)
                     _accumulate(res, (a + d - t, b + kb + g, c - t + h), c12 * gamma)
-        return AlgebraElement._raw(res)
+        res = AlgebraElement._raw(res)
+        if kept is None:
+            return res._checked()
+        res._size = kept._size  # a shift by powers of q keeps what size() reads
+        return res
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc)):
@@ -319,12 +307,13 @@ class AlgebraElement:
                 (mono, coeff), = self.terms.items()
                 a, b, c = mono
                 if a == 0 and c == 0:  # powers of k are invertible
-                    return AlgebraElement._raw({(0, b * n, 0): coeff ** n})
+                    return AlgebraElement._raw({(0, b * n, 0): coeff ** n})._checked()
             raise ValueError("cannot raise this element to power %r" % (n,))
         result, spent = AlgebraElement.one(), 0
         for _ in range(n):  # the steps share one work budget
-            spent += _product_budget(result, self, spent)
-            result = result._times(self)
+            spent += _work(result, self)
+            exprio.check(None, spent)
+            result = result * self
         return result
 
     def __str__(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uqsl2 import exprio
 from uqsl2.exprio import (
     MAX_EXPONENT,
     MAX_NESTING,
@@ -207,6 +208,9 @@ def test_exponent_cap_and_power_chains():
     # a chain is checked step by step: (k^2)^-1 stays an error
     with pytest.raises(ParseError):
         parse("k^2^-1", "chevalley")
+    # an exponent is checked as the size of q^e, read off without building it
+    for n in (0, 1, -1, 7, MAX_EXPONENT, -MAX_EXPONENT - 1, 10 ** 40):
+        assert exprio._exponent_size(n) == exprio.size(q_power(n))
 
 
 def test_scalar_power_result_cap():

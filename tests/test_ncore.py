@@ -110,23 +110,41 @@ def test_degree_bound_for_ef_powers():
         assert all(a <= m and c <= m for a, _, c in power.terms)
 
 
-def test_product_work_is_bounded_before_the_table_is_built():
-    # _ef_terms and _ef_span are the exact term count and widest span of the
-    # table the product budget reads
+def test_product_work_is_bounded_before_the_table_is_built(monkeypatch):
+    # _ef_terms is the exact term count of the table the work estimate
+    # reads, and 2m(r + s) and 2m bound the span and the denominator degree
+    # of each of its coefficients, m = min(r, s)
     for r in range(9):
         for s in range(9):
             table = ncore._ef_table(r, s)
             assert ncore._ef_terms(r, s) == sum(
                 len(g.num.terms) + len(g.den.terms) for _, _, g in table)
-            assert ncore._ef_span(r, s) == max(
-                g.num.degree() - g.num.valuation() + g.den.degree() for _, _, g in table)
-            assert ncore._entries(min(r, s)) == len(table)
+            m = min(r, s)
+            for _, _, g in table:
+                assert g.num.degree() - g.num.valuation() + g.den.degree() <= 2 * m * (r + s)
+                assert g.den.degree() <= 2 * m
     with pytest.raises(BudgetError):
         nf("e^40*f^40")
     assert ncore._ef_terms(1000, 1000) > 10 ** 11  # counted, not built
     square = nf("e^12*f^12")
+
+    def no_loop(*args):
+        raise AssertionError("the product loop ran")
+    monkeypatch.setattr(ncore, "_accumulate", no_loop)
     with pytest.raises(BudgetError):
-        square * square  # refused before its loop
+        square * square
+
+
+def test_coefficients_that_meet_are_held_to_the_budget():
+    # a denominator past the exponent budget is refused whether the terms
+    # meet in a sum or in a product; a numerator that a table raises is not
+    for text in ("1/(q^600+3)*e + 1/(q^600+5)*e",
+                 "(1/(q^600+3) + 1/(q^600+5)*k)*(k+1)"):
+        with pytest.raises(BudgetError):
+            nf(text)
+    assert nf("(1/(q^600+3) + 1/(q^600+5)*k)*k") == nf(
+        "1/(q^600+3)*k + 1/(q^600+5)*k^2")
+    assert nf("e^1000*f*f") == nf("e^1000*f^2")
 
 
 def test_scalar_elements_hash_like_their_values():
