@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 
 import click
 
@@ -23,20 +24,21 @@ from .gammamod import GAMMA_Y, GAMMA_Z, verify_gamma
 from .ncore import (from_equitable, normalize_chevalley, verify_confluence,
                     verify_n_commutation, verify_n_definitions,
                     verify_n_preimages, verify_presentation_iso)
-from .qexpops import (ConsistencyError, _closed_form_report,
-                      _conjugation_report, _OperatorEnv, _rewrite_report,
-                      omega, omega_closed_form, verify_closed_form)
+from .qexpops import (_closed_form_report, _conjugation_report, _OperatorEnv,
+                      _rewrite_report, omega, omega_closed_form, verify_closed_form)
 from .qfield import RF_ONE, PoleError, SpecializationError, check_admissible
 from .repmod import (CHEVALLEY_GENS, EQUITABLE_GENS, Matrix, ModuleSpec,
                      _basis_change_report, _chevalley_report,
                      _equitable_report, build_chevalley, build_equitable,
                      json_bytes, matrix_csv, matrix_json_obj, matrix_latex)
-from .report import VerificationReport
+from .report import ConsistencyError, VerificationReport
 
-# the largest module L(n, eps) a command builds: rep and eval --rep print
-# entries up to q^n, which parse back up to MAX_EXPONENT; omega --n 32 takes
-# about 7 s in each mode on a 2-vCPU host
+# the largest module L(n, eps) a command builds: rep prints entries up to
+# q^n, which parse back up to MAX_EXPONENT; omega --n 32 takes about 7 s in
+# each mode on a 2-vCPU host; eval --rep evaluates and prints every entry,
+# (n+1)^2 of them, and eval --rep 1000,+1 k took 27 s there
 MAX_OMEGA_N = 32
+MAX_REP_N = 200
 
 _FORMAT_OPTION = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
@@ -130,17 +132,18 @@ def omega_cmd(n, eps, mode, fmt):
     """Print Omega on L(n, eps), or check its two constructions against each other."""
     eps = _eps_value(eps)
     spec = ModuleSpec.single(n, eps)
-    if mode == "check":
-        report = verify_closed_form(n, eps)
-        _emit_report(report, fmt)
-        if not report.passed:
-            sys.exit(1)
-        return
     try:
+        if mode == "check":
+            report = verify_closed_form(n, eps)
+            _emit_report(report, fmt)
+            if not report.passed:
+                sys.exit(1)
+            return
         op = (omega_closed_form(n, eps) if mode == "closed-form"
               else omega(build_equitable(spec)))
     except ConsistencyError as err:
-        click.echo("FAIL  %s" % err, err=True)
+        # the message is the text line of the failed row
+        click.echo(str(err), err=True)
         sys.exit(1)
     _emit_matrix(spec, "equitable", "omega", op.matrix, fmt)
 
@@ -250,9 +253,80 @@ def _parse_rep_option(text):
         n = int(parts[0])
     except ValueError:
         raise click.UsageError("--rep wants an integer n, got %r" % parts[0])
-    if not 0 <= n <= MAX_EXPONENT:
-        raise click.UsageError("--rep wants 0 <= n <= %d, got %d" % (MAX_EXPONENT, n))
+    if not 0 <= n <= MAX_REP_N:
+        raise click.UsageError("--rep wants 0 <= n <= %d, got %d" % (MAX_REP_N, n))
     return n, _eps_value(parts[1])
+
+
+def _line_weights(lines):
+    # per row or column of a matrix, the summed weight of its nonzero
+    # entries, a numerator's span times the square of a denominator's (each
+    # plus one: the gcds of RatFunc arithmetic pay the denominator); and the
+    # most coefficient bits of one entry
+    weights, bits = [], 0
+    for line in lines:
+        weights.append(0)
+        for x in filter(None, line):
+            (lo, hi, _, nbits, lcd), (dlo, dhi, *_) = exprio.size(x)
+            weights[-1] += (hi - lo + 1) * (dhi - dlo + 1) ** 2
+            bits = max(bits, nbits + lcd)
+    return weights, bits
+
+
+class _Budgeted:
+    """A matrix in the fold of ``eval --rep``, with the tally of work units
+    (a one-item list) that the whole fold shares.  Each operation adds its
+    units to the tally and checks it against the budget (exprio.check)
+    before it runs.  An entrywise operation (a scalar times I, -, +) costs
+    25 units per entry; evaluating the result 80 per term of its entries;
+    a product A*B 2 per entry it builds, plus half of W times the square of
+    one more than the 64-bit words of the widest coefficients of A and B,
+    where W sums, over each inner index t, the weight of column t of A
+    times that of row t of B (_line_weights).  Over the products of (e+f)^k
+    on modules up to L(200), (y*z)^k, (1/(q+2)*e+f)^k,
+    (1/(q^3+2)*e+1/(q^2+3)*f)^k and (q+1)^500*e, a unit took 0.005 to
+    0.17 us on a 2-vCPU host; an entrywise operation up to 5 us per entry,
+    and evaluating one term 10 to 15 us."""
+
+    def __init__(self, matrix, tally):
+        self.matrix, self.tally = matrix, tally
+
+    def _then(self, units, build):
+        # the matrix build() returns, once the tally passes the budget
+        self.tally[0] += units
+        exprio.check(None, self.tally[0])
+        return _Budgeted(build(), self.tally)
+
+    def _entrywise(self, build):
+        return self._then(25 * self.matrix.nrows * self.matrix.ncols, build)
+
+    def scaled(self, v):
+        return self._entrywise(lambda: self.matrix.scalar_mul(v))
+
+    def __neg__(self):
+        return self._entrywise(lambda: -self.matrix)
+
+    def __add__(self, other):
+        return self._entrywise(lambda: self.matrix + other.matrix)
+
+    def __mul__(self, other):
+        a, b = self.matrix, other.matrix
+        (cols, abits), (rows, bbits) = _line_weights(zip(*a.rows)), _line_weights(b.rows)
+        words = (abits + bbits) // 64 + 1
+        units = 2 * a.nrows * b.ncols + sum(map(mul, cols, rows)) * words ** 2 // 2
+        return self._then(units, lambda: a * b)
+
+    def __pow__(self, n):
+        result = self
+        for _ in range(n - 1):  # the steps share the tally
+            result = result * self
+        return result
+
+    def evaluate(self, q0):
+        terms = sum(len(x.num.terms) + len(x.den.terms)
+                    for row in self.matrix.rows for x in row)
+        return self._then(80 * terms, lambda: self.matrix.map_entries(
+            lambda v: v.evaluate(q0))).matrix
 
 
 @main.command(name="eval")
@@ -293,10 +367,10 @@ def eval_cmd(expr, expr_opt, presentation, q_text, rep_text):
             spec = ModuleSpec.single(n, eps)
             built = (build_equitable(spec) if presentation == "equitable"
                      else build_chevalley(spec))
-            matrix = exprio.fold(
-                ast, lambda v: Matrix.identity(built.dim).scalar_mul(v),
-                built.action.__getitem__)
-            values = matrix.map_entries(lambda v: v.evaluate(q0))
+            tally = [0]
+            identity = _Budgeted(Matrix.identity(built.dim), tally)
+            values = exprio.fold(ast, identity.scaled,
+                                 lambda g: _Budgeted(built.action[g], tally)).evaluate(q0)
             for x in chain.from_iterable(values.rows):
                 exprio.check(exprio.size(RF_ONE * x))
             click.echo(str(values))

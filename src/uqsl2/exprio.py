@@ -50,7 +50,6 @@ fold() evaluates a tree given what its leaves stand for.
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from operator import add, attrgetter, sub
 
@@ -487,10 +486,3 @@ def fold(expr, scalar, generator):
     if isinstance(expr, IntPower):
         return fold(expr.base, scalar, generator) ** expr.exp
     raise TypeError("not an NCExpr node: %r" % (expr,))
-
-
-def scalar(value):
-    """Wrap a field element (or int/Fraction) as a ScalarLiteral."""
-    if not isinstance(value, RatFunc):
-        value = RF_ONE * Fraction(value)
-    return ScalarLiteral(value)

@@ -497,55 +497,44 @@ def _n_sides(axis):
     return ((one - a * b) * (q_power(1) * CQ), (one - b * a) * (q_power(-1) * CQ))
 
 
-def n_element(axis):
-    """The nilpotent element n_axis = q(1 - next*prev)/(q - q^-1) in normal form."""
+def _eq_entry(identity, lhs, rhs):
+    # one row: pass when lhs == rhs, else fail with lhs - rhs as its witness
+    ok = lhs == rhs
+    return check(identity, None, ok, None if ok else str(lhs - rhs))
+
+
+def _ndef_entry(axis):
+    # the row of verify_n_definitions for n_axis
     left, right = _n_sides(axis)
-    if left != right:
-        raise RuntimeError("the two defining expressions of n_%s disagree" % axis)
-    return left
+    a, b = _N_AXES[axis]
+    return _eq_entry("ndef:n_%s:q*(1-%s*%s)=q^-1*(1-%s*%s)" % (axis, a, b, b, a), left, right)
+
+
+def n_element(axis):
+    """The nilpotent element n_axis = q(1 - next*prev)/(q - q^-1) in normal form;
+    raises ConsistencyError when its two defining expressions disagree."""
+    VerificationReport([_ndef_entry(axis)]).require()
+    return _n_sides(axis)[0]
 
 
 def verify_n_definitions():
     """Each n-element's two defining expressions agree in the algebra."""
-    entries = []
-    for axis in ("x", "y", "z"):
-        a, b = _N_AXES[axis]
-        left, right = _n_sides(axis)
-        ok = left == right
-        entries.append(check(
-            "ndef:n_%s:q*(1-%s*%s)=q^-1*(1-%s*%s)" % (axis, a, b, b, a), None, ok,
-            None if ok else str(left - right)))
-    return VerificationReport(entries)
+    return VerificationReport([_ndef_entry(axis) for axis in ("x", "y", "z")])
 
 
 def verify_n_commutation():
     """The six q-commutation relations between generators and n-elements."""
     gens = {g: equitable_image(g) for g in ("x", "y", "z")}
-    rows = [
-        ("x", "y", 2), ("x", "z", -2),
-        ("y", "z", 2), ("y", "x", -2),
-        ("z", "x", 2), ("z", "y", -2),
-    ]
-    entries = []
-    for g, axis, exp in rows:
-        lhs = gens[g] * n_element(axis)
-        rhs = n_element(axis) * gens[g] * q_power(exp)
-        ok = lhs == rhs
-        entries.append(check(
-            "ncomm:%s*n_%s=q^%d*n_%s*%s" % (g, axis, exp, axis, g), None, ok,
-            None if ok else str(lhs - rhs)))
-    return VerificationReport(entries)
+    return VerificationReport([
+        _eq_entry("ncomm:%s*n_%s=q^%d*n_%s*%s" % (g, axis, exp, axis, g),
+                  gens[g] * _n_sides(axis)[0], _n_sides(axis)[0] * gens[g] * q_power(exp))
+        for g, axis, exp in (("x", "y", 2), ("x", "z", -2), ("y", "z", 2),
+                             ("y", "x", -2), ("z", "x", 2), ("z", "y", -2))])
 
 
 def verify_n_preimages():
     """n_y and n_z match their Chevalley preimages e and -q*k*f."""
-    e = AlgebraElement.generator("e")
     kf = AlgebraElement.generator("k") * AlgebraElement.generator("f")
-    entries = []
-    for name, lhs, rhs in [
-        ("npre:n_y=e", n_element("y"), e),
-        ("npre:n_z=-q*k*f", n_element("z"), kf * (-q_power(1))),
-    ]:
-        ok = lhs == rhs
-        entries.append(check(name, None, ok, None if ok else str(lhs - rhs)))
-    return VerificationReport(entries)
+    return VerificationReport([
+        _eq_entry("npre:n_y=e", _n_sides("y")[0], AlgebraElement.generator("e")),
+        _eq_entry("npre:n_z=-q*k*f", _n_sides("z")[0], kf * (-q_power(1)))])

@@ -16,35 +16,34 @@ weight decomposition, and
     Omega = exp_q(n_z) * Psi * exp_q(n_y)
 
 cyclically rotates x -> y -> z -> x under conjugation, with Omega^3 central.
-Every identity is also exposed as a report row so it can be re-checked at a
-numeric specialization q = q0.
 
 Each module has one operator environment, ``_OperatorEnv``: the module
 environment ``repmod._ModuleEnv`` (the q0-free inputs of both bases, built
 once per module; at each point from ``at(q0)``, I, y^-1, z^-1 and the six
 products a*b of x, y, z) extended by one recipe per operator, each built on
-first read, then kept: the two defining sides of each n_a, n_a, exp_q(n_a)
-with its inverse and index, Psi, Omega, Omega^-1, Omega^3 and the Omega^3
-scalar matrix.  ``omega`` (so ``omega_closed_form``) reads n_y, n_z, their
-exp_q pairs, Psi, Omega and Omega^-1; ``verify_closed_form`` reads Omega,
-Omega^-1, Omega^3 and the scalar matrix, never n_x, y^-1 or z^-1;
-``n_matrix`` reads n_a and its index; ``verify_relation_rewrites`` the
-n-element sides; ``verify_conjugation_suite`` every entry.  ``uqsl2 verify``
-reads one env per (module, point) for the module rows of both bases, then
-for the conjugation, rewrite and closed-form rows.
+first read, then kept: the two defining sides of each n_a, n_a (the left
+side over q - q^-1), exp_q(n_a) with its inverse and index, Psi, Omega,
+Omega^-1, Omega^3 and the Omega^3 scalar matrix.  Recipes only build
+values.  Each identity is checked in one place, its report row, so
+``uqsl2 verify`` shows a broken one as a failed row with its witness, also
+at a numeric point q = q0.  The raising API (``n_matrix``,
+``exp_q_inverse``, ``omega``, ``omega_closed_form``, and the suites
+``verify_conjugation_suite`` and ``verify_closed_form`` for the n_a they
+read) checks the rows its value rests on and raises ConsistencyError from
+the first that fails.  ``omega`` reads n_y, n_z, their exp_q pairs, Psi,
+Omega and Omega^-1; ``verify_closed_form`` reads those, Omega^3 and its
+scalar matrix, never n_x, y^-1 or z^-1; ``n_matrix`` reads n_a and its
+index; ``verify_relation_rewrites`` the n-element sides;
+``verify_conjugation_suite`` every entry.
 """
 
 from dataclasses import dataclass
 
 from .ncore import _N_AXES
 from .qfield import CQ, RF_ZERO, RatFunc, q_power, qbinom, qint
-from .repmod import (Matrix, ModuleSpec, ScalarContext, _add_eq, _ModuleEnv,
+from .repmod import (Matrix, ModuleSpec, ScalarContext, _eq_entry, _ModuleEnv,
                      _recipe_index, build_equitable)
-from .report import VerificationReport, check
-
-
-class ConsistencyError(RuntimeError):
-    """Two independently computed forms of the same operator disagreed."""
+from .report import ConsistencyError, VerificationReport, check
 
 
 @dataclass
@@ -71,28 +70,21 @@ def _n_sides(env, axis):
             (ident - env[b + "*" + a]).scalar_mul(sc.scal(q_power(-1))))
 
 
-def _n_checked(env, axis):
-    # n_axis has two defining expressions; agreement is a consistency check
-    left, right = env["n_sides_" + axis]
-    if left != right:
-        raise ConsistencyError(
-            "the two defining expressions of n_%s disagree" % axis)
-    return left.scalar_mul(env["sc"].scal(CQ))
-
-
 def _exp_series(mat, sc, order=None):
-    """exp_q(mat), exp_q(mat)^-1 and the number of nonzero series terms.
+    """exp_q(mat), exp_q(mat)^-1 and the index of their first zero term.
 
     The terms t_i = q^(i(i-1)/2)/[i]! * mat^i follow the recurrence
     t_0 = 1, t_i = t_(i-1) * mat * q^(i-1)/[i], so each stays canonical
     without a common denominator; the inverse series has the terms
-    (-1)^i q^(-i(i-1)) t_i.  Both sums run over i < order; with order None
-    they run up to the first zero term, whose index is the nilpotency index.
+    (-1)^i q^(-i(i-1)) t_i.  Both sums stop at the first zero term, whose
+    index is the nilpotency index, or else at i = order (by default
+    dim + 2, past the index dim of any nilpotent matrix), and return order.
     """
     dim = len(mat.rows)
     term = Matrix.identity(dim, sc.one)
     total = inv_total = term
-    for i in range(1, dim + 2 if order is None else order):
+    order = dim + 2 if order is None else order
+    for i in range(1, order):
         term = (term * mat).scalar_mul(
             sc.scal(RatFunc(q_power(i - 1).num, qint(i))))
         if term.is_zero():
@@ -100,15 +92,7 @@ def _exp_series(mat, sc, order=None):
         total = total + term
         inv_total = inv_total + term.scalar_mul(
             sc.scal(q_power(-i * (i - 1)) * (-1) ** i))
-    if order is None:
-        raise ConsistencyError("matrix is not nilpotent")
     return total, inv_total, order
-
-
-def _check_inverse(mat, inv, what):
-    # a factor-built inverse is checked by one product against the identity
-    if mat * inv != Matrix.identity(len(mat.rows)):
-        raise ConsistencyError("%s != 1" % what)
 
 
 def _psi_exponents(rep):
@@ -146,7 +130,6 @@ def psi_inverse(rep):
 def _operator_recipes():
     # the module recipes of _ModuleEnv, plus one recipe per operator
     table = {
-        ("n_sides",): lambda env: [{a: env["n_sides_" + a] for a in _N_AXES}],
         ("Psi", "Psi^-1"): lambda env: map(env["sc"].matrix, _psi_pair(env["rep"])),
         ("Omega",): lambda env: [env["Ez"] * env["Psi"] * env["Ey"]],
         ("Omega^-1",): lambda env: [env["Ey^-1"] * env["Psi^-1"] * env["Ez^-1"]],
@@ -156,7 +139,8 @@ def _operator_recipes():
     }
     for a in _N_AXES:
         table["n_sides_" + a,] = lambda env, a=a: [_n_sides(env, a)]
-        table["n_" + a,] = lambda env, a=a: [_n_checked(env, a)]
+        table["n_" + a,] = lambda env, a=a: [
+            env["n_sides_" + a][0].scalar_mul(env["sc"].scal(CQ))]
         table["E" + a, "E" + a + "^-1", "idx_" + a] = (
             lambda env, a=a: _exp_series(env["n_" + a], env["sc"]))
     return {**_ModuleEnv.recipes, **_recipe_index(table)}
@@ -174,11 +158,39 @@ class _OperatorEnv(_ModuleEnv):
         super().__init__(rep)
 
 
+def _row(env, kind, a=None):
+    # the report row of one identity: "rewrite" (the two sides of n_a
+    # agree), "nilpotent" (the series of exp_q(n_a) finds the index n+1),
+    # "expq" (exp_q(n_a) * exp_q(n_a)^-1 = 1) or "omega" (Omega * Omega^-1 = 1)
+    spec = env["spec"]
+    if kind == "nilpotent":
+        idx, expected = env["idx_" + a], max(n for n, _ in spec.summands) + 1
+        return check("nilpotent:n_%s:index=n+1" % a, spec.json_obj(), idx == expected,
+                     witness="index %d, expected %d" % (idx, expected))
+    if kind == "rewrite":
+        b, c = _N_AXES[a]
+        identity = "rewrite:q*(1-%s*%s)=q^-1*(1-%s*%s)" % (b, c, c, b)
+        lhs, rhs = env["n_sides_" + a]
+    elif kind == "expq":
+        identity = "expq:exp_q(n_%s)*exp_q(n_%s)^-1=1" % (a, a)
+        lhs, rhs = env["E" + a] * env["E" + a + "^-1"], env["I"]
+    else:
+        identity, lhs, rhs = "omega:Omega*Omega^-1=1", env["Omega"] * env["Omega^-1"], env["I"]
+    return _eq_entry(identity, spec.json_obj(), lhs, rhs)
+
+
+def _rows(env, axes, kinds=("rewrite", "nilpotent")):
+    # the rows of each kind for each axis in turn: by default those that
+    # n_a and its index rest on
+    return VerificationReport([_row(env, kind, a) for a in axes for kind in kinds])
+
+
 def n_matrix(axis, rep):
     """The matrix of n_axis on an equitable-basis module, with its nil index."""
     env = _OperatorEnv(rep, what="n-matrices are defined")
     if axis not in _N_AXES:
         raise ValueError("axis must be one of x, y, z")
+    _rows(env, axis).require()
     return NilpotentOperator(matrix=env["n_" + axis], nil_index=env["idx_" + axis])
 
 
@@ -188,19 +200,22 @@ def exp_q(op):
 
 
 def exp_q_inverse(op):
-    """exp_{q^-1}(-T); checked against exp_q(T) at construction."""
+    """exp_{q^-1}(-T), once its product with exp_q(T) is checked to be 1."""
     exp, inv, _ = _exp_series(op.matrix, ScalarContext(), op.nil_index)
-    _check_inverse(exp, inv, "exp_q(T) * exp_q_inverse(T)")
+    VerificationReport([_eq_entry("expq:exp_q(T)*exp_q(T)^-1=1", None, exp * inv,
+                                  Matrix.identity(len(inv.rows)))]).require()
     return inv
+
+
+def _omega_rows(env):
+    # the rows Omega and Omega^-1 rest on
+    return _rows(env, "yz", ("rewrite", "nilpotent", "expq")).extend([_row(env, "omega")])
 
 
 def omega(rep):
     """Omega = exp_q(n_z) * Psi * exp_q(n_y), with its factor-built inverse."""
     env = _OperatorEnv(rep, what="Psi is defined")
-    for a in ("y", "z"):
-        _check_inverse(env["E" + a], env["E" + a + "^-1"],
-                       "exp_q(T) * exp_q_inverse(T)")
-    _check_inverse(env["Omega"], env["Omega^-1"], "Omega * Omega^-1")
+    _omega_rows(env).require()
     return OmegaOperator(matrix=env["Omega"], inverse=env["Omega^-1"])
 
 
@@ -225,12 +240,10 @@ def _closed_form_matrices(n):
 
 
 def omega_closed_form(n, eps):
-    """Omega on L(n, eps) from entry formulas; checked against the compositional build."""
-    mat, inv = _closed_form_matrices(n)
-    built = omega(build_equitable(ModuleSpec.single(n, eps)))
-    if mat != built.matrix or inv != built.inverse:
-        raise ConsistencyError("closed-form Omega disagrees with the compositional build")
-    return OmegaOperator(matrix=mat, inverse=inv)
+    """Omega on L(n, eps) from entry formulas, once they match the compositional build."""
+    env = _OperatorEnv(build_equitable(ModuleSpec.single(n, eps)))
+    _omega_rows(env).extend(_closed_form_report(env, cube=False)).require()
+    return OmegaOperator(*_closed_form_matrices(n))
 
 
 def omega_cube_scalar(n):
@@ -244,82 +257,64 @@ def _conjugation_report(env):
     # rows of verify_conjugation_suite for the module env was built on
     spec = env["spec"]
     mod = spec.json_obj()
-    expected = max(n for n, _ in spec.summands) + 1
-    report = VerificationReport()
+    report = VerificationReport([_row(env, kind, a) for kind in ("nilpotent", "expq")
+                                 for a in _N_AXES])
 
-    for a in ("x", "y", "z"):
-        idx = env["idx_" + a]
-        report.add(check("nilpotent:n_%s:index=n+1" % a, mod, idx == expected,
-                         witness="index %d, expected %d" % (idx, expected)))
-    for a in ("x", "y", "z"):
-        _add_eq(report, "expq:exp_q(n_%s)*exp_q(n_%s)^-1=1" % (a, a), mod,
-                env["E" + a] * env["E" + a + "^-1"], env["I"])
+    def row(identity, lhs, rhs):
+        report.add(_eq_entry(identity, mod, lhs, rhs))
 
-    rows = []
     for a in ("x", "y", "z"):
         nx, p = _N_AXES[a]
         E, Ei = env["E" + a], env["E" + a + "^-1"]
         P, N, A = env[p], env[nx], env[a]
-        rows.append(("conj:exp_q(n_%s)^-1*%s*exp_q(n_%s)=%s^-1" % (a, p, a, nx),
-                     Ei * P * E, env[nx + "^-1"]))
-        rows.append(("conj:exp_q(n_%s)*%s*exp_q(n_%s)^-1=%s^-1" % (a, nx, a, p),
-                     E * N * Ei, env[p + "^-1"]))
-        rows.append(("conj:exp_q(n_%s)^-1*%s*exp_q(n_%s)=%s*%s*%s" % (a, nx, a, nx, p, nx),
-                     Ei * N * E, N * P * N))
-        rows.append(("conj:exp_q(n_%s)*%s*exp_q(n_%s)^-1=%s*%s*%s" % (a, p, a, p, nx, p),
-                     E * P * Ei, P * N * P))
-        rows.append(("conj:exp_q(n_%s)^-1*%s*exp_q(n_%s)=%s+%s-%s^-1" % (a, a, a, a, nx, nx),
-                     Ei * A * E, A + N - env[nx + "^-1"]))
-        rows.append(("conj:exp_q(n_%s)*%s*exp_q(n_%s)^-1=%s+%s-%s^-1" % (a, a, a, a, p, p),
-                     E * A * Ei, A + P - env[p + "^-1"]))
+        row("conj:exp_q(n_%s)^-1*%s*exp_q(n_%s)=%s^-1" % (a, p, a, nx),
+            Ei * P * E, env[nx + "^-1"])
+        row("conj:exp_q(n_%s)*%s*exp_q(n_%s)^-1=%s^-1" % (a, nx, a, p),
+            E * N * Ei, env[p + "^-1"])
+        row("conj:exp_q(n_%s)^-1*%s*exp_q(n_%s)=%s*%s*%s" % (a, nx, a, nx, p, nx),
+            Ei * N * E, N * P * N)
+        row("conj:exp_q(n_%s)*%s*exp_q(n_%s)^-1=%s*%s*%s" % (a, p, a, p, nx, p),
+            E * P * Ei, P * N * P)
+        row("conj:exp_q(n_%s)^-1*%s*exp_q(n_%s)=%s+%s-%s^-1" % (a, a, a, a, nx, nx),
+            Ei * A * E, A + N - env[nx + "^-1"])
+        row("conj:exp_q(n_%s)*%s*exp_q(n_%s)^-1=%s+%s-%s^-1" % (a, a, a, a, p, p),
+            E * A * Ei, A + P - env[p + "^-1"])
     for a in ("x", "y", "z"):
         nx, p = _N_AXES[a]
         E = env["E" + a]
-        rows.append(("conj:%s*exp_q(n_%s)-exp_q(n_%s)*%s=exp_q(n_%s)*%s-%s*exp_q(n_%s)"
-                     % (a, a, a, a, a, nx, p, a),
-                     env[a] * E - E * env[a], E * env[nx] - env[p] * E))
+        row("conj:%s*exp_q(n_%s)-exp_q(n_%s)*%s=exp_q(n_%s)*%s-%s*exp_q(n_%s)"
+            % (a, a, a, a, a, nx, p, a), env[a] * E - E * env[a], E * env[nx] - env[p] * E)
 
     Psi, Psii = env["Psi"], env["Psi^-1"]
     X, Xi = env["x"], env["x^-1"]
-    rows.append(("psi:Psi^-1*x*Psi=x", Psii * X * Psi, X))
-    rows.append(("psi:Psi^-1*n_y*Psi=x*n_y*x", Psii * env["n_y"] * Psi, X * env["n_y"] * X))
-    rows.append(("psi:Psi^-1*n_z*Psi=x^-1*n_z*x^-1",
-                 Psii * env["n_z"] * Psi, Xi * env["n_z"] * Xi))
+    row("psi:Psi^-1*x*Psi=x", Psii * X * Psi, X)
+    row("psi:Psi^-1*n_y*Psi=x*n_y*x", Psii * env["n_y"] * Psi, X * env["n_y"] * X)
+    row("psi:Psi^-1*n_z*Psi=x^-1*n_z*x^-1", Psii * env["n_z"] * Psi, Xi * env["n_z"] * Xi)
 
     Om, Omi = env["Omega"], env["Omega^-1"]
-    rows.append(("omega:Omega*Omega^-1=1", Om * Omi, env["I"]))
+    report.add(_row(env, "omega"))
     for a in ("x", "y", "z"):
-        rows.append(("omega:Omega^-1*%s*Omega=%s" % (a, _N_AXES[a][0]),
-                     Omi * env[a] * Om, env[_N_AXES[a][0]]))
+        row("omega:Omega^-1*%s*Omega=%s" % (a, _N_AXES[a][0]),
+            Omi * env[a] * Om, env[_N_AXES[a][0]])
     cube = env["Omega^3"]
     for a in ("x", "y", "z"):
-        rows.append(("omega:Omega^3*%s=%s*Omega^3" % (a, a),
-                     cube * env[a], env[a] * cube))
-
-    for identity, lhs, rhs in rows:
-        _add_eq(report, identity, mod, lhs, rhs)
-
+        row("omega:Omega^3*%s=%s*Omega^3" % (a, a), cube * env[a], env[a] * cube)
     if spec.is_single:
-        _add_eq(report, "omega:Omega^3=central-scalar", mod, cube,
-                env["Omega^3-scalar"])
+        row("omega:Omega^3=central-scalar", cube, env["Omega^3-scalar"])
     return report
 
 
 def verify_conjugation_suite(rep, q0=None):
-    """Nilpotency, exp_q invertibility, and every conjugation identity on one module."""
-    return _conjugation_report(_OperatorEnv(rep).at(q0))
+    """Nilpotency, exp_q invertibility, and every conjugation identity on one
+    module; raises ConsistencyError unless each n_a is built (see _rows)."""
+    env = _OperatorEnv(rep).at(q0)
+    _rows(env, _N_AXES).require()
+    return _conjugation_report(env)
 
 
 def _rewrite_report(env):
     # rows of verify_relation_rewrites from the n-element sides in env
-    mod = env["spec"].json_obj()
-    report = VerificationReport()
-    for axis in ("x", "y", "z"):
-        a, b = _N_AXES[axis]
-        lhs, rhs = env["n_sides"][axis]
-        _add_eq(report, "rewrite:q*(1-%s*%s)=q^-1*(1-%s*%s)" % (a, b, b, a),
-                mod, lhs, rhs)
-    return report
+    return _rows(env, _N_AXES, ("rewrite",))
 
 
 def verify_relation_rewrites(rep, q0=None):
@@ -327,23 +322,24 @@ def verify_relation_rewrites(rep, q0=None):
     return _rewrite_report(_OperatorEnv(rep, what="relation rewrites run").at(q0))
 
 
-def _closed_form_report(env):
-    # rows of verify_closed_form for the simple module env was built on
-    spec = env["spec"]
-    n = spec.summands[0][0]
-    sc = env["sc"]
+def _closed_form_report(env, cube=True):
+    # rows of verify_closed_form for the simple module env was built on;
+    # the Omega^3 row only with cube
+    spec, sc = env["spec"], env["sc"]
     mod = spec.json_obj()
-    mat, inv = _closed_form_matrices(n)
-    report = VerificationReport()
-    _add_eq(report, "closedform:Omega=exp_q(n_z)*Psi*exp_q(n_y)", mod,
-            sc.matrix(mat), env["Omega"])
-    _add_eq(report, "closedform:Omega^-1", mod, sc.matrix(inv), env["Omega^-1"])
-    _add_eq(report, "closedform:Omega^3=central-scalar", mod, env["Omega^3"],
-            env["Omega^3-scalar"])
-    return report
+    mat, inv = map(sc.matrix, _closed_form_matrices(spec.summands[0][0]))
+    rows = [("closedform:Omega=exp_q(n_z)*Psi*exp_q(n_y)", mat, env["Omega"]),
+            ("closedform:Omega^-1", inv, env["Omega^-1"])]
+    if cube:
+        rows.append(("closedform:Omega^3=central-scalar", env["Omega^3"],
+                     env["Omega^3-scalar"]))
+    return VerificationReport([_eq_entry(identity, mod, lhs, rhs)
+                               for identity, lhs, rhs in rows])
 
 
 def verify_closed_form(n, eps, q0=None):
-    """Closed-form Omega entries against the compositional build, plus the Omega^3 scalar."""
-    rep = build_equitable(ModuleSpec.single(n, eps))
-    return _closed_form_report(_OperatorEnv(rep).at(q0))
+    """Closed-form Omega entries against the compositional build, plus the
+    Omega^3 scalar; raises ConsistencyError unless n_y and n_z are built."""
+    env = _OperatorEnv(build_equitable(ModuleSpec.single(n, eps))).at(q0)
+    _rows(env, "yz").require()
+    return _closed_form_report(env)

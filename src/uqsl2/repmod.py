@@ -205,10 +205,10 @@ def matrix_witness(lhs, rhs):
     return None
 
 
-def _add_eq(report, identity, mod, lhs, rhs):
+def _eq_entry(identity, mod, lhs, rhs):
     # one row: pass when lhs == rhs, else fail with matrix_witness's witness
     witness = matrix_witness(lhs, rhs)
-    report.add(check(identity, mod, witness is None, witness=witness))
+    return check(identity, mod, witness is None, witness=witness)
 
 
 def direct_sum_matrices(blocks):
@@ -530,11 +530,9 @@ def _chevalley_report(env):
 def _basis_change_report(env):
     """D^-1 (Chevalley image of g) D = g for each equitable generator g."""
     mod = env["spec"].json_obj()
-    report = VerificationReport()
-    for g in EQUITABLE_GENS:
-        _add_eq(report, "module:basis-change:%s" % g, mod,
-                env["D^-1"] * env["image:" + g] * env["D"], env[g])
-    return report
+    return VerificationReport([_eq_entry("module:basis-change:%s" % g, mod,
+                                         env["D^-1"] * env["image:" + g] * env["D"], env[g])
+                               for g in EQUITABLE_GENS])
 
 
 def verify_module_suite(rep, q0=None):

@@ -3,6 +3,10 @@
 from dataclasses import dataclass
 
 
+class ConsistencyError(RuntimeError):
+    """A value failed an identity it rests on (see VerificationReport.require)."""
+
+
 @dataclass
 class ReportEntry:
     """Outcome of one checked identity, with an optional failure witness."""
@@ -60,6 +64,14 @@ class VerificationReport:
     @property
     def failures(self):
         return [e for e in self.entries if e.status != "pass"]
+
+    def require(self):
+        """Return self, or raise ConsistencyError with the text line of the
+        first failed row, which names its identity and witness."""
+        failures = self.failures
+        if failures:
+            raise ConsistencyError(failures[0].text_line())
+        return self
 
     def json_obj(self):
         return {

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uqsl2 import cli, repmod
+from uqsl2 import cli, ncore, repmod
 from uqsl2.cli import main, spot_points
 from uqsl2.exprio import MAX_EXPONENT, parse
 from uqsl2.gammamod import GAMMA_Y, GAMMA_Z, verify_gamma
@@ -21,9 +21,10 @@ from uqsl2.ncore import (from_equitable, normalize_chevalley,
                          verify_confluence, verify_n_commutation,
                          verify_n_definitions, verify_n_preimages,
                          verify_presentation_iso)
-from uqsl2.qexpops import (verify_closed_form, verify_conjugation_suite,
+from uqsl2.qexpops import (_OperatorEnv, verify_closed_form, verify_conjugation_suite,
                            verify_relation_rewrites)
-from uqsl2.repmod import (ModuleSpec, build_chevalley, build_equitable,
+from uqsl2.qfield import q_power
+from uqsl2.repmod import (Matrix, ModuleSpec, build_chevalley, build_equitable,
                           verify_basis_change, verify_module_suite)
 from uqsl2.report import ReportEntry, VerificationReport
 
@@ -307,6 +308,77 @@ def test_verify_failure_exits_1(runner, monkeypatch):
     assert "FAIL" in res.output
 
 
+def _break_products(monkeypatch, symbolic):
+    # q^3 added at (0, 0) of y*z and z*x: the two sides of n_x and of n_y
+    # no longer agree.  Only in the environments at a point unless symbolic:
+    # the broken n_x is not nilpotent, and the symbolic rows that multiply
+    # its truncated series run for many minutes (see CHANGES.md)
+    for key in ("y*z", "z*x"):
+        keys, recipe = _OperatorEnv.recipes[key]
+
+        def broken(env, recipe=recipe):
+            mat = Matrix(recipe(env)[0].rows)
+            if symbolic or env["sc"].q0 is not None:
+                mat.rows[0][0] = mat.rows[0][0] + env["sc"].scal(q_power(3))
+            return [mat]
+
+        monkeypatch.setitem(_OperatorEnv.recipes, key, (keys, broken))
+
+
+def _rows_and_exit(runner, args):
+    res = runner.invoke(main, args + ["--format", "json"])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+    assert "Traceback" not in res.output
+    return res.exit_code, json.loads(res.stdout)["entries"]
+
+
+@pytest.mark.parametrize("scope", ["operators", "all"])
+def test_verify_reports_a_broken_identity_as_a_row(runner, monkeypatch, scope):
+    # a recipe only builds a value, so a broken identity is a failed row
+    # with its witness, and every other row is still printed
+    args = ["verify", scope, "--nmax", "2", "--q-spot", "1"]
+    code, good = _rows_and_exit(runner, args)
+    assert code == 0
+    _break_products(monkeypatch, symbolic=False)
+    code, rows = _rows_and_exit(runner, args)
+    assert code == 1
+    assert [e["identity"] for e in rows] == [e["identity"] for e in good]
+    rewrites = [e for e in rows if e["identity"].startswith("rewrite:")]
+    assert rewrites
+    for e in rewrites:
+        broken = "@q=" in e["identity"] and e["identity"].split("@")[0] in (
+            "rewrite:q*(1-y*z)=q^-1*(1-z*y)", "rewrite:q*(1-z*x)=q^-1*(1-x*z)")
+        assert e["status"] == ("fail" if broken else "pass")
+        assert broken == (e.get("witness", "").startswith("first difference at (0, 0): "))
+
+
+def test_omega_names_a_broken_identity(runner, monkeypatch):
+    _break_products(monkeypatch, symbolic=True)
+    for mode in ("check", "compositional", "closed-form"):
+        res = runner.invoke(main, ["omega", "--n", "2", "--eps", "+1", "--mode", mode])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert ("FAIL  rewrite:q*(1-z*x)=q^-1*(1-x*z)  @ n=2,eps=1  -- witness: "
+                "first difference at (0, 0)") in res.output
+
+
+def test_verify_relations_reports_broken_n_sides(runner, monkeypatch):
+    # the commutation and preimage rows read n_a without a check, so every
+    # row is printed and only the ndef: rows fail
+    good = runner.invoke(main, ["verify", "relations"]).output.splitlines()
+    real = ncore._n_sides
+    monkeypatch.setattr(ncore, "_n_sides", lambda axis: (real(axis)[0], real(axis)[1] + 1))
+    res = runner.invoke(main, ["verify", "relations"])
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    lines = res.output.splitlines()
+    assert len(lines) == len(good)
+    failed = [line for line in lines if line.startswith("FAIL  ")]
+    assert [line.split("  -- witness: ")[0][6:] for line in failed] == [
+        line[6:] for line in good if line.startswith("PASS  ndef:")]
+
+
 def test_format_env_var(runner):
     res = runner.invoke(main, ["normalize", "k"], env={"UQSL2_FORMAT": "json"})
     assert res.exit_code == 0
@@ -375,6 +447,14 @@ _CORPUS = [
     (["omega", "--n", "1000000", "--eps", "+1", "--mode", "check"], 2),
     (["eval", "--rep", "1001,+1", "--q", "2", "k"], 2),
     (["eval", "--rep", "1000000,+1", "--q", "2", "k"], 2),
+    (["eval", "--q", "2", "--rep", "32,+1", "(e+f)^20"], 2),
+    (["eval", "--q", "2", "--rep", "32,+1", "(e+f)^30"], 2),
+    (["eval", "--q", "2", "--rep", "32,+1", "(e+f)^50"], 2),
+    (["eval", "--q", "2", "--rep", "100,+1", "(e+f)^10"], 2),
+    (["eval", "--q", "2", "--rep", "1000,+1", "k"], 2),
+    (["eval", "--q", "2", "--rep", "32,+1", "(e+f)^10"], 0),
+    (["eval", "--q", "2", "--rep", "200,+1", "k"], 0),
+    (["eval", "--q", "2", "--rep", "201,+1", "k"], 2),
 ]
 
 
@@ -404,7 +484,7 @@ _RUN_SECONDS = 30
 @given(st.sampled_from(["normalize", "eval"]), _EXPRESSIONS,
        st.sampled_from(["chevalley", "equitable"]),
        st.sampled_from(["2", "-1/3", "5/2", "0", "1", "q"]),
-       st.sampled_from([None, "0,+1", "2,-1", "1001,+1", "a,+1", "1"]))
+       st.sampled_from([None, "0,+1", "2,-1", "32,+1", "1001,+1", "a,+1", "1"]))
 def test_fuzz_normalize_and_eval_exit_cleanly(command, expr, presentation, q0, rep):
     # every argument vector answers or exits 2, with no traceback, in bounded time
     args = [command, "--presentation", presentation]

@@ -107,9 +107,13 @@ def test_exp_inverse_checked_at_construction():
         exp_q_inverse(broken)
 
 
-def test_nil_index_rejects_invertible_matrices():
-    with pytest.raises(ConsistencyError):
-        _exp_series(_rep(1, 1).action["x"], ScalarContext())
+def test_nil_index_rejects_invertible_matrices(monkeypatch):
+    # the series of an invertible matrix runs to its bound, which the
+    # nilpotent: row reports; n_matrix raises from that row
+    assert _exp_series(_rep(1, 1).action["x"], ScalarContext(), 5)[2] == 5
+    monkeypatch.setitem(_OperatorEnv.recipes, "n_x", (("n_x",), lambda env: [env["x"]]))
+    with pytest.raises(ConsistencyError, match="nilpotent:n_x:index=n\\+1.*index 4, expected 2"):
+        n_matrix("x", _rep(1, 1))
 
 
 def test_psi_frozen_and_quadratic_exponent_form():
