@@ -39,6 +39,13 @@ from .report import ConsistencyError, VerificationReport
 # (n+1)^2 of them, and eval --rep 1000,+1 k took 27 s there
 MAX_OMEGA_N = 32
 MAX_REP_N = 200
+# verify's largest modules and window: verify all --nmax 16 took 12 to 18 s
+# on that host (--nmax 20 took 47 to 61 s), verify gamma --window 32 about 7 s
+MAX_VERIFY_NMAX = 16
+MAX_WINDOW = 32
+# spot_points draws q0 = a/b with |a| <= 12 and 1 <= b <= 12, q0 not in
+# {0, 1, -1}: there are 180 such points
+MAX_Q_SPOT = 180
 
 _FORMAT_OPTION = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
@@ -149,7 +156,10 @@ def omega_cmd(n, eps, mode, fmt):
 
 
 def spot_points(count, seed=1729):
-    """Deterministic admissible rational specialization points."""
+    """Deterministic admissible rational specialization points; at most
+    MAX_Q_SPOT exist."""
+    if count > MAX_Q_SPOT:
+        raise ValueError("only %d spot points exist, %d asked" % (MAX_Q_SPOT, count))
     rng = random.Random(seed)
     points = []
     while len(points) < count:
@@ -204,9 +214,11 @@ def _emit_report(report, fmt):
 @main.command()
 @click.argument("scope", type=click.Choice(
     ["iso", "relations", "modules", "operators", "gamma", "all"]))
-@click.option("--nmax", type=click.IntRange(min=0), default=8, show_default=True)
-@click.option("--window", type=click.IntRange(min=1), default=4, show_default=True)
-@click.option("--q-spot", "q_spot", type=click.IntRange(min=0), default=0,
+@click.option("--nmax", type=click.IntRange(min=0, max=MAX_VERIFY_NMAX), default=8,
+              show_default=True)
+@click.option("--window", type=click.IntRange(min=1, max=MAX_WINDOW), default=4,
+              show_default=True)
+@click.option("--q-spot", "q_spot", type=click.IntRange(min=0, max=MAX_Q_SPOT), default=0,
               show_default=True,
               help="Also re-check matrix suites at this many random admissible q values.")
 @_FORMAT_OPTION

@@ -21,7 +21,8 @@ neither flavor extends to the generator's inverse.
 
 from dataclasses import dataclass
 
-from .qfield import CQ, RF_ONE, RF_ZERO, RatFunc, q_power
+from .ncore import EQUITABLE, RELATIONS, sides
+from .qfield import RF_ONE, RF_ZERO, RatFunc, q_power
 from .report import VerificationReport, check
 
 FLAVORS = ("gammaY", "gammaZ")
@@ -154,6 +155,29 @@ def act_word(module, gens, vec):
     return vec
 
 
+class _Map:
+    """A linear map on window vectors, by its action on one: * composes two
+    maps, or scales by a scalar operand."""
+
+    __slots__ = ("act",)
+
+    def __init__(self, act):
+        self.act = act
+
+    def __mul__(self, other):
+        if isinstance(other, _Map):
+            return _Map(lambda v: self.act(other.act(v)))
+        return _Map(lambda v: self.act(v).scalar_mul(other))
+
+    __rmul__ = __mul__  # reached only with a scalar on the left
+
+    def __add__(self, other):
+        return _Map(lambda v: self.act(v) + other.act(v))
+
+    def __neg__(self):
+        return _Map(lambda v: self.act(v).scalar_mul(-RF_ONE))
+
+
 def monomial_vector(module, i, j):
     """x^i * builder^j applied to the corner vector; equals the (i, j) basis vector."""
     vec = WindowVector.basis(0, 0)
@@ -188,19 +212,19 @@ def verify_gamma(module, imax=4, jmax=4):
         report.add(check(identity, mod, ok,
                          witness=None if ok else "difference %s" % (lhs - rhs)))
 
+    # each defining relation, its sides folded into maps (a bare scalar c
+    # stands for c times the identity), checked on each vector of the window
+    gens = {g: _Map(lambda v, g=g: act(module, g, v)) for g in ("x", "x^-1", "y", "z")}
+    relations = [(text, sides(text, EQUITABLE, lambda c: c, gens.__getitem__))
+                 for text in RELATIONS[EQUITABLE]]
     for i in range(-imax, imax + 1):
         for j in range(jmax + 1):
             w = WindowVector.basis(i, j)
-            tag = "%s[%d,%d]" % (sym, i, j)
-            both = (act_word(module, ("x", "x^-1"), w) == w
-                    and act_word(module, ("x^-1", "x"), w) == w)
-            report.add(check("gamma:%s:x*x^-1=x^-1*x=1" % tag, mod, both))
-            for a, b in (("x", "y"), ("y", "z"), ("z", "x")):
-                lhs = (act_word(module, (a, b), w).scalar_mul(q_power(1))
-                       - act_word(module, (b, a), w).scalar_mul(q_power(-1))
-                       ).scalar_mul(CQ)
-                add("gamma:%s:(q*%s*%s-q^-1*%s*%s)/(q-q^-1)=1" % (tag, a, b, b, a),
-                    lhs, w)
+            for text, maps in relations:
+                first, *rest = [m.act(w) if isinstance(m, _Map) else w.scalar_mul(m)
+                                for m in maps]
+                add("gamma:%s[%d,%d]:" % (sym, i, j) + text, first,
+                    next((v for v in rest if v != first), first))
 
     for i in range(-imax, imax + 1):
         for j in range(jmax + 1):

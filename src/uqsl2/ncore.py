@@ -1,11 +1,15 @@
 """PBW normal forms and presentation maps for the quantum algebra U_q(sl2).
 
-Chevalley generators k, k^-1, e, f satisfy
+RELATIONS, IMAGES and N_DEFINITIONS are the one statement of the defining
+relations of the Chevalley generators k, k^-1, e, f and of the equitable
+generators x, x^-1, y, z, of the isomorphism between the two presentations
+in both directions, and of the two definitions of each nilpotent element
+n_a, each written as the text that its report rows print.  sides() parses
+a formula once per process and folds each side with exprio.fold over the
+caller's leaves, so the same text is checked in the algebra, on module
+matrices and on window modules, and builds the two isomorphisms.
 
-    k k^-1 = k^-1 k = 1,   k e = q^2 e k,   k f = q^-2 f k,
-    e f - f e = (k - k^-1)/(q - q^-1),
-
-and every element has a unique normal form as a Q(q)-linear combination of
+Every element has a unique normal form as a Q(q)-linear combination of
 PBW monomials f^a k^b e^c (a, c >= 0, b in Z).  Monomials multiply in closed
 form: k^b f^m = q^(-2bm) f^m k^b, e^m k^b = q^(-2bm) k^b e^m, and (Jantzen,
 Lectures on Quantum Groups, Lemma 1.7; Kassel, Quantum Groups, Ch. VI)
@@ -17,27 +21,12 @@ the product over j, so e^r f^s = sum_{t,i} gamma f^(s-t) k^(t-2i) e^(r-t) with
 
     gamma = (-1)^i q^((t-2i)(3t+1-2r-2s)/2) [r,t][s,t][t]! [t,i] / (q-q^-1)^t,
 
-which _ef_table caches per exponent pair (r, s).  The same relations, read
-left to right, are rewrite rules on words in f, k, K (= k^-1), e, each one
-reducing the number of out-of-order letter pairs.  That rewriting system
+which _ef_table caches per exponent pair (r, s).  The Chevalley relations,
+read left to right, are rewrite rules on words in f, k, K (= k^-1), e, each
+one reducing the number of out-of-order letter pairs.  That rewriting system
 remains only as the object verify_confluence certifies: every overlap
 ambiguity resolves (critical_pair_entries), so by the diamond lemma the
 normal forms are well defined.
-
-The equitable generators x, x^-1, y, z satisfy
-
-    x x^-1 = x^-1 x = 1,
-    (q x y - q^-1 y x)/(q - q^-1) = 1,
-    (q y z - q^-1 z y)/(q - q^-1) = 1,
-    (q z x - q^-1 x z)/(q - q^-1) = 1,
-
-and correspond to Chevalley elements via
-
-    x = k,  x^-1 = k^-1,  y = k^-1 + f (q - q^-1),
-    z = k^-1 - k^-1 e q (q - q^-1),
-
-with inverse map k = x, k^-1 = x^-1, f = (y - x^-1)/(q - q^-1),
-e = (1 - x z) q^-1/(q - q^-1).
 """
 
 from fractions import Fraction
@@ -45,11 +34,46 @@ from functools import lru_cache
 from operator import itemgetter
 
 from . import exprio
-from .exprio import Generator, Negate, Product, ScalarLiteral, Sum
+from .exprio import CHEVALLEY, EQUITABLE
 from .qfield import CQ, RF_ONE, RatFunc, q_power, qbinom, qfact
 from .report import VerificationReport, check
 
 _F, _E = itemgetter(0), itemgetter(2)  # the exponents of f and e in a monomial
+
+# the defining relations of each presentation, in its own letters
+RELATIONS = {
+    EQUITABLE: ("x*x^-1=x^-1*x=1", "(q*x*y-q^-1*y*x)/(q-q^-1)=1",
+                "(q*y*z-q^-1*z*y)/(q-q^-1)=1", "(q*z*x-q^-1*x*z)/(q-q^-1)=1"),
+    CHEVALLEY: ("k*k^-1=k^-1*k=1", "k*e=q^2*e*k", "k*f=q^-2*f*k",
+                "e*f-f*e=(k-k^-1)/(q-q^-1)"),
+}
+# the image of each generator of a presentation, in the other's letters
+IMAGES = {
+    EQUITABLE: {"x": "k", "x^-1": "k^-1", "y": "k^-1+f*(q-q^-1)",
+                "z": "k^-1-k^-1*e*q*(q-q^-1)"},
+    CHEVALLEY: {"k": "x", "k^-1": "x^-1", "f": "(y-x^-1)/(q-q^-1)",
+                "e": "(1-x*z)*(q^-1/(q-q^-1))"},
+}
+# the two defining expressions of (q - q^-1) n_a, in equitable letters
+N_DEFINITIONS = {"x": "q*(1-y*z)=q^-1*(1-z*y)", "y": "q*(1-z*x)=q^-1*(1-x*z)",
+                 "z": "q*(1-x*y)=q^-1*(1-y*x)"}
+
+
+@lru_cache(maxsize=None)
+def _parsed(text, presentation):
+    return tuple(exprio.parse(side, presentation) for side in text.split("="))
+
+
+def sides(text, presentation, scalar, generator):
+    """Each side of a formula written in the letters of presentation, folded
+    (exprio.fold) over the caller's scalar and generator leaves."""
+    return [exprio.fold(side, scalar, generator) for side in _parsed(text, presentation)]
+
+
+def holds(values):
+    """Whether the folded sides of a formula are all equal."""
+    return all(v == values[0] for v in values[1:])
+
 
 # rewrite rules over the letter alphabet f < k, K < e (K stands for k^-1);
 # each left side maps to a linear combination of replacement words
@@ -348,29 +372,14 @@ class AlgebraElement:
 _GENERATORS = {name: AlgebraElement._raw({mono: RF_ONE}) for name, mono in (
     ("f", (1, 0, 0)), ("k", (0, 1, 0)), ("k^-1", (0, -1, 0)), ("e", (0, 0, 1)))}
 
-# Chevalley images of the equitable generators
-_EQ_IMAGES = None
 
-
+@lru_cache(maxsize=None)
 def equitable_image(name):
     """The Chevalley normal form of an equitable generator x, x^-1, y, z."""
-    global _EQ_IMAGES
-    if _EQ_IMAGES is None:
-        k = AlgebraElement.generator("k")
-        kinv = AlgebraElement.generator("k^-1")
-        e = AlgebraElement.generator("e")
-        f = AlgebraElement.generator("f")
-        qmqi = q_power(1) - q_power(-1)
-        _EQ_IMAGES = {
-            "x": k,
-            "x^-1": kinv,
-            "y": kinv + f * qmqi,
-            "z": kinv - (kinv * e) * (q_power(1) * qmqi),
-        }
-    img = _EQ_IMAGES.get(name)
-    if img is None:
+    text = IMAGES[EQUITABLE].get(name)
+    if text is None:
         raise ValueError("unknown equitable generator %r" % (name,))
-    return img
+    return sides(text, CHEVALLEY, AlgebraElement.scalar, AlgebraElement.generator)[0]
 
 
 def normalize_chevalley(expr):
@@ -385,20 +394,10 @@ def from_equitable(expr):
 
 def to_equitable_generators(gen):
     """Equitable NCExpr whose Chevalley image is the named generator."""
-    x = Generator(exprio.EQUITABLE, "x")
-    xinv = Generator(exprio.EQUITABLE, "x^-1")
-    y = Generator(exprio.EQUITABLE, "y")
-    z = Generator(exprio.EQUITABLE, "z")
-    if gen == "k":
-        return x
-    if gen == "k^-1":
-        return xinv
-    if gen == "f":
-        return Product((Sum((y, Negate(xinv))), ScalarLiteral(CQ)))
-    if gen == "e":
-        return Product((Sum((ScalarLiteral(RF_ONE), Negate(Product((x, z))))),
-                        ScalarLiteral(q_power(-1) * CQ)))
-    raise ValueError("unknown Chevalley generator %r" % (gen,))
+    text = IMAGES[CHEVALLEY].get(gen)
+    if text is None:
+        raise ValueError("unknown Chevalley generator %r" % (gen,))
+    return _parsed(text, EQUITABLE)[0]
 
 
 def critical_pair_entries():
@@ -426,27 +425,14 @@ def verify_confluence():
 
 def verify_presentation_iso():
     """Check the equitable <-> Chevalley correspondence is an isomorphism."""
-    one = AlgebraElement.one()
-    x = equitable_image("x")
-    xinv = equitable_image("x^-1")
-    y = equitable_image("y")
-    z = equitable_image("z")
-    qq = q_power(1)
-    qi = q_power(-1)
-
-    def weyl(a, b):
-        return (a * b * qq - b * a * qi) * CQ
-
-    checks = [
-        ("iso:relation:x*x^-1=x^-1*x=1", x * xinv == one and xinv * x == one),
-        ("iso:relation:(q*x*y-q^-1*y*x)/(q-q^-1)=1", weyl(x, y) == one),
-        ("iso:relation:(q*y*z-q^-1*z*y)/(q-q^-1)=1", weyl(y, z) == one),
-        ("iso:relation:(q*z*x-q^-1*x*z)/(q-q^-1)=1", weyl(z, x) == one),
-    ]
-    for gen in ("k", "k^-1", "f", "e"):
+    entries = [check("iso:relation:" + text, None, holds(
+        sides(text, EQUITABLE, AlgebraElement.scalar, equitable_image)))
+        for text in RELATIONS[EQUITABLE]]
+    for gen in IMAGES[CHEVALLEY]:
         image = from_equitable(to_equitable_generators(gen))
-        checks.append(("iso:composite:%s" % gen, image == AlgebraElement.generator(gen)))
-    return VerificationReport([check(name, None, ok) for name, ok in checks])
+        entries.append(check("iso:composite:%s" % gen, None,
+                             image == AlgebraElement.generator(gen)))
+    return VerificationReport(entries)
 
 
 _auto_checked = set()
@@ -465,15 +451,11 @@ def apply_automorphism(element, i, alpha):
     f_img = ((k ** (-i)) * AlgebraElement.generator("f")) * alpha.inverse()
     if (i, alpha) not in _auto_checked:
         # the images must satisfy the defining relations
-        kinv = AlgebraElement.generator("k^-1")
-        for relation, ok in (
-                ("k*e = q^2*e*k", k * e_img == e_img * k * q_power(2)),
-                ("k*f = q^-2*f*k", k * f_img == f_img * k * q_power(-2)),
-                ("e*f - f*e = (k - k^-1)/(q - q^-1)",
-                 e_img * f_img - f_img * e_img == (k - kinv) * CQ)):
-            if not ok:
+        images = {"k": k, "k^-1": AlgebraElement.generator("k^-1"), "e": e_img, "f": f_img}
+        for text in RELATIONS[CHEVALLEY]:
+            if not holds(sides(text, CHEVALLEY, AlgebraElement.scalar, images.__getitem__)):
                 raise RuntimeError("the images of e and f under the automorphism "
-                                   "(i=%d, alpha=%s) break %s" % (i, alpha, relation))
+                                   "(i=%d, alpha=%s) break %s" % (i, alpha, text))
         _auto_checked.add((i, alpha))
     res = AlgebraElement.zero()
     for (a, b, c), coeff in element.terms.items():
@@ -482,19 +464,15 @@ def apply_automorphism(element, i, alpha):
     return res
 
 
-_N_AXES = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
-
-
 @lru_cache(maxsize=None)
 def _n_sides(axis):
     """Both defining expressions q(1 - ab)/(q - q^-1) and q^-1(1 - ba)/(q - q^-1)
-    of n_axis, where (a, b) = _N_AXES[axis]."""
-    pair = _N_AXES.get(axis)
-    if pair is None:
+    of n_axis, from N_DEFINITIONS[axis]."""
+    text = N_DEFINITIONS.get(axis)
+    if text is None:
         raise ValueError("axis must be one of x, y, z")
-    a, b = (equitable_image(g) for g in pair)
-    one = AlgebraElement.one()
-    return ((one - a * b) * (q_power(1) * CQ), (one - b * a) * (q_power(-1) * CQ))
+    return tuple(side * CQ for side in sides(text, EQUITABLE, AlgebraElement.scalar,
+                                             equitable_image))
 
 
 def _eq_entry(identity, lhs, rhs):
@@ -505,9 +483,8 @@ def _eq_entry(identity, lhs, rhs):
 
 def _ndef_entry(axis):
     # the row of verify_n_definitions for n_axis
-    left, right = _n_sides(axis)
-    a, b = _N_AXES[axis]
-    return _eq_entry("ndef:n_%s:q*(1-%s*%s)=q^-1*(1-%s*%s)" % (axis, a, b, b, a), left, right)
+    left, right = _n_sides(axis)  # raises first on an unknown axis
+    return _eq_entry("ndef:n_%s:" % axis + N_DEFINITIONS[axis], left, right)
 
 
 def n_element(axis):

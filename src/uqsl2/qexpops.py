@@ -39,11 +39,14 @@ index; ``verify_relation_rewrites`` the n-element sides;
 
 from dataclasses import dataclass
 
-from .ncore import _N_AXES
+from .ncore import N_DEFINITIONS
 from .qfield import CQ, RF_ZERO, RatFunc, q_power, qbinom, qint
 from .repmod import (Matrix, ModuleSpec, ScalarContext, _eq_entry, _ModuleEnv,
                      _recipe_index, build_equitable)
 from .report import ConsistencyError, VerificationReport, check
+
+# the two generators after each one in the cyclic order x -> y -> z -> x
+_N_AXES = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
 
 
 @dataclass
@@ -63,7 +66,8 @@ class OmegaOperator:
 
 
 def _n_sides(env, axis):
-    """q(1 - ab) and q^-1(1 - ba), (a, b) = _N_AXES[axis]: each is (q - q^-1) n_axis."""
+    """The sides q(1 - ab) and q^-1(1 - ba) of N_DEFINITIONS[axis], (a, b) =
+    _N_AXES[axis], from env's products: each is (q - q^-1) n_axis."""
     a, b = _N_AXES[axis]
     ident, sc = env["I"], env["sc"]
     return ((ident - env[a + "*" + b]).scalar_mul(sc.scal(q_power(1))),
@@ -168,9 +172,7 @@ def _row(env, kind, a=None):
         return check("nilpotent:n_%s:index=n+1" % a, spec.json_obj(), idx == expected,
                      witness="index %d, expected %d" % (idx, expected))
     if kind == "rewrite":
-        b, c = _N_AXES[a]
-        identity = "rewrite:q*(1-%s*%s)=q^-1*(1-%s*%s)" % (b, c, c, b)
-        lhs, rhs = env["n_sides_" + a]
+        identity, (lhs, rhs) = "rewrite:" + N_DEFINITIONS[a], env["n_sides_" + a]
     elif kind == "expq":
         identity = "expq:exp_q(n_%s)*exp_q(n_%s)^-1=1" % (a, a)
         lhs, rhs = env["E" + a] * env["E" + a + "^-1"], env["I"]
@@ -263,27 +265,30 @@ def _conjugation_report(env):
     def row(identity, lhs, rhs):
         report.add(_eq_entry(identity, mod, lhs, rhs))
 
+    commutators = []
     for a in ("x", "y", "z"):
         nx, p = _N_AXES[a]
         E, Ei = env["E" + a], env["E" + a + "^-1"]
         P, N, A = env[p], env[nx], env[a]
+        EN, EA = E * N, E * A
         row("conj:exp_q(n_%s)^-1*%s*exp_q(n_%s)=%s^-1" % (a, p, a, nx),
             Ei * P * E, env[nx + "^-1"])
         row("conj:exp_q(n_%s)*%s*exp_q(n_%s)^-1=%s^-1" % (a, nx, a, p),
-            E * N * Ei, env[p + "^-1"])
+            EN * Ei, env[p + "^-1"])
         row("conj:exp_q(n_%s)^-1*%s*exp_q(n_%s)=%s*%s*%s" % (a, nx, a, nx, p, nx),
-            Ei * N * E, N * P * N)
+            Ei * N * E, env[nx + "*" + p] * N)
         row("conj:exp_q(n_%s)*%s*exp_q(n_%s)^-1=%s*%s*%s" % (a, p, a, p, nx, p),
-            E * P * Ei, P * N * P)
+            E * P * Ei, env[p + "*" + nx] * P)
         row("conj:exp_q(n_%s)^-1*%s*exp_q(n_%s)=%s+%s-%s^-1" % (a, a, a, a, nx, nx),
             Ei * A * E, A + N - env[nx + "^-1"])
         row("conj:exp_q(n_%s)*%s*exp_q(n_%s)^-1=%s+%s-%s^-1" % (a, a, a, a, p, p),
-            E * A * Ei, A + P - env[p + "^-1"])
-    for a in ("x", "y", "z"):
-        nx, p = _N_AXES[a]
-        E = env["E" + a]
-        row("conj:%s*exp_q(n_%s)-exp_q(n_%s)*%s=exp_q(n_%s)*%s-%s*exp_q(n_%s)"
-            % (a, a, a, a, a, nx, p, a), env[a] * E - E * env[a], E * env[nx] - env[p] * E)
+            EA * Ei, A + P - env[p + "^-1"])
+        # printed after the rows of every axis
+        commutators.append((
+            "conj:%s*exp_q(n_%s)-exp_q(n_%s)*%s=exp_q(n_%s)*%s-%s*exp_q(n_%s)"
+            % (a, a, a, a, a, nx, p, a), A * E - EA, EN - P * E))
+    for args in commutators:
+        row(*args)
 
     Psi, Psii = env["Psi"], env["Psi^-1"]
     X, Xi = env["x"], env["x^-1"]

@@ -21,7 +21,10 @@ once, in the symbolic env; a point env specializes those it reads and forms
 ``I``, ``D^-1`` (reciprocals of D's diagonal), ``y^-1``, ``z^-1`` and the six
 products ``a*b`` of x, y, z at q0.  The equitable, Chevalley and basis-change
 reports and the operator recipes of ``qexpops._OperatorEnv`` read one env;
-one read only by equitable rows never builds the Chevalley side.
+one read only by equitable rows never builds the Chevalley side.  The
+defining-relation rows fold the text of ``ncore.RELATIONS`` over the env's
+generators: a Matrix takes a scalar operand in ``*``, and a side that folds
+to a bare scalar c is compared as c*I.
 """
 
 import json
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .ncore import equitable_image
-from .qfield import (CQ, RF_ONE, RF_ZERO, LaurentPoly, RatFunc, check_admissible,
+from .ncore import RELATIONS, equitable_image, holds, sides
+from .qfield import (RF_ONE, RF_ZERO, LaurentPoly, RatFunc, check_admissible,
                      laurent_matmul, q_power, qint)
 from .report import VerificationReport, check
 
@@ -99,6 +102,8 @@ class Matrix:
                        for r1, r2 in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, RatFunc)):
+            return self.scalar_mul(other)  # a scalar commutes with every entry
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
@@ -120,6 +125,8 @@ class Matrix:
                         acc[c] = acc[c] + a * b
             out.append(acc)
         return Matrix(out)
+
+    __rmul__ = __mul__  # reached only with a scalar on the left
 
     def scalar_mul(self, c):
         return Matrix([[x * c for x in row] for row in self.rows])
@@ -465,22 +472,24 @@ def _low_diag(env):
             for _, n, eps in env["spec"].blocks() for i in range(n + 1)]
 
 
+def _relation_rows(env, basis):
+    # the rows of the defining relations of basis, each folded over env's
+    # generators; a side that folds to a bare scalar c is compared as c*I
+    sc, ident, mod = env["sc"], env["I"], env["spec"].json_obj()
+    return [check("module:%s:" % basis + text, mod, holds(
+        [s if isinstance(s, Matrix) else ident * s
+         for s in sides(text, basis, sc.scal, env.__getitem__)]))
+        for text in RELATIONS[basis]]
+
+
 def _equitable_report(env):
     """The rows of verify_module_suite on the equitable basis of env's module."""
     spec, sc = env["spec"], env["sc"]
     mod = spec.json_obj()
     ident = env["I"]
-    qq, qi, cq = (sc.scal(v) for v in (q_power(1), q_power(-1), CQ))
     low_diag = _low_diag(env)
-    X, Xinv, Y, Z = (env[g] for g in EQUITABLE_GENS)
-    entries = [check("module:equitable:x*x^-1=x^-1*x=1", mod,
-                     X * Xinv == ident and Xinv * X == ident)]
-    for a, b in (("x", "y"), ("y", "z"), ("z", "x")):
-        lhs = (env[a + "*" + b].scalar_mul(qq)
-               - env[b + "*" + a].scalar_mul(qi)).scalar_mul(cq)
-        entries.append(check(
-            "module:equitable:(q*%s*%s-q^-1*%s*%s)/(q-q^-1)=1" % (a, b, b, a),
-            mod, lhs == ident))
+    X, Y, Z = env["x"], env["y"], env["z"]
+    entries = _relation_rows(env, "equitable")
     entries.append(check("module:eigenvalues:x", mod, X.is_diagonal() and
                          Counter(X.diagonal()) == Counter(low_diag)))
     entries.append(check("module:eigenvalues:y", mod,
@@ -511,20 +520,10 @@ def _equitable_report(env):
 
 def _chevalley_report(env):
     """The rows of verify_module_suite on the Chevalley basis of env's module."""
-    sc, ident, mod = env["sc"], env["I"], env["spec"].json_obj()
-    K, Kinv, E, F = (env[g] for g in CHEVALLEY_GENS)
+    K = env["k"]
     actual = Counter(K.diagonal()) if K.is_diagonal() else None
-    return VerificationReport([
-        check("module:chevalley:k*k^-1=k^-1*k=1", mod,
-              K * Kinv == ident and Kinv * K == ident),
-        check("module:chevalley:k*e=q^2*e*k", mod,
-              K * E == (E * K).scalar_mul(sc.scal(q_power(2)))),
-        check("module:chevalley:k*f=q^-2*f*k", mod,
-              K * F == (F * K).scalar_mul(sc.scal(q_power(-2)))),
-        check("module:chevalley:e*f-f*e=(k-k^-1)/(q-q^-1)", mod,
-              E * F - F * E == (K - Kinv).scalar_mul(sc.scal(CQ))),
-        check("module:eigenvalues:k", mod, actual == Counter(_low_diag(env))),
-    ])
+    return VerificationReport(_relation_rows(env, "chevalley") + [check(
+        "module:eigenvalues:k", env["spec"].json_obj(), actual == Counter(_low_diag(env)))])
 
 
 def _basis_change_report(env):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -379,6 +380,57 @@ def test_verify_relations_reports_broken_n_sides(runner, monkeypatch):
         line[6:] for line in good if line.startswith("PASS  ndef:")]
 
 
+def _swap_relation(monkeypatch, presentation, old, new):
+    # the relation table with one entry replaced
+    table = ncore.RELATIONS[presentation]
+    assert old in table
+    monkeypatch.setitem(ncore.RELATIONS, presentation,
+                        tuple(new if text == old else text for text in table))
+
+
+def _failed_identities(entries):
+    # without the @q= tag of a row at a point
+    return [e.identity.split("@")[0] for e in entries if e.status == "fail"]
+
+
+def test_a_false_chevalley_relation_fails_its_rows(monkeypatch):
+    # every check of a relation folds the table's text, so a false entry
+    # fails the module rows, in a Chevalley-basis module and in the env
+    # that verify reads, at every point, and the automorphism's check
+    false = "k*e=q^3*e*k"
+    _swap_relation(monkeypatch, "chevalley", "k*e=q^2*e*k", false)
+    spec = ModuleSpec.single(2, -1)
+    for q0 in [None] + spot_points(1):
+        for report in (verify_module_suite(build_chevalley(spec), q0),
+                       cli._module_task(_OperatorEnv(build_equitable(spec)).at(q0))):
+            assert _failed_identities(report.entries) == ["module:chevalley:" + false]
+    monkeypatch.setattr(ncore, "_auto_checked", set())
+    with pytest.raises(RuntimeError, match=r"break k\*e=q\^3\*e\*k$"):
+        ncore.apply_automorphism(ncore.AlgebraElement.generator("e"), 1, q_power(1))
+
+
+def test_a_false_equitable_relation_fails_its_rows(monkeypatch):
+    false = "(q*x*y-q^-1*y*x)/(q-q^-1)=q"
+    _swap_relation(monkeypatch, "equitable", "(q*x*y-q^-1*y*x)/(q-q^-1)=1", false)
+    assert _failed_identities(verify_presentation_iso().entries) == ["iso:relation:" + false]
+    for q0 in [None] + spot_points(1):
+        report = verify_module_suite(build_equitable(ModuleSpec.single(2, 1)), q0)
+        assert _failed_identities(report.entries) == ["module:equitable:" + false]
+    for module in (GAMMA_Y, GAMMA_Z):
+        entries = verify_gamma(module, imax=1, jmax=1).entries
+        failed = _failed_identities(entries)
+        assert failed and failed == [e.identity for e in entries if e.identity.endswith(false)]
+        assert all(e.witness.startswith("difference ") for e in entries if e.status == "fail")
+
+
+def test_spot_points_are_bounded():
+    admissible = {Fraction(a, b) for a in range(-12, 13) for b in range(1, 13)} - {0, 1, -1}
+    assert set(spot_points(cli.MAX_Q_SPOT)) == admissible
+    assert len(admissible) == cli.MAX_Q_SPOT
+    with pytest.raises(ValueError):
+        spot_points(cli.MAX_Q_SPOT + 1)
+
+
 def test_format_env_var(runner):
     res = runner.invoke(main, ["normalize", "k"], env={"UQSL2_FORMAT": "json"})
     assert res.exit_code == 0
@@ -455,6 +507,9 @@ _CORPUS = [
     (["eval", "--q", "2", "--rep", "32,+1", "(e+f)^10"], 0),
     (["eval", "--q", "2", "--rep", "200,+1", "k"], 0),
     (["eval", "--q", "2", "--rep", "201,+1", "k"], 2),
+    (["verify", "modules", "--nmax", "0", "--q-spot", "181"], 2),
+    (["verify", "all", "--nmax", "17"], 2),
+    (["verify", "gamma", "--window", "33"], 2),
 ]
 
 
