@@ -13,6 +13,7 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from operator import mul
 
@@ -187,9 +188,7 @@ def _module_task(env):
 
 def _operator_task(env):
     # the conjugation, rewrite and closed-form rows read the env the module rows read
-    report = VerificationReport()
-    report.extend(_conjugation_report(env))
-    report.extend(_rewrite_report(env))
+    report = _conjugation_report(env).extend(_rewrite_report(env))
     if env["spec"].is_single:
         report.extend(_closed_form_task(env))
     return _tagged(report, env["sc"].q0)
@@ -202,6 +201,25 @@ def _closed_form_task(env):
 
 def _gamma_task(module, window):
     return verify_gamma(module, imax=window, jmax=window)
+
+
+def _grid(nmax, q_spot):
+    # the modules and points of verify, once the work of their grid is
+    # within the budget (exprio.check): a module of dim d costs 10 d^3 units
+    # at each point, times d at the symbolic point and 3 plus the bits of a
+    # and b at q0 = a/b.  On a 2-vCPU host a unit took 1.4 to 1.8 us (verify
+    # all --nmax 16 --q-spot 5, 2.5*10^7 units, 45 s; --nmax 12 --q-spot 20,
+    # 2.9*10^7 units, 50 s), so no accepted grid runs much past a minute
+    specs = [ModuleSpec.single(n, eps) for n in range(nmax + 1) for eps in (1, -1)]
+    specs += [ModuleSpec(((1, 1), (2, -1))), ModuleSpec(((0, -1), (3, 1)))]
+    points = [None] + spot_points(q_spot)
+    try:
+        exprio.check(None, sum(10 * spec.dim ** 3 * (
+            spec.dim if q0 is None else 3 + q0.numerator.bit_length()
+            + q0.denominator.bit_length()) for spec in specs for q0 in points))
+    except BudgetError as err:
+        raise click.UsageError("the (module, point) grid of verify: %s" % err)
+    return specs, points
 
 
 def _emit_report(report, fmt):
@@ -224,6 +242,8 @@ def _emit_report(report, fmt):
 @_FORMAT_OPTION
 def verify(scope, nmax, window, q_spot, fmt):
     """Run the verification battery for SCOPE and report every identity."""
+    specs, points = (_grid(nmax, q_spot) if scope in ("modules", "operators", "all")
+                     else ((), ()))
     combined = VerificationReport()
     if scope in ("iso", "all"):
         combined.extend(verify_presentation_iso())
@@ -231,24 +251,18 @@ def verify(scope, nmax, window, q_spot, fmt):
         for suite in (verify_confluence, verify_n_definitions,
                       verify_n_commutation, verify_n_preimages):
             combined.extend(suite())
-    if scope in ("modules", "operators", "all"):
-        specs = [ModuleSpec.single(n, eps)
-                 for n in range(nmax + 1) for eps in (1, -1)]
-        specs.append(ModuleSpec(((1, 1), (2, -1))))
-        specs.append(ModuleSpec(((0, -1), (3, 1))))
-        points = [None] + spot_points(q_spot)
-        # one symbolic env per module builds its q0-free inputs; each point
-        # reads its own env from it; module rows all print before operators
-        modules, operators = VerificationReport(), VerificationReport()
-        for spec in specs:
-            sym = _OperatorEnv(build_equitable(spec))
-            for q0 in points:
-                env = sym.at(q0)
-                if scope != "operators":
-                    modules.extend(_module_task(env))
-                if scope != "modules":
-                    operators.extend(_operator_task(env))
-        combined.extend(modules).extend(operators)
+    # one symbolic env per module builds its q0-free inputs; each point
+    # reads its own env from it; module rows all print before operators
+    modules, operators = VerificationReport(), VerificationReport()
+    for spec in specs:
+        sym = _OperatorEnv(build_equitable(spec))
+        for q0 in points:
+            env = sym.at(q0)
+            if scope != "operators":
+                modules.extend(_module_task(env))
+            if scope != "modules":
+                operators.extend(_operator_task(env))
+    combined.extend(modules).extend(operators)
     if scope in ("gamma", "all"):
         for module in (GAMMA_Y, GAMMA_Z):
             combined.extend(_gamma_task(module, window))
@@ -287,10 +301,11 @@ def _line_weights(lines):
 
 class _Budgeted:
     """A matrix in the fold of ``eval --rep``, with the tally of work units
-    (a one-item list) that the whole fold shares.  Each operation adds its
-    units to the tally and checks it against the budget (exprio.check)
-    before it runs.  An entrywise operation (a scalar times I, -, +) costs
-    25 units per entry; evaluating the result 80 per term of its entries;
+    (a one-item list) that the whole fold shares; scalars fold as scalars.
+    Each operation adds its units to the tally and checks it against the
+    budget (exprio.check) before it runs.  An entrywise operation (-, a
+    product with a scalar, a sum, where a scalar c is c*I) costs 25 units
+    per entry; evaluating the result 80 per term of its entries;
     a product A*B 2 per entry it builds, plus half of W times the square of
     one more than the 64-bit words of the widest coefficients of A and B,
     where W sums, over each inner index t, the weight of column t of A
@@ -312,27 +327,27 @@ class _Budgeted:
     def _entrywise(self, build):
         return self._then(25 * self.matrix.nrows * self.matrix.ncols, build)
 
-    def scaled(self, v):
-        return self._entrywise(lambda: self.matrix.scalar_mul(v))
-
     def __neg__(self):
         return self._entrywise(lambda: -self.matrix)
 
     def __add__(self, other):
-        return self._entrywise(lambda: self.matrix + other.matrix)
+        return self._entrywise(lambda: self.matrix + getattr(other, "matrix", other))
+
+    __radd__ = __add__
 
     def __mul__(self, other):
+        if not isinstance(other, _Budgeted):  # a scalar commutes with the matrix
+            return self._entrywise(lambda: self.matrix * other)
         a, b = self.matrix, other.matrix
         (cols, abits), (rows, bbits) = _line_weights(zip(*a.rows)), _line_weights(b.rows)
         words = (abits + bbits) // 64 + 1
         units = 2 * a.nrows * b.ncols + sum(map(mul, cols, rows)) * words ** 2 // 2
         return self._then(units, lambda: a * b)
 
+    __rmul__ = __mul__  # reached only with a scalar on the left
+
     def __pow__(self, n):
-        result = self
-        for _ in range(n - 1):  # the steps share the tally
-            result = result * self
-        return result
+        return reduce(mul, [self] * (n - 1), self)  # the steps share the tally
 
     def evaluate(self, q0):
         terms = sum(len(x.num.terms) + len(x.den.terms)
@@ -380,9 +395,10 @@ def eval_cmd(expr, expr_opt, presentation, q_text, rep_text):
             built = (build_equitable(spec) if presentation == "equitable"
                      else build_chevalley(spec))
             tally = [0]
-            identity = _Budgeted(Matrix.identity(built.dim), tally)
-            values = exprio.fold(ast, identity.scaled,
-                                 lambda g: _Budgeted(built.action[g], tally)).evaluate(q0)
+            value = exprio.fold(ast, lambda v: v, lambda g: _Budgeted(built.action[g], tally))
+            if isinstance(ast, ScalarLiteral):  # c*I
+                value = _Budgeted(Matrix.identity(built.dim), tally) * value
+            values = value.evaluate(q0)
             for x in chain.from_iterable(values.rows):
                 exprio.check(exprio.size(RF_ONE * x))
             click.echo(str(values))

@@ -8,7 +8,12 @@ Grammar (whitespace ignored, error positions are 1-based):
     atom   := '(' expr ')' | INT | NAME
 
 NAME is a generator letter of the active presentation (k, e, f or x, y, z;
-inverses are spelled k^-1, x^-1) or the distinguished scalar q.  '*' is
+inverses are spelled k^-1, x^-1) or the distinguished scalar q.  The
+private operator alphabet of qexpops, which no CLI option selects, has no
+letters: its leaves are the keys of the operator environment, spelled as
+they print (exp_q(n_x), exp_q(n_x)^-1, n_x, y^-1, Psi^-1, Omega^3, ...),
+and a word of leaves joined by '*' (exp_q(n_x)*y) reads as one leaf named
+by its text, so that its caller can keep each product it folds.  '*' is
 mandatory; juxtaposition is not multiplication.  '/' requires its right
 operand to be (or fold to) a nonzero scalar.  Subexpressions built only
 from q and numbers fold into ScalarLiteral nodes during parsing, so a
@@ -51,7 +56,8 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import chain
-from operator import add, attrgetter, sub
+from functools import reduce
+from operator import add, attrgetter, mul, sub
 
 from .qfield import RF_ONE, RF_Q, RF_ZERO, RatFunc
 
@@ -67,7 +73,13 @@ MAX_WORK = 3 * 10 ** 7
 # 2^MAX_POWER_BITS, and int() reads it within Python's 4300-digit limit
 _MAX_DIGITS = len(str(2 ** MAX_POWER_BITS)) - 1
 
-_LETTERS = {CHEVALLEY: ("k", "e", "f"), EQUITABLE: ("x", "y", "z")}
+# the operator alphabet (see above): one leaf, and a word of leaves
+_OPERATORS = "operators"
+_OPERATOR_LEAF = (r"exp_q\(n_[xyz]\)(?:\^-1)?|n_[xyz]|Omega(?:\^-1|\^3)?|Psi(?:\^-1)?"
+                  r"|[xyz](?:\^-1)?")
+_OPERATOR_WORD = re.compile(r"(?:{0})(?:\*(?:{0}))*".format(_OPERATOR_LEAF))
+
+_LETTERS = {CHEVALLEY: ("k", "e", "f"), EQUITABLE: ("x", "y", "z"), _OPERATORS: ()}
 _INVERSE_OF = {"k": "k^-1", "k^-1": "k", "x": "x^-1", "x^-1": "x"}
 
 
@@ -98,11 +110,13 @@ class Generator:
 @dataclass(frozen=True)
 class Sum:
     terms: tuple
+    items = property(attrgetter("terms"))
 
 
 @dataclass(frozen=True)
 class Product:
     factors: tuple
+    items = property(attrgetter("factors"))
 
 
 @dataclass(frozen=True)
@@ -124,38 +138,23 @@ def make_negate(t):
     return Negate(t)
 
 
-def make_sum(terms):
-    flat = []
-    for t in terms:
-        if isinstance(t, Sum):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
+def _flat(kind, items, op, unit):
+    # kind(items), with the items of each item of that kind spliced in; one
+    # item stands alone, and scalars alone fold into one: unit op each
+    flat = [u for t in items for u in (t.items if isinstance(t, kind) else (t,))]
     if len(flat) == 1:
         return flat[0]
     if all(isinstance(t, ScalarLiteral) for t in flat):
-        v = RF_ZERO
-        for t in flat:
-            v = v + t.value
-        return ScalarLiteral(v)
-    return Sum(tuple(flat))
+        return ScalarLiteral(reduce(op, (t.value for t in flat), unit))
+    return kind(tuple(flat))
+
+
+def make_sum(terms):
+    return _flat(Sum, terms, add, RF_ZERO)
 
 
 def make_product(factors):
-    flat = []
-    for f in factors:
-        if isinstance(f, Product):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    if len(flat) == 1:
-        return flat[0]
-    if all(isinstance(f, ScalarLiteral) for f in flat):
-        v = RF_ONE
-        for f in flat:
-            v = v * f.value
-        return ScalarLiteral(v)
-    return Product(tuple(flat))
+    return _flat(Product, factors, mul, RF_ONE)
 
 
 _DENOMINATOR, _NUM, _DEN = map(attrgetter, ("denominator", "num.terms", "den.terms"))
@@ -265,7 +264,8 @@ def make_power(base, e, pos=0):
     return IntPower(base, e)
 
 
-def _tokenize(text):
+def _tokenize(text, words=None):
+    # words: the pattern of a word of the operator alphabet, when it is active
     toks = []
     i, n = 0, len(text)
     while i < n:
@@ -285,6 +285,11 @@ def _tokenize(text):
             i = j
             continue
         if ch.isalpha():
+            word = words and words.match(text, i)
+            if word:
+                toks.append(("leaf", word[0], i + 1))
+                i = word.end()
+                continue
             j = i
             while j < n and text[j].isalpha():
                 j += 1
@@ -305,7 +310,7 @@ class _Parser:
         if presentation not in _LETTERS:
             raise ValueError("unknown presentation %r" % (presentation,))
         self.presentation = presentation
-        self.toks = _tokenize(text)
+        self.toks = _tokenize(text, _OPERATOR_WORD if presentation == _OPERATORS else None)
         self.i = 0
         self.depth = 0
 
@@ -388,6 +393,8 @@ class _Parser:
             return e
         if kind == "int":
             return ScalarLiteral(RF_ONE * val)
+        if kind == "leaf":
+            return Generator(self.presentation, val)
         if kind == "name":
             if val == "q":
                 return ScalarLiteral(RF_Q)
@@ -418,16 +425,9 @@ def _scalar_str(v):
     return "(%s)" % s
 
 
-def _factor_str(f):
-    if isinstance(f, (Sum, Negate)):
-        return "(%s)" % render(f)
-    return render(f)
-
-
-def _term_str(t):
-    if isinstance(t, Sum):
-        return "(%s)" % render(t)
-    return render(t)
+def _wrapped(expr, kinds):
+    # render(expr), in parentheses if it is one of kinds
+    return "(%s)" % render(expr) if isinstance(expr, kinds) else render(expr)
 
 
 def render(expr):
@@ -444,23 +444,20 @@ def render(expr):
             return "%s^%d" % (base.name, expr.exp)
         return "(%s)^%d" % (render(base), expr.exp)
     if isinstance(expr, Negate):
-        return "-" + _term_str(expr.child)
+        return "-" + _wrapped(expr.child, Sum)
     if isinstance(expr, Product):
-        return "*".join(_factor_str(f) for f in expr.factors)
+        return "*".join(_wrapped(f, (Sum, Negate)) for f in expr.factors)
     if isinstance(expr, Sum):
-        parts = []
-        for idx, t in enumerate(expr.terms):
+        text = ""
+        for t in expr.terms:
             if isinstance(t, Negate):
-                sign, body = "-", _term_str(t.child)
+                minus, body = True, _wrapped(t.child, Sum)
             elif isinstance(t, ScalarLiteral) and t.value.leading_negative():
-                sign, body = "-", _scalar_str(-t.value)
+                minus, body = True, _scalar_str(-t.value)
             else:
-                sign, body = "+", _term_str(t)
-            if idx == 0:
-                parts.append(body if sign == "+" else "-" + body)
-            else:
-                parts.append((" + " if sign == "+" else " - ") + body)
-        return "".join(parts)
+                minus, body = False, _wrapped(t, Sum)
+            text += ((" - " if minus else " + ") if text else ("-" if minus else "")) + body
+        return text
     raise TypeError("not an NCExpr node: %r" % (expr,))
 
 
@@ -473,16 +470,9 @@ def fold(expr, scalar, generator):
         return generator(expr.name)
     if isinstance(expr, Negate):
         return -fold(expr.child, scalar, generator)
-    if isinstance(expr, Sum):
-        total = fold(expr.terms[0], scalar, generator)
-        for t in expr.terms[1:]:
-            total = total + fold(t, scalar, generator)
-        return total
-    if isinstance(expr, Product):
-        total = fold(expr.factors[0], scalar, generator)
-        for f in expr.factors[1:]:
-            total = total * fold(f, scalar, generator)
-        return total
+    if isinstance(expr, (Sum, Product)):  # left to right
+        return reduce(add if isinstance(expr, Sum) else mul,
+                      (fold(t, scalar, generator) for t in expr.items))
     if isinstance(expr, IntPower):
         return fold(expr.base, scalar, generator) ** expr.exp
     raise TypeError("not an NCExpr node: %r" % (expr,))

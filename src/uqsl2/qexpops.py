@@ -1,52 +1,90 @@
 """Nilpotent n-matrices, q-exponentials, Psi/Omega operators, and their identity suites.
 
-On an equitable-basis module the three elements
+On an equitable-basis module n_x = q(1 - yz)/(q - q^-1) (cyclic in x, y,
+z) is nilpotent, so exp_q(T) = sum_i q^(i(i-1)/2)/[i]! T^i and its inverse
+are finite sums.  Omega = exp_q(n_z) Psi exp_q(n_y), with Psi diagonal,
+rotates x -> y -> z -> x under conjugation, and Omega^3 is central.
 
-    n_x = q(1 - yz)/(q - q^-1) = q^-1(1 - zy)/(q - q^-1)      (cyclic in x, y, z)
+OPERATOR_IDENTITIES is the one statement of the operator identities, each
+written as the text its row prints after "expq:", "conj:", "psi:" or
+"omega:", a rotated family once, for the x axis.  Each row folds its text
+with ncore.sides over the operator environment of its module, in the
+operator alphabet of exprio, and so do the "rewrite:" rows and the n_a
+recipe, from ncore.N_DEFINITIONS.  Its leaves are the env keys, spelled as
+they print: x, x^-1, y, z, y^-1, z^-1, n_a, exp_q(n_a), exp_q(n_a)^-1, Psi,
+Psi^-1, Omega, Omega^-1 and Omega^3.  A word such as exp_q(n_x)*y is the
+env's product when it has one (y*z), else its left prefix times its last
+leaf, kept for the length of one report if the report reads it again.
 
-act as nilpotent matrices, so the truncated q-exponential
-
-    exp_q(T)      = sum_i q^(i(i-1)/2) / [i]!  * T^i
-    exp_q(T)^-1   = sum_i (-1)^i q^(-i(i-1)/2) / [i]!  * T^i
-
-is defined exactly.  Conjugation by exp_q(n_a) permutes/deforms the
-generators in a fixed pattern, the diagonal operator Psi intertwines the
-weight decomposition, and
-
-    Omega = exp_q(n_z) * Psi * exp_q(n_y)
-
-cyclically rotates x -> y -> z -> x under conjugation, with Omega^3 central.
-
-Each module has one operator environment, ``_OperatorEnv``: the module
-environment ``repmod._ModuleEnv`` (the q0-free inputs of both bases, built
-once per module; at each point from ``at(q0)``, I, y^-1, z^-1 and the six
-products a*b of x, y, z) extended by one recipe per operator, each built on
-first read, then kept: the two defining sides of each n_a, n_a (the left
-side over q - q^-1), exp_q(n_a) with its inverse and index, Psi, Omega,
-Omega^-1, Omega^3 and the Omega^3 scalar matrix.  Recipes only build
-values.  Each identity is checked in one place, its report row, so
-``uqsl2 verify`` shows a broken one as a failed row with its witness, also
-at a numeric point q = q0.  The raising API (``n_matrix``,
-``exp_q_inverse``, ``omega``, ``omega_closed_form``, and the suites
-``verify_conjugation_suite`` and ``verify_closed_form`` for the n_a they
-read) checks the rows its value rests on and raises ConsistencyError from
-the first that fails.  ``omega`` reads n_y, n_z, their exp_q pairs, Psi,
-Omega and Omega^-1; ``verify_closed_form`` reads those, Omega^3 and its
-scalar matrix, never n_x, y^-1 or z^-1; ``n_matrix`` reads n_a and its
-index; ``verify_relation_rewrites`` the n-element sides;
-``verify_conjugation_suite`` every entry.
+``_OperatorEnv`` extends the module environment ``repmod._ModuleEnv`` by one
+recipe per operator, built when first read, then kept: n_a, exp_q(n_a) with
+its inverse and index idx_a, Psi, Psi^-1, Omega, Omega^-1, Omega^3 and the
+scalar matrix Omega^3-scalar.  Recipes only build values: each identity is
+checked in its row, so ``uqsl2 verify`` prints a broken one as a failed row
+with its witness, as it does each row that reads a recipe that raises.  The
+raising API (``n_matrix``, ``exp_q_inverse``, ``omega``,
+``omega_closed_form``, and the suites for the n_a they read) raises
+ConsistencyError from the first failed row its value rests on.  ``omega``
+and ``verify_closed_form`` never build n_x, y^-1 or z^-1.
 """
 
+import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
+from .exprio import _OPERATOR_LEAF, _OPERATOR_WORD, _OPERATORS
 from .ncore import N_DEFINITIONS
 from .qfield import CQ, RF_ZERO, RatFunc, q_power, qbinom, qint
-from .repmod import (Matrix, ModuleSpec, ScalarContext, _eq_entry, _ModuleEnv,
-                     _recipe_index, build_equitable)
+from .repmod import (Matrix, ModuleSpec, RecipeError, ScalarContext, _eq_entry,
+                     _matrix_sides, _ModuleEnv, _recipe_index, build_equitable)
 from .report import ConsistencyError, VerificationReport, check
 
-# the two generators after each one in the cyclic order x -> y -> z -> x
-_N_AXES = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
+_AXES = ("x", "y", "z")
+
+# The operator identities in row order, as (prefix, rotated, texts): the
+# rows of a rotated group run on x, then on y and z (x -> y -> z -> x)
+OPERATOR_IDENTITIES = (
+    ("expq", True, ("exp_q(n_x)*exp_q(n_x)^-1=1",)),
+    ("conj", True, ("exp_q(n_x)^-1*z*exp_q(n_x)=y^-1", "exp_q(n_x)*y*exp_q(n_x)^-1=z^-1",
+                    "exp_q(n_x)^-1*y*exp_q(n_x)=y*z*y", "exp_q(n_x)*z*exp_q(n_x)^-1=z*y*z",
+                    "exp_q(n_x)^-1*x*exp_q(n_x)=x+y-y^-1",
+                    "exp_q(n_x)*x*exp_q(n_x)^-1=x+z-z^-1")),
+    ("conj", True, ("x*exp_q(n_x)-exp_q(n_x)*x=exp_q(n_x)*y-z*exp_q(n_x)",)),
+    ("psi", False, ("Psi^-1*x*Psi=x", "Psi^-1*n_y*Psi=x*n_y*x",
+                    "Psi^-1*n_z*Psi=x^-1*n_z*x^-1")),
+    ("omega", False, ("Omega*Omega^-1=1",)),
+    ("omega", True, ("Omega^-1*x*Omega=y",)),
+    ("omega", True, ("Omega^3*x=x*Omega^3",)),
+)
+
+
+def _axis_leaves(a):
+    return (a, a + "^-1", "n_" + a, "exp_q(n_" + a + ")", "exp_q(n_" + a + ")^-1")
+
+
+# each leaf of an axis and its image under x -> y -> z -> x: leaves are
+# renamed whole, never letter by letter (exp_q holds an x)
+_LEAF = re.compile(_OPERATOR_LEAF)
+_ROTATED = {leaf: image for a, b in zip("xyz", "yzx")
+            for leaf, image in zip(_axis_leaves(a), _axis_leaves(b))}
+# the leaves Omega and Omega^-1 are built from, besides Psi
+_OMEGA_LEAVES = {"Omega", "Omega^-1", *_axis_leaves("y")[3:], *_axis_leaves("z")[3:]}
+
+
+@lru_cache(maxsize=None)
+def _formulas(table):
+    """(prefix, text) of each row of an identity table, in row order, and
+    the words that they read more than once, whole or as a left prefix."""
+    rows, counts = [], Counter()
+    for prefix, rotated, texts in table:
+        for _ in range(3 if rotated else 1):
+            rows += [(prefix, text) for text in texts]
+            texts = [_LEAF.sub(lambda m: _ROTATED.get(m[0], m[0]), text) for text in texts]
+    for word in (word for _, text in rows for word in _OPERATOR_WORD.findall(text)):
+        leaves = word.split("*")
+        counts.update("*".join(leaves[:i]) for i in range(2, len(leaves) + 1))
+    return tuple(rows), frozenset(word for word, count in counts.items() if count > 1)
 
 
 @dataclass
@@ -65,24 +103,14 @@ class OmegaOperator:
     inverse: Matrix
 
 
-def _n_sides(env, axis):
-    """The sides q(1 - ab) and q^-1(1 - ba) of N_DEFINITIONS[axis], (a, b) =
-    _N_AXES[axis], from env's products: each is (q - q^-1) n_axis."""
-    a, b = _N_AXES[axis]
-    ident, sc = env["I"], env["sc"]
-    return ((ident - env[a + "*" + b]).scalar_mul(sc.scal(q_power(1))),
-            (ident - env[b + "*" + a]).scalar_mul(sc.scal(q_power(-1))))
-
-
 def _exp_series(mat, sc, order=None):
     """exp_q(mat), exp_q(mat)^-1 and the index of their first zero term.
 
-    The terms t_i = q^(i(i-1)/2)/[i]! * mat^i follow the recurrence
-    t_0 = 1, t_i = t_(i-1) * mat * q^(i-1)/[i], so each stays canonical
-    without a common denominator; the inverse series has the terms
-    (-1)^i q^(-i(i-1)) t_i.  Both sums stop at the first zero term, whose
-    index is the nilpotency index, or else at i = order (by default
-    dim + 2, past the index dim of any nilpotent matrix), and return order.
+    The terms t_i = q^(i(i-1)/2)/[i]! mat^i follow t_0 = 1, t_i = t_(i-1)
+    mat q^(i-1)/[i], each canonical without a common denominator; the
+    inverse series has the terms (-1)^i q^(-i(i-1)) t_i.  Both stop at the
+    first zero term, whose index is the nilpotency index, or else at
+    i = order (by default dim + 2, past the index of any nilpotent matrix).
     """
     dim = len(mat.rows)
     term = Matrix.identity(dim, sc.one)
@@ -108,8 +136,7 @@ def _psi_exponents(rep):
         decomp = entry.as_sign_q_power()
         if decomp is None:
             raise ConsistencyError("x-eigenvalue %s is not +-q^lambda" % entry)
-        lam = decomp[1]
-        exps.append(-(lam * lam) // 2 if lam % 2 == 0 else (1 - lam * lam) // 2)
+        exps.append((decomp[1] % 2 - decomp[1] ** 2) // 2)  # (s - lam^2)/2, s = lam mod 2
     return exps
 
 
@@ -135,24 +162,23 @@ def _operator_recipes():
     # the module recipes of _ModuleEnv, plus one recipe per operator
     table = {
         ("Psi", "Psi^-1"): lambda env: map(env["sc"].matrix, _psi_pair(env["rep"])),
-        ("Omega",): lambda env: [env["Ez"] * env["Psi"] * env["Ey"]],
-        ("Omega^-1",): lambda env: [env["Ey^-1"] * env["Psi^-1"] * env["Ez^-1"]],
+        ("Omega",): lambda env: [env["exp_q(n_z)"] * env["Psi"] * env["exp_q(n_y)"]],
+        ("Omega^-1",): lambda env: [env["exp_q(n_y)^-1"] * env["Psi^-1"] * env["exp_q(n_z)^-1"]],
         ("Omega^3",): lambda env: [env["Omega"] * env["Omega"] * env["Omega"]],
         ("Omega^3-scalar",): lambda env: [env["I"].scalar_mul(env["sc"].scal(
             omega_cube_scalar(env["spec"].summands[0][0])))],
     }
-    for a in _N_AXES:
-        table["n_sides_" + a,] = lambda env, a=a: [_n_sides(env, a)]
-        table["n_" + a,] = lambda env, a=a: [
-            env["n_sides_" + a][0].scalar_mul(env["sc"].scal(CQ))]
-        table["E" + a, "E" + a + "^-1", "idx_" + a] = (
+    for a in _AXES:
+        table["n_" + a,] = lambda env, a=a: [_matrix_sides(
+            env, N_DEFINITIONS[a].partition("=")[0], _OPERATORS, env.__getitem__)[0]
+            * env["sc"].scal(CQ)]
+        table["exp_q(n_" + a + ")", "exp_q(n_" + a + ")^-1", "idx_" + a] = (
             lambda env, a=a: _exp_series(env["n_" + a], env["sc"]))
     return {**_ModuleEnv.recipes, **_recipe_index(table)}
 
 
 class _OperatorEnv(_ModuleEnv):
-    """The module environment of one equitable-basis module, extended by the
-    operator recipes: each operator is built when first read, then kept."""
+    """The module environment of an equitable-basis module, with the operator recipes."""
 
     recipes = _operator_recipes()
 
@@ -162,37 +188,63 @@ class _OperatorEnv(_ModuleEnv):
         super().__init__(rep)
 
 
-def _row(env, kind, a=None):
-    # the report row of one identity: "rewrite" (the two sides of n_a
-    # agree), "nilpotent" (the series of exp_q(n_a) finds the index n+1),
-    # "expq" (exp_q(n_a) * exp_q(n_a)^-1 = 1) or "omega" (Omega * Omega^-1 = 1)
-    spec = env["spec"]
-    if kind == "nilpotent":
-        idx, expected = env["idx_" + a], max(n for n, _ in spec.summands) + 1
-        return check("nilpotent:n_%s:index=n+1" % a, spec.json_obj(), idx == expected,
-                     witness="index %d, expected %d" % (idx, expected))
-    if kind == "rewrite":
-        identity, (lhs, rhs) = "rewrite:" + N_DEFINITIONS[a], env["n_sides_" + a]
-    elif kind == "expq":
-        identity = "expq:exp_q(n_%s)*exp_q(n_%s)^-1=1" % (a, a)
-        lhs, rhs = env["E" + a] * env["E" + a + "^-1"], env["I"]
-    else:
-        identity, lhs, rhs = "omega:Omega*Omega^-1=1", env["Omega"] * env["Omega^-1"], env["I"]
-    return _eq_entry(identity, spec.json_obj(), lhs, rhs)
+class _Words(dict):
+    """The words the rows of one report read (see the module docstring),
+    each in keep kept for the report; mod is the module of every row."""
+
+    def __init__(self, env, keep=frozenset()):
+        super().__init__()
+        self.env, self.keep, self.mod = env, keep, env["spec"].json_obj()
+
+    def __missing__(self, word):
+        if "*" not in word or word in self.env.recipes:
+            return self.env[word]
+        prefix, _, leaf = word.rpartition("*")
+        value = self[prefix] * self.env[leaf]
+        if word in self.keep:
+            self[word] = value
+        return value
 
 
-def _rows(env, axes, kinds=("rewrite", "nilpotent")):
-    # the rows of each kind for each axis in turn: by default those that
-    # n_a and its index rest on
-    return VerificationReport([_row(env, kind, a) for a in axes for kind in kinds])
+def _entry(identity, mod, build):
+    # the row of identity, whose two sides build() returns; a recipe that
+    # raises fails the row, with its message as the witness
+    try:
+        lhs, rhs = build()
+    except RecipeError as err:
+        return check(identity, mod, False, witness=str(err))
+    return _eq_entry(identity, mod, lhs, rhs)
+
+
+def _formula_row(words, prefix, text):
+    # the row prefix:text, its sides folded over words
+    return _entry(prefix + ":" + text, words.mod,
+                  lambda: _matrix_sides(words.env, text, _OPERATORS, words.__getitem__))
+
+
+def _nilpotent_row(words, a):
+    # the series of exp_q(n_a) finds the index n+1
+    env = words.env
+    idx, expected = env["idx_" + a], max(n for n, _ in env["spec"].summands) + 1
+    return check("nilpotent:n_" + a + ":index=n+1", words.mod, idx == expected,
+                 witness="index %d, expected %d" % (idx, expected))
+
+
+def _n_rows(env, axes, kinds=("rewrite", "nilpotent")):
+    # for each axis in turn, the rows of each kind that n_a rests on: its
+    # rewrite: row (its two sides agree), its nilpotent: row
+    words = _Words(env)
+    return VerificationReport([
+        _formula_row(words, "rewrite", N_DEFINITIONS[a]) if kind == "rewrite"
+        else _nilpotent_row(words, a) for a in axes for kind in kinds])
 
 
 def n_matrix(axis, rep):
     """The matrix of n_axis on an equitable-basis module, with its nil index."""
     env = _OperatorEnv(rep, what="n-matrices are defined")
-    if axis not in _N_AXES:
+    if axis not in _AXES:
         raise ValueError("axis must be one of x, y, z")
-    _rows(env, axis).require()
+    _n_rows(env, axis).require()
     return NilpotentOperator(matrix=env["n_" + axis], nil_index=env["idx_" + axis])
 
 
@@ -210,8 +262,12 @@ def exp_q_inverse(op):
 
 
 def _omega_rows(env):
-    # the rows Omega and Omega^-1 rest on
-    return _rows(env, "yz", ("rewrite", "nilpotent", "expq")).extend([_row(env, "omega")])
+    # the rows Omega and Omega^-1 rest on: those of n_y and n_z, and the
+    # table rows that read nothing but _OMEGA_LEAVES
+    words = _Words(env)
+    return _n_rows(env, "yz").extend(
+        _formula_row(words, prefix, text) for prefix, text in _formulas(OPERATOR_IDENTITIES)[0]
+        if set(_LEAF.findall(text)) <= _OMEGA_LEAVES)
 
 
 def omega(rep):
@@ -226,18 +282,13 @@ def _closed_form_matrices(n):
     #   Omega      u_j = sum_{i<=n-j} (-1)^j q^((n-i-1)j + (s-n^2)/2) [n-i, j] u_i
     #   Omega^-1   u_j = sum_{i>=n-j} (-1)^(n-j) q^((1-i)(n-j) + (n^2-s)/2) [i, n-j] u_i
     # where s = n mod 2 and [m, k] is the q-binomial.
-    s = n % 2
-    base = (s - n * n) // 2
-    dim = n + 1
-    mat = [[RF_ZERO] * dim for _ in range(dim)]
-    inv = [[RF_ZERO] * dim for _ in range(dim)]
+    base, dim = (n % 2 - n * n) // 2, n + 1
+    mat, inv = ([[RF_ZERO] * dim for _ in range(dim)] for _ in "ab")
     for j in range(dim):
-        sign = 1 if j % 2 == 0 else -1
         for i in range(n - j + 1):
-            mat[i][j] = RatFunc(qbinom(n - i, j).shift((n - i - 1) * j + base) * sign)
-        sign = 1 if (n - j) % 2 == 0 else -1
+            mat[i][j] = RatFunc(qbinom(n - i, j).shift((n - i - 1) * j + base) * (-1) ** j)
         for i in range(n - j, dim):
-            inv[i][j] = RatFunc(qbinom(i, n - j).shift((1 - i) * (n - j) - base) * sign)
+            inv[i][j] = RatFunc(qbinom(i, n - j).shift((1 - i) * (n - j) - base) * (-1) ** (n - j))
     return Matrix(mat), Matrix(inv)
 
 
@@ -256,70 +307,29 @@ def omega_cube_scalar(n):
 
 
 def _conjugation_report(env):
-    # rows of verify_conjugation_suite for the module env was built on
-    spec = env["spec"]
-    mod = spec.json_obj()
-    report = VerificationReport([_row(env, kind, a) for kind in ("nilpotent", "expq")
-                                 for a in _N_AXES])
-
-    def row(identity, lhs, rhs):
-        report.add(_eq_entry(identity, mod, lhs, rhs))
-
-    commutators = []
-    for a in ("x", "y", "z"):
-        nx, p = _N_AXES[a]
-        E, Ei = env["E" + a], env["E" + a + "^-1"]
-        P, N, A = env[p], env[nx], env[a]
-        EN, EA = E * N, E * A
-        row("conj:exp_q(n_%s)^-1*%s*exp_q(n_%s)=%s^-1" % (a, p, a, nx),
-            Ei * P * E, env[nx + "^-1"])
-        row("conj:exp_q(n_%s)*%s*exp_q(n_%s)^-1=%s^-1" % (a, nx, a, p),
-            EN * Ei, env[p + "^-1"])
-        row("conj:exp_q(n_%s)^-1*%s*exp_q(n_%s)=%s*%s*%s" % (a, nx, a, nx, p, nx),
-            Ei * N * E, env[nx + "*" + p] * N)
-        row("conj:exp_q(n_%s)*%s*exp_q(n_%s)^-1=%s*%s*%s" % (a, p, a, p, nx, p),
-            E * P * Ei, env[p + "*" + nx] * P)
-        row("conj:exp_q(n_%s)^-1*%s*exp_q(n_%s)=%s+%s-%s^-1" % (a, a, a, a, nx, nx),
-            Ei * A * E, A + N - env[nx + "^-1"])
-        row("conj:exp_q(n_%s)*%s*exp_q(n_%s)^-1=%s+%s-%s^-1" % (a, a, a, a, p, p),
-            EA * Ei, A + P - env[p + "^-1"])
-        # printed after the rows of every axis
-        commutators.append((
-            "conj:%s*exp_q(n_%s)-exp_q(n_%s)*%s=exp_q(n_%s)*%s-%s*exp_q(n_%s)"
-            % (a, a, a, a, a, nx, p, a), A * E - EA, EN - P * E))
-    for args in commutators:
-        row(*args)
-
-    Psi, Psii = env["Psi"], env["Psi^-1"]
-    X, Xi = env["x"], env["x^-1"]
-    row("psi:Psi^-1*x*Psi=x", Psii * X * Psi, X)
-    row("psi:Psi^-1*n_y*Psi=x*n_y*x", Psii * env["n_y"] * Psi, X * env["n_y"] * X)
-    row("psi:Psi^-1*n_z*Psi=x^-1*n_z*x^-1", Psii * env["n_z"] * Psi, Xi * env["n_z"] * Xi)
-
-    Om, Omi = env["Omega"], env["Omega^-1"]
-    report.add(_row(env, "omega"))
-    for a in ("x", "y", "z"):
-        row("omega:Omega^-1*%s*Omega=%s" % (a, _N_AXES[a][0]),
-            Omi * env[a] * Om, env[_N_AXES[a][0]])
-    cube = env["Omega^3"]
-    for a in ("x", "y", "z"):
-        row("omega:Omega^3*%s=%s*Omega^3" % (a, a), cube * env[a], env[a] * cube)
-    if spec.is_single:
-        row("omega:Omega^3=central-scalar", cube, env["Omega^3-scalar"])
+    # rows of verify_conjugation_suite for the module env was built on: the
+    # nilpotent: rows, then one row per formula of the table
+    formulas, reused = _formulas(OPERATOR_IDENTITIES)
+    words = _Words(env, reused)
+    report = _n_rows(env, _AXES, ("nilpotent",)).extend(
+        _formula_row(words, prefix, text) for prefix, text in formulas)
+    if env["spec"].is_single:
+        report.add(_entry("omega:Omega^3=central-scalar", words.mod,
+                          lambda: (env["Omega^3"], env["Omega^3-scalar"])))
     return report
 
 
 def verify_conjugation_suite(rep, q0=None):
     """Nilpotency, exp_q invertibility, and every conjugation identity on one
-    module; raises ConsistencyError unless each n_a is built (see _rows)."""
+    module; raises ConsistencyError unless each n_a is built (see _n_rows)."""
     env = _OperatorEnv(rep).at(q0)
-    _rows(env, _N_AXES).require()
+    _n_rows(env, _AXES).require()
     return _conjugation_report(env)
 
 
 def _rewrite_report(env):
-    # rows of verify_relation_rewrites from the n-element sides in env
-    return _rows(env, _N_AXES, ("rewrite",))
+    # rows of verify_relation_rewrites: the two sides of each n_a agree
+    return _n_rows(env, _AXES, ("rewrite",))
 
 
 def verify_relation_rewrites(rep, q0=None):
@@ -330,21 +340,20 @@ def verify_relation_rewrites(rep, q0=None):
 def _closed_form_report(env, cube=True):
     # rows of verify_closed_form for the simple module env was built on;
     # the Omega^3 row only with cube
-    spec, sc = env["spec"], env["sc"]
+    spec = env["spec"]
     mod = spec.json_obj()
-    mat, inv = map(sc.matrix, _closed_form_matrices(spec.summands[0][0]))
-    rows = [("closedform:Omega=exp_q(n_z)*Psi*exp_q(n_y)", mat, env["Omega"]),
-            ("closedform:Omega^-1", inv, env["Omega^-1"])]
-    if cube:
-        rows.append(("closedform:Omega^3=central-scalar", env["Omega^3"],
-                     env["Omega^3-scalar"]))
-    return VerificationReport([_eq_entry(identity, mod, lhs, rhs)
-                               for identity, lhs, rhs in rows])
+    mat, inv = map(env["sc"].matrix, _closed_form_matrices(spec.summands[0][0]))
+    rows = [("closedform:Omega=exp_q(n_z)*Psi*exp_q(n_y)", lambda: (mat, env["Omega"])),
+            ("closedform:Omega^-1", lambda: (inv, env["Omega^-1"])),
+            ("closedform:Omega^3=central-scalar",
+             lambda: (env["Omega^3"], env["Omega^3-scalar"]))]
+    return VerificationReport([_entry(identity, mod, build)
+                               for identity, build in rows[:3 if cube else 2]])
 
 
 def verify_closed_form(n, eps, q0=None):
     """Closed-form Omega entries against the compositional build, plus the
     Omega^3 scalar; raises ConsistencyError unless n_y and n_z are built."""
     env = _OperatorEnv(build_equitable(ModuleSpec.single(n, eps))).at(q0)
-    _rows(env, "yz").require()
+    _n_rows(env, "yz").require()
     return _closed_form_report(env)

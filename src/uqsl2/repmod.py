@@ -21,10 +21,11 @@ once, in the symbolic env; a point env specializes those it reads and forms
 ``I``, ``D^-1`` (reciprocals of D's diagonal), ``y^-1``, ``z^-1`` and the six
 products ``a*b`` of x, y, z at q0.  The equitable, Chevalley and basis-change
 reports and the operator recipes of ``qexpops._OperatorEnv`` read one env;
-one read only by equitable rows never builds the Chevalley side.  The
-defining-relation rows fold the text of ``ncore.RELATIONS`` over the env's
-generators: a Matrix takes a scalar operand in ``*``, and a side that folds
-to a bare scalar c is compared as c*I.
+one read only by equitable rows never builds the Chevalley side.  A recipe
+that raises (a singular y has no y^-1) raises RecipeError, which names it.
+The defining-relation rows fold the text of ``ncore.RELATIONS`` over the
+env's generators: a Matrix takes a scalar operand c in ``*``, and in ``+``
+and ``-`` as c*I, and a side that folds to a bare scalar c is compared as c*I.
 """
 
 import json
@@ -32,15 +33,19 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import reduce
+from itertools import accumulate, permutations
+from operator import add, mul, sub
 
 from .ncore import RELATIONS, equitable_image, holds, sides
 from .qfield import (RF_ONE, RF_ZERO, LaurentPoly, RatFunc, check_admissible,
                      laurent_matmul, q_power, qint)
-from .report import VerificationReport, check
+from .report import ConsistencyError, VerificationReport, check
 
 CHEVALLEY_GENS = ("k", "k^-1", "e", "f")
 EQUITABLE_GENS = ("x", "x^-1", "y", "z")
+# the entry types of a matrix: a Matrix takes one as a scalar operand
+_SCALARS = (int, Fraction, RatFunc)
 
 
 class Matrix:
@@ -87,22 +92,34 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("matrix dimensions do not match")
 
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
+    def _entrywise(self, other, op):
+        # self op other, entry by entry; a scalar operand c is c*I, which
+        # meets the diagonal alone
+        if isinstance(other, Matrix):
+            self._check_same_shape(other)
+            return Matrix([list(map(op, r1, r2)) for r1, r2 in zip(self.rows, other.rows)])
+        if not isinstance(other, _SCALARS):
             return NotImplemented
-        self._check_same_shape(other)
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
+        if self.nrows != self.ncols:
+            raise ValueError("a scalar is c*I, which only a square matrix meets")
+        rows = [list(r) for r in self.rows]
+        for i, row in enumerate(rows):
+            row[i] = op(row[i], other)
+        return Matrix(rows)
+
+    def __add__(self, other):
+        return self._entrywise(other, add)
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_same_shape(other)
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
+        return self._entrywise(other, sub)
+
+    __radd__ = __add__
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
+        if isinstance(other, _SCALARS):
             return self.scalar_mul(other)  # a scalar commutes with every entry
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -134,10 +151,7 @@ class Matrix:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("matrix power wants a nonnegative integer")
-        result = Matrix.identity(self.nrows, self._one_like())
-        for _ in range(n):
-            result = result * self
-        return result
+        return reduce(mul, [self] * n, Matrix.identity(self.nrows, self._one_like()))
 
     def is_zero(self):
         return all(not x for row in self.rows for x in row)
@@ -324,14 +338,8 @@ def build_equitable(spec):
 
 def change_of_basis(spec):
     """Diagonal matrix D with u_i = D_ii v_i relating the two bases blockwise."""
-    entries = []
-    for n, eps in spec.summands:
-        gamma = RF_ONE
-        entries.append(gamma)
-        for i in range(1, n + 1):
-            gamma = gamma * (q_power(n - i) * (-eps))
-            entries.append(gamma)
-    return Matrix.diag(entries)
+    return Matrix.diag([gamma for n, eps in spec.summands for gamma in accumulate(
+        (q_power(n - i) * (-eps) for i in range(1, n + 1)), mul, initial=RF_ONE)])
 
 
 def evaluate(element, rep):
@@ -400,9 +408,11 @@ class ScalarContext:
         return Fraction(v)
 
     def matrix(self, m):
-        if self.q0 is None:
-            return m
-        return m.map_entries(lambda x: x.evaluate(self.q0))
+        return m if self.q0 is None else m.map_entries(lambda x: x.evaluate(self.q0))
+
+
+class RecipeError(ConsistencyError):
+    """A recipe of a module environment that raised, named by the keys it builds."""
 
 
 def _recipe_index(table):
@@ -462,7 +472,12 @@ class _ModuleEnv(dict):
 
     def __missing__(self, key):
         keys, recipe = self.recipes[key]
-        self.update(zip(keys, recipe(self)))
+        try:
+            self.update(zip(keys, recipe(self)))
+        except (ZeroDivisionError, ConsistencyError) as err:
+            if isinstance(err, RecipeError):
+                raise  # the innermost recipe that raised names itself once
+            raise RecipeError("%s not built: %s" % (", ".join(keys), err)) from err
         return self[key]
 
 
@@ -472,14 +487,19 @@ def _low_diag(env):
             for _, n, eps in env["spec"].blocks() for i in range(n + 1)]
 
 
+def _matrix_sides(env, text, presentation, leaves):
+    # each side of text folded over leaves and env's scalars; a side that
+    # folds to a bare scalar c is c*I
+    return [s if isinstance(s, Matrix) else Matrix.identity(env["spec"].dim, s)
+            for s in sides(text, presentation, env["sc"].scal, leaves)]
+
+
 def _relation_rows(env, basis):
-    # the rows of the defining relations of basis, each folded over env's
-    # generators; a side that folds to a bare scalar c is compared as c*I
-    sc, ident, mod = env["sc"], env["I"], env["spec"].json_obj()
-    return [check("module:%s:" % basis + text, mod, holds(
-        [s if isinstance(s, Matrix) else ident * s
-         for s in sides(text, basis, sc.scal, env.__getitem__)]))
-        for text in RELATIONS[basis]]
+    # the rows of the defining relations of basis, each folded over env's generators
+    mod = env["spec"].json_obj()
+    return [check("module:%s:" % basis + text, mod,
+                  holds(_matrix_sides(env, text, basis, env.__getitem__)))
+            for text in RELATIONS[basis]]
 
 
 def _equitable_report(env):
@@ -503,7 +523,7 @@ def _equitable_report(env):
             if ok and sc.q0 is None:
                 # determinant is +-1, so the inverse has Laurent entries
                 ok = all(x.is_polynomial() for row in Minv.rows for x in row)
-        except ZeroDivisionError:
+        except RecipeError:
             ok = False
         entries.append(check("module:invertible:%s" % name, mod, ok))
     zero = sc.one - sc.one

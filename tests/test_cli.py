@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -510,6 +512,9 @@ _CORPUS = [
     (["verify", "modules", "--nmax", "0", "--q-spot", "181"], 2),
     (["verify", "all", "--nmax", "17"], 2),
     (["verify", "gamma", "--window", "33"], 2),
+    (["normalize", "--presentation", "equitable", "exp_q(n_x)"], 2),
+    (["normalize", "--presentation", "equitable", "Omega"], 2),
+    (["normalize", "--presentation", "equitable", "y^-1"], 2),
 ]
 
 
@@ -589,3 +594,98 @@ def test_layer_trace_finds_every_program_name():
          "import uqsl2.cli, layertrace; layertrace.install(layertrace.Tracer())"],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("exp_q(n_x)", "parse error at position 4: unexpected character '_'"),
+    ("Omega", "parse error at position 1: unknown symbol 'Omega' for equitable presentation"),
+    ("y^-1", "parse error at position 2: negative power of non-invertible generator 'y'"),
+], ids=["exp_q", "Omega", "y^-1"])
+def test_operator_names_are_not_user_input(runner, expr, message):
+    # the operator alphabet of qexpops is not reachable from user input
+    res = runner.invoke(main, ["normalize", "--presentation", "equitable", expr])
+    assert res.exit_code == 2
+    assert res.output.endswith("Error: %s\n" % message)
+
+
+def _break_recipe(monkeypatch, key, broken):
+    # the recipe that builds key, and every other key it builds, replaced by
+    # broken(env, recipe)
+    keys, recipe = _OperatorEnv.recipes[key]
+    for k in keys:
+        monkeypatch.setitem(_OperatorEnv.recipes, k,
+                            (keys, lambda env: broken(env, recipe)))
+
+
+def _singular_y(env, recipe):
+    # y with row 0 zeroed in the environments at a point: the symbolic
+    # series of the n_a it breaks would run for about a minute
+    mat = Matrix(recipe(env)[0].rows)
+    if env["sc"].q0 is not None:
+        mat.rows[0] = [x * 0 for x in mat.rows[0]]
+    return [mat]
+
+
+def _psi_of_a_broken_x(env, recipe):
+    # x broken inside the Psi recipe alone: one more entry below its diagonal
+    rep = env["rep"]
+    x = Matrix(rep.action["x"].rows)
+    x.rows[-1][0] = x.rows[-1][0] + 1
+    return recipe(dict(env, rep=replace(rep, action=dict(rep.action, x=x))))
+
+
+@pytest.mark.parametrize("key,broken,reads,witness", [
+    ("y", _singular_y, ("y^-1",), "y^-1 not built: matrix is singular"),
+    ("Psi", _psi_of_a_broken_x, ("Psi", "Omega"), "Psi, Psi^-1 not built: x"),
+], ids=["singular-y", "psi-of-a-broken-x"])
+def test_a_recipe_that_raises_fails_the_rows_that_read_it(runner, monkeypatch, key,
+                                                          broken, reads, witness):
+    # the recipe's message is the witness of each row that reads it; every
+    # row that does not is printed as before
+    args = ["verify", "operators", "--nmax", "1", "--q-spot", "1"]
+    code, good = _rows_and_exit(runner, args)
+    assert code == 0
+    _break_recipe(monkeypatch, key, broken)
+    code, rows = _rows_and_exit(runner, args)
+    assert code == 1
+    assert [e["identity"] for e in rows] == [e["identity"] for e in good]
+    named = [e for e in rows if e.get("witness", "").startswith(witness)]
+    assert named
+    for e, before in zip(rows, good):
+        if e in named:
+            assert e["status"] == "fail"
+            assert any(leaf in e["identity"] for leaf in reads)
+        elif key == "Psi" or "@q=" not in e["identity"]:
+            assert e == before
+
+
+def test_verify_grid_has_one_budget(runner):
+    # the work of the (module, point) grid is checked before the first row
+    start = time.perf_counter()
+    res = runner.invoke(main, ["verify", "all", "--nmax", "16", "--q-spot", "180"])
+    assert res.exit_code == 2 and time.perf_counter() - start < 1
+    assert "grid of verify: work in units 765296040 exceeds the budget of 30000000" in res.output
+    with pytest.raises(click.UsageError):
+        cli._grid(16, 7)
+    # the grids that the tests, README and CI run, and the largest ones
+    for nmax, q_spot in ((16, 0), (16, 6), (12, 20), (8, 4), (6, 3), (3, 1), (0, 180)):
+        specs, points = cli._grid(nmax, q_spot)
+        assert (len(specs), len(points)) == (2 * nmax + 4, q_spot + 1)
+
+
+def test_eval_rep_folds_scalars_as_scalars(runner, monkeypatch):
+    # a scalar scales a matrix entrywise; only a product of two module
+    # matrices multiplies matrices
+    products = []
+    real = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__", lambda self, other: (
+        products.append(other) if isinstance(other, Matrix) else None) or real(self, other))
+    for expr, count, output in (
+            ("q*e", 0, "[[0, 21/2, 0, 0], [0, 0, 5, 0], [0, 0, 0, 2], [0, 0, 0, 0]]"),
+            ("e*f", 1, "[[21/4, 0, 0, 0], [0, 25/4, 0, 0], [0, 0, 21/4, 0], [0, 0, 0, 0]]"),
+            ("2 + q*e*q - k", 0,
+             "[[-6, 21, 0, 0], [0, 0, 10, 0], [0, 0, 3/2, 4], [0, 0, 0, 15/8]]"),
+            ("q", 0, "[[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]")):
+        products.clear()
+        res = runner.invoke(main, ["eval", "--q", "2", "--rep", "3,+1", "--", expr])
+        assert (res.exit_code, res.output, len(products)) == (0, output + "\n", count)

@@ -1,5 +1,6 @@
 """Tests for the q-exponential operators and their identity suites."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -341,3 +342,37 @@ def test_exp_recurrence_matches_common_denominator_formula():
                     assert exp == _common_denominator_exp(mat, index, sc, False)
                     assert inv == _common_denominator_exp(mat, index, sc, True)
                     assert _exp_series(mat, sc, index)[:2] == (exp, inv)
+
+
+def _swap_identity(monkeypatch, old, new):
+    # the operator table with one entry replaced
+    table = qexpops.OPERATOR_IDENTITIES
+    assert any(old in texts for _, _, texts in table)
+    monkeypatch.setattr(qexpops, "OPERATOR_IDENTITIES", tuple(
+        (prefix, rotated, tuple(new if text == old else text for text in texts))
+        for prefix, rotated, texts in table))
+
+
+def test_a_false_table_entry_fails_its_three_rotated_rows(monkeypatch):
+    # every conj: row folds the table's text, so a false entry fails its
+    # rotations on x, y and z and nothing else, symbolically and at a point
+    _swap_identity(monkeypatch, "exp_q(n_x)^-1*z*exp_q(n_x)=y^-1",
+                   "exp_q(n_x)^-1*z*exp_q(n_x)=y")
+    for q0 in [None] + spot_points(1):
+        for rep in (_rep(2, 1), build_equitable(ModuleSpec(((1, 1), (2, -1))))):
+            report = verify_conjugation_suite(rep, q0)
+            assert len(report.entries) == (38 if rep.spec.is_single else 37)
+            assert [e.identity for e in report.failures] == [
+                "conj:exp_q(n_x)^-1*z*exp_q(n_x)=y", "conj:exp_q(n_y)^-1*x*exp_q(n_y)=z",
+                "conj:exp_q(n_z)^-1*y*exp_q(n_z)=x"]
+
+
+@pytest.mark.parametrize("old,new,failed", [
+    ("Omega*Omega^-1=1", "Omega*Omega^-1=q", "omega:Omega*Omega^-1=q"),
+    ("exp_q(n_x)*exp_q(n_x)^-1=1", "exp_q(n_x)*exp_q(n_x)^-1=q",
+     "expq:exp_q(n_y)*exp_q(n_y)^-1=q"),
+], ids=["omega", "expq"])
+def test_omega_checks_the_table_rows_it_rests_on(monkeypatch, old, new, failed):
+    _swap_identity(monkeypatch, old, new)
+    with pytest.raises(ConsistencyError, match="^FAIL  %s  @ n=2,eps=1" % re.escape(failed)):
+        omega(_rep(2, 1))
