@@ -218,11 +218,13 @@ class LaurentPoly:
         return self.terms[max(self.terms)]
 
     def evaluate(self, q0):
-        q0 = Fraction(q0)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            total += c * q0 ** e
-        return total
+        # with q0 = p/r, the sum of c p^e r^-e is (sum of c p^(e-lo) r^(hi-e))
+        # p^lo / r^hi: one integer sum (for integer c), reduced once
+        p, r = Fraction(q0).as_integer_ratio()
+        lo, hi = min(self.terms, default=0), max(self.terms, default=0)
+        total = sum(c * p ** (e - lo) * r ** (hi - e) for e, c in self.terms.items())
+        return Fraction(total * p ** max(lo, 0) * r ** max(-hi, 0),
+                        r ** max(hi, 0) * p ** max(-lo, 0))
 
     def __str__(self):
         if not self.terms:

@@ -146,7 +146,7 @@ class Matrix:
     __rmul__ = __mul__  # reached only with a scalar on the left
 
     def scalar_mul(self, c):
-        return Matrix([[x * c for x in row] for row in self.rows])
+        return Matrix([[x * c if x else x for x in row] for row in self.rows])
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

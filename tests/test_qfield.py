@@ -218,6 +218,16 @@ def test_specialize_is_a_homomorphism(f, g):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(-30, 30), _coeffs | st.fractions(max_denominator=9)).map(
+    LaurentPoly))
+def test_laurent_evaluate_is_the_sum_of_its_terms(p):
+    for q0 in [3, Fraction(-1, 3), *_POINTS]:
+        value = p.evaluate(q0)
+        assert type(value) is Fraction
+        assert value == sum((c * Fraction(q0) ** e for e, c in p.terms.items()), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
 @given(_ratfuncs(), _ratfuncs())
 def test_canonical_equality_agrees_with_specialization(f, g):
     try:
