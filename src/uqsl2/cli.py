@@ -9,7 +9,9 @@ of both bases, and visits each (module, point) once with the environment
 derived from it, which its module rows (both bases) and operator rows read.
 """
 
+import os
 import random
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -48,10 +50,16 @@ MAX_WINDOW = 32
 # {0, 1, -1}: there are 180 such points
 MAX_Q_SPOT = 180
 
-_FORMAT_OPTION = click.option(
-    "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
-    envvar="UQSL2_FORMAT", show_default=True, help="Output format.")
 
+def _format_option(*formats):
+    # --format, by default UQSL2_FORMAT where the command offers that format,
+    # else text
+    def default():
+        fmt = os.environ.get("UQSL2_FORMAT")
+        return fmt if fmt in formats else "text"
+
+    return click.option("--format", "fmt", type=click.Choice(formats), default=default,
+                        show_default="text, or UQSL2_FORMAT", help="Output format.")
 
 @click.group()
 def main():
@@ -82,7 +90,7 @@ def _eps_value(text):
 @click.argument("expr")
 @click.option("--presentation", type=click.Choice(["chevalley", "equitable"]),
               default="chevalley", show_default=True)
-@_FORMAT_OPTION
+@_format_option("text", "json")
 def normalize(expr, presentation, fmt):
     """Print the PBW normal form of EXPR."""
     ast = _parse_or_usage(expr, presentation)
@@ -115,9 +123,7 @@ def _emit_matrix(spec, basis, gen, matrix, fmt):
 @click.option("--basis", type=click.Choice(["equitable", "chevalley"]),
               default="equitable", show_default=True)
 @click.option("--gen", required=True)
-@click.option("--format", "fmt",
-              type=click.Choice(["text", "json", "csv", "latex"]),
-              default="text", envvar="UQSL2_FORMAT", show_default=True)
+@_format_option("text", "json", "csv", "latex")
 def rep(n, eps, basis, gen, fmt):
     """Print one generator matrix of the simple module L(n, eps)."""
     eps = _eps_value(eps)
@@ -135,7 +141,7 @@ def rep(n, eps, basis, gen, fmt):
 @click.option("--eps", required=True)
 @click.option("--mode", type=click.Choice(["compositional", "closed-form", "check"]),
               default="compositional", show_default=True)
-@_FORMAT_OPTION
+@_format_option("text", "json")
 def omega_cmd(n, eps, mode, fmt):
     """Print Omega on L(n, eps), or check its two constructions against each other."""
     eps = _eps_value(eps)
@@ -239,7 +245,7 @@ def _emit_report(report, fmt):
 @click.option("--q-spot", "q_spot", type=click.IntRange(min=0, max=MAX_Q_SPOT), default=0,
               show_default=True,
               help="Also re-check matrix suites at this many random admissible q values.")
-@_FORMAT_OPTION
+@_format_option("text", "json")
 def verify(scope, nmax, window, q_spot, fmt):
     """Run the verification battery for SCOPE and report every identity."""
     specs, points = (_grid(nmax, q_spot) if scope in ("modules", "operators", "all")
@@ -356,6 +362,11 @@ class _Budgeted:
             lambda v: v.evaluate(q0))).matrix
 
 
+# --q: a or a/b, each with at most the digits of an integer literal, so
+# that no number is read past the budget
+_Q_POINT = re.compile(r"\s*([+-]?\d{1,%d})(?:/(\d{1,%d}))?\s*" % ((exprio._MAX_DIGITS,) * 2))
+
+
 @main.command(name="eval")
 @click.argument("expr", required=False)
 @click.option("--expr", "expr_opt", default=None,
@@ -372,10 +383,11 @@ def eval_cmd(expr, expr_opt, presentation, q_text, rep_text):
     text = expr_opt if expr is None else expr
     if text is None:
         raise click.UsageError("missing expression")
-    try:
-        q0 = Fraction(q_text)
-    except (ValueError, ZeroDivisionError):
-        raise click.UsageError("--q wants a rational number, got %r" % q_text)
+    point = _Q_POINT.fullmatch(q_text)
+    if point is None or point[2] is not None and not int(point[2]):
+        raise click.UsageError("--q wants a rational number a or a/b, b > 0, each of at "
+                               "most %d digits" % exprio._MAX_DIGITS)
+    q0 = Fraction(int(point[1]), int(point[2] or 1))
     try:
         check_admissible(q0)
     except SpecializationError as err:

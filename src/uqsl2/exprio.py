@@ -9,15 +9,16 @@ Grammar (whitespace ignored, error positions are 1-based):
 
 NAME is a generator letter of the active presentation (k, e, f or x, y, z;
 inverses are spelled k^-1, x^-1) or the distinguished scalar q.  The
-private operator alphabet of qexpops, which no CLI option selects, has no
-letters: its leaves are the keys of the operator environment, spelled as
-they print (exp_q(n_x), exp_q(n_x)^-1, n_x, y^-1, Psi^-1, Omega^3, ...),
-and a word of leaves joined by '*' (exp_q(n_x)*y) reads as one leaf named
-by its text, so that its caller can keep each product it folds.  '*' is
-mandatory; juxtaposition is not multiplication.  '/' requires its right
-operand to be (or fold to) a nonzero scalar.  Subexpressions built only
-from q and numbers fold into ScalarLiteral nodes during parsing, so a
-parsed tree is always in folded form and render/parse round-trip exactly.
+private operator alphabet of qexpops and ncore, which no CLI option
+selects, has no letters: its leaves are the keys of the operator
+environment, spelled as they print (exp_q(n_x), exp_q(n_x)^-1, n_x, y^-1,
+Psi^-1, Omega^3, ...), and a word of leaves joined by '*' (exp_q(n_x)*y)
+reads as one leaf named by its text, so that its caller can keep each
+product it folds.  '*' is mandatory; juxtaposition is not multiplication.
+'/' requires its right operand to be (or fold to) a nonzero scalar.
+Subexpressions built only from q and numbers fold into ScalarLiteral nodes
+during parsing, so a parsed tree is always in folded form and render/parse
+round-trip exactly.
 
 Parentheses and unary minus may nest at most MAX_NESTING (100) levels deep,
 counted together; deeper input is a ParseError at the first token past the
@@ -78,9 +79,22 @@ _OPERATORS = "operators"
 _OPERATOR_LEAF = (r"exp_q\(n_[xyz]\)(?:\^-1)?|n_[xyz]|Omega(?:\^-1|\^3)?|Psi(?:\^-1)?"
                   r"|[xyz](?:\^-1)?")
 _OPERATOR_WORD = re.compile(r"(?:{0})(?:\*(?:{0}))*".format(_OPERATOR_LEAF))
+# the letter that names the axis of a leaf (x, x^-1, n_x, exp_q(n_x)^-1 and
+# the equitable letters), never one of a longer name (the x of exp_q)
+_AXIS = re.compile(r"(?<![a-z])[xyz]")
+
 
 _LETTERS = {CHEVALLEY: ("k", "e", "f"), EQUITABLE: ("x", "y", "z"), _OPERATORS: ()}
 _INVERSE_OF = {"k": "k^-1", "k^-1": "k", "x": "x^-1", "x^-1": "x"}
+
+
+def rotated(texts):
+    """texts, then their images under x -> y -> z -> x, then the images of
+    those: each leaf is renamed whole, by the letter that names its axis."""
+    out = list(texts)
+    for _ in range(2 * len(texts)):  # each one rotation past the text len(texts) back
+        out.append(_AXIS.sub(lambda m: "yzx"["xyz".index(m[0])], out[-len(texts)]))
+    return tuple(out)
 
 
 class ParseError(ValueError):

@@ -1,13 +1,16 @@
 """PBW normal forms and presentation maps for the quantum algebra U_q(sl2).
 
-RELATIONS, IMAGES and N_DEFINITIONS are the one statement of the defining
-relations of the Chevalley generators k, k^-1, e, f and of the equitable
-generators x, x^-1, y, z, of the isomorphism between the two presentations
-in both directions, and of the two definitions of each nilpotent element
-n_a, each written as the text that its report rows print.  sides() parses
-a formula once per process and folds each side with exprio.fold over the
-caller's leaves, so the same text is checked in the algebra, on module
-matrices and on window modules, and builds the two isomorphisms.
+RELATIONS, IMAGES, N_DEFINITIONS and N_COMMUTATIONS are the one statement
+of the defining relations of the Chevalley generators k, k^-1, e, f and of
+the equitable generators x, x^-1, y, z, of the isomorphism between the two
+presentations in both directions, of the two definitions of each nilpotent
+element n_a and of its q-commutations, each written as the text that its
+report rows print; a family rotated x -> y -> z (exprio.rotated) is written
+once, for x.  sides() parses a formula once per process and folds each
+side with exprio.fold over the caller's leaves, so the same text is checked
+in the algebra, on module matrices and on window modules, and builds the
+two isomorphisms.  Each row compares its sides with report.compare, whose
+witness here is their difference.
 
 Every element has a unique normal form as a Q(q)-linear combination of
 PBW monomials f^a k^b e^c (a, c >= 0, b in Z).  Monomials multiply in closed
@@ -30,13 +33,13 @@ normal forms are well defined.
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from operator import itemgetter, mul
 
 from . import exprio
-from .exprio import CHEVALLEY, EQUITABLE
+from .exprio import _OPERATORS, CHEVALLEY, EQUITABLE
 from .qfield import CQ, RF_ONE, RatFunc, q_power, qbinom, qfact
-from .report import VerificationReport, check
+from .report import VerificationReport, compare
 
 _F, _E = itemgetter(0), itemgetter(2)  # the exponents of f and e in a monomial
 
@@ -55,8 +58,10 @@ IMAGES = {
                 "e": "(1-x*z)*(q^-1/(q-q^-1))"},
 }
 # the two defining expressions of (q - q^-1) n_a, in equitable letters
-N_DEFINITIONS = {"x": "q*(1-y*z)=q^-1*(1-z*y)", "y": "q*(1-z*x)=q^-1*(1-x*z)",
-                 "z": "q*(1-x*y)=q^-1*(1-y*x)"}
+N_DEFINITIONS = dict(zip("xyz", exprio.rotated(("q*(1-y*z)=q^-1*(1-z*y)",))))
+# the q-commutations of x with n_y and n_z, in the operator alphabet; their
+# rotations are those of y and z
+N_COMMUTATIONS = ("x*n_y=q^2*n_y*x", "x*n_z=q^-2*n_z*x")
 
 
 @lru_cache(maxsize=None)
@@ -68,11 +73,6 @@ def sides(text, presentation, scalar, generator):
     """Each side of a formula written in the letters of presentation, folded
     (exprio.fold) over the caller's scalar and generator leaves."""
     return [exprio.fold(side, scalar, generator) for side in _parsed(text, presentation)]
-
-
-def holds(values):
-    """Whether the folded sides of a formula are all equal."""
-    return all(v == values[0] for v in values[1:])
 
 
 # rewrite rules over the letter alphabet f < k, K < e (K stands for k^-1);
@@ -392,30 +392,24 @@ def from_equitable(expr):
     return exprio.fold(expr, AlgebraElement.scalar, equitable_image)
 
 
-def to_equitable_generators(gen):
-    """Equitable NCExpr whose Chevalley image is the named generator."""
-    text = IMAGES[CHEVALLEY].get(gen)
-    if text is None:
-        raise ValueError("unknown Chevalley generator %r" % (gen,))
-    return _parsed(text, EQUITABLE)[0]
+def _routes(w):
+    # the normal forms of a word w of three letters, rewritten first at its
+    # left pair and first at its right pair
+    routes = []
+    for pos in (0, 1):
+        combo = {}
+        for coeff, repl in _RULES[w[pos : pos + 2]]:
+            nw = w[:pos] + repl + w[pos + 2 :]
+            combo[nw] = combo.get(nw, RF_ONE * 0) + coeff
+        routes.append(_rewrite(combo))
+    return routes
 
 
 def critical_pair_entries():
     """Check every overlap ambiguity of the rewriting system resolves."""
     overlaps = sorted({u + v[1:] for u in _RULES for v in _RULES if u[1] == v[0]})
-    entries = []
-    for w in overlaps:
-        routes = []
-        for pos in (0, 1):
-            combo = {}
-            for coeff, repl in _RULES[w[pos : pos + 2]]:
-                nw = w[:pos] + repl + w[pos + 2 :]
-                combo[nw] = combo.get(nw, RF_ONE * 0) + coeff
-            routes.append(_rewrite(combo))
-        ok = routes[0] == routes[1]
-        entries.append(check("confluence:overlap:%s" % w, None, ok,
-                             None if ok else "%r != %r" % (routes[0], routes[1])))
-    return entries
+    return [compare("confluence:overlap:%s" % w, None, lambda: _routes(w),
+                    lambda a, b: "%r != %r" % (a, b)) for w in overlaps]
 
 
 def verify_confluence():
@@ -423,16 +417,25 @@ def verify_confluence():
     return VerificationReport(critical_pair_entries())
 
 
+def _difference(lhs, rhs):
+    # the witness of a row whose sides, elements of the algebra, differ
+    return str(lhs - rhs)
+
+
+def _in_algebra(text):
+    # the sides of a formula in equitable letters, folded in the algebra
+    return sides(text, EQUITABLE, AlgebraElement.scalar, equitable_image)
+
+
 def verify_presentation_iso():
     """Check the equitable <-> Chevalley correspondence is an isomorphism."""
-    entries = [check("iso:relation:" + text, None, holds(
-        sides(text, EQUITABLE, AlgebraElement.scalar, equitable_image)))
-        for text in RELATIONS[EQUITABLE]]
-    for gen in IMAGES[CHEVALLEY]:
-        image = from_equitable(to_equitable_generators(gen))
-        entries.append(check("iso:composite:%s" % gen, None,
-                             image == AlgebraElement.generator(gen)))
-    return VerificationReport(entries)
+    relations = [compare("iso:relation:" + text, None, lambda: _in_algebra(text), _difference)
+                 for text in RELATIONS[EQUITABLE]]
+    # each Chevalley generator against the equitable text of its image
+    composites = [compare("iso:composite:%s" % gen, None,
+                          lambda: _in_algebra(text) + [AlgebraElement.generator(gen)],
+                          _difference) for gen, text in IMAGES[CHEVALLEY].items()]
+    return VerificationReport(relations + composites)
 
 
 _auto_checked = set()
@@ -453,7 +456,9 @@ def apply_automorphism(element, i, alpha):
         # the images must satisfy the defining relations
         images = {"k": k, "k^-1": AlgebraElement.generator("k^-1"), "e": e_img, "f": f_img}
         for text in RELATIONS[CHEVALLEY]:
-            if not holds(sides(text, CHEVALLEY, AlgebraElement.scalar, images.__getitem__)):
+            row = compare(text, None, lambda: sides(
+                text, CHEVALLEY, AlgebraElement.scalar, images.__getitem__), _difference)
+            if row.status != "pass":
                 raise RuntimeError("the images of e and f under the automorphism "
                                    "(i=%d, alpha=%s) break %s" % (i, alpha, text))
         _auto_checked.add((i, alpha))
@@ -471,27 +476,21 @@ def _n_sides(axis):
     text = N_DEFINITIONS.get(axis)
     if text is None:
         raise ValueError("axis must be one of x, y, z")
-    return tuple(side * CQ for side in sides(text, EQUITABLE, AlgebraElement.scalar,
-                                             equitable_image))
-
-
-def _eq_entry(identity, lhs, rhs):
-    # one row: pass when lhs == rhs, else fail with lhs - rhs as its witness
-    ok = lhs == rhs
-    return check(identity, None, ok, None if ok else str(lhs - rhs))
+    return tuple(side * CQ for side in _in_algebra(text))
 
 
 def _ndef_entry(axis):
     # the row of verify_n_definitions for n_axis
-    left, right = _n_sides(axis)  # raises first on an unknown axis
-    return _eq_entry("ndef:n_%s:" % axis + N_DEFINITIONS[axis], left, right)
+    return compare("ndef:n_%s:" % axis + N_DEFINITIONS[axis], None,
+                   lambda: _n_sides(axis), _difference)
 
 
 def n_element(axis):
     """The nilpotent element n_axis = q(1 - next*prev)/(q - q^-1) in normal form;
     raises ConsistencyError when its two defining expressions disagree."""
+    value = _n_sides(axis)[0]  # raises first on an unknown axis
     VerificationReport([_ndef_entry(axis)]).require()
-    return _n_sides(axis)[0]
+    return value
 
 
 def verify_n_definitions():
@@ -499,19 +498,24 @@ def verify_n_definitions():
     return VerificationReport([_ndef_entry(axis) for axis in ("x", "y", "z")])
 
 
+def _operator_word(word):
+    # a word of the operator alphabet, as the product of its leaves: an
+    # equitable generator's image, or n_a from its first definition
+    return reduce(mul, (_n_sides(leaf[2:])[0] if leaf.startswith("n_") else equitable_image(leaf)
+                        for leaf in word.split("*")))
+
+
 def verify_n_commutation():
     """The six q-commutation relations between generators and n-elements."""
-    gens = {g: equitable_image(g) for g in ("x", "y", "z")}
-    return VerificationReport([
-        _eq_entry("ncomm:%s*n_%s=q^%d*n_%s*%s" % (g, axis, exp, axis, g),
-                  gens[g] * _n_sides(axis)[0], _n_sides(axis)[0] * gens[g] * q_power(exp))
-        for g, axis, exp in (("x", "y", 2), ("x", "z", -2), ("y", "z", 2),
-                             ("y", "x", -2), ("z", "x", 2), ("z", "y", -2))])
+    return VerificationReport([compare(
+        "ncomm:" + text, None,
+        lambda: sides(text, _OPERATORS, AlgebraElement.scalar, _operator_word), _difference)
+        for text in exprio.rotated(N_COMMUTATIONS)])
 
 
 def verify_n_preimages():
     """n_y and n_z match their Chevalley preimages e and -q*k*f."""
     kf = AlgebraElement.generator("k") * AlgebraElement.generator("f")
-    return VerificationReport([
-        _eq_entry("npre:n_y=e", _n_sides("y")[0], AlgebraElement.generator("e")),
-        _eq_entry("npre:n_z=-q*k*f", _n_sides("z")[0], kf * (-q_power(1)))])
+    preimages = {"y": ("e", AlgebraElement.generator("e")), "z": ("-q*k*f", kf * -q_power(1))}
+    return VerificationReport([compare("npre:n_%s=%s" % (a, text), None, lambda: (
+        _n_sides(a)[0], value), _difference) for a, (text, value) in preimages.items()])

@@ -7,14 +7,16 @@ rotates x -> y -> z -> x under conjugation, and Omega^3 is central.
 
 OPERATOR_IDENTITIES is the one statement of the operator identities, each
 written as the text its row prints after "expq:", "conj:", "psi:" or
-"omega:", a rotated family once, for the x axis.  Each row folds its text
-with ncore.sides over the operator environment of its module, in the
-operator alphabet of exprio, and so do the "rewrite:" rows and the n_a
-recipe, from ncore.N_DEFINITIONS.  Its leaves are the env keys, spelled as
-they print: x, x^-1, y, z, y^-1, z^-1, n_a, exp_q(n_a), exp_q(n_a)^-1, Psi,
-Psi^-1, Omega, Omega^-1 and Omega^3.  A word such as exp_q(n_x)*y is the
-env's product when it has one (y*z), else its left prefix times its last
-leaf, kept for the length of one report if the report reads it again.
+"omega:", a family rotated x -> y -> z once, for the x axis
+(exprio.rotated).  Each row folds its text with ncore.sides over the
+operator environment of its module, in the operator alphabet of exprio,
+and so do the "rewrite:" rows and the n_a recipe, from ncore.N_DEFINITIONS;
+report.compare builds the row, with repmod.matrix_witness.  Its leaves are
+the env keys, spelled as they print: x, x^-1, y, z, y^-1, z^-1, n_a,
+exp_q(n_a), exp_q(n_a)^-1, Psi, Psi^-1, Omega, Omega^-1 and Omega^3.  A
+word such as exp_q(n_x)*y is the env's product when it has one (y*z), else
+its left prefix times its last leaf, kept for the length of one report if
+the report reads it again.
 
 ``_OperatorEnv`` extends the module environment ``repmod._ModuleEnv`` by one
 recipe per operator, built when first read, then kept: n_a, exp_q(n_a) with
@@ -33,12 +35,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exprio import _OPERATOR_LEAF, _OPERATOR_WORD, _OPERATORS
+from .exprio import _OPERATOR_LEAF, _OPERATOR_WORD, _OPERATORS, rotated
 from .ncore import N_DEFINITIONS
 from .qfield import CQ, RF_ZERO, RatFunc, q_power, qbinom, qint
-from .repmod import (Matrix, ModuleSpec, RecipeError, ScalarContext, _eq_entry,
-                     _matrix_sides, _ModuleEnv, _recipe_index, build_equitable)
-from .report import ConsistencyError, VerificationReport, check
+from .repmod import (Matrix, ModuleSpec, ScalarContext, _matrix_sides, _ModuleEnv,
+                     _recipe_index, build_equitable, matrix_witness)
+from .report import ConsistencyError, VerificationReport, check, compare
 
 _AXES = ("x", "y", "z")
 
@@ -58,29 +60,18 @@ OPERATOR_IDENTITIES = (
     ("omega", True, ("Omega^3*x=x*Omega^3",)),
 )
 
-
-def _axis_leaves(a):
-    return (a, a + "^-1", "n_" + a, "exp_q(n_" + a + ")", "exp_q(n_" + a + ")^-1")
-
-
-# each leaf of an axis and its image under x -> y -> z -> x: leaves are
-# renamed whole, never letter by letter (exp_q holds an x)
 _LEAF = re.compile(_OPERATOR_LEAF)
-_ROTATED = {leaf: image for a, b in zip("xyz", "yzx")
-            for leaf, image in zip(_axis_leaves(a), _axis_leaves(b))}
 # the leaves Omega and Omega^-1 are built from, besides Psi
-_OMEGA_LEAVES = {"Omega", "Omega^-1", *_axis_leaves("y")[3:], *_axis_leaves("z")[3:]}
+_OMEGA_LEAVES = {"Omega", "Omega^-1", *rotated(("exp_q(n_x)", "exp_q(n_x)^-1"))[2:]}
 
 
 @lru_cache(maxsize=None)
 def _formulas(table):
     """(prefix, text) of each row of an identity table, in row order, and
     the words that they read more than once, whole or as a left prefix."""
-    rows, counts = [], Counter()
-    for prefix, rotated, texts in table:
-        for _ in range(3 if rotated else 1):
-            rows += [(prefix, text) for text in texts]
-            texts = [_LEAF.sub(lambda m: _ROTATED.get(m[0], m[0]), text) for text in texts]
+    rows = [(prefix, text) for prefix, rotates, texts in table
+            for text in (rotated(texts) if rotates else texts)]
+    counts = Counter()
     for word in (word for _, text in rows for word in _OPERATOR_WORD.findall(text)):
         leaves = word.split("*")
         counts.update("*".join(leaves[:i]) for i in range(2, len(leaves) + 1))
@@ -206,20 +197,11 @@ class _Words(dict):
         return value
 
 
-def _entry(identity, mod, build):
-    # the row of identity, whose two sides build() returns; a recipe that
-    # raises fails the row, with its message as the witness
-    try:
-        lhs, rhs = build()
-    except RecipeError as err:
-        return check(identity, mod, False, witness=str(err))
-    return _eq_entry(identity, mod, lhs, rhs)
-
-
 def _formula_row(words, prefix, text):
     # the row prefix:text, its sides folded over words
-    return _entry(prefix + ":" + text, words.mod,
-                  lambda: _matrix_sides(words.env, text, _OPERATORS, words.__getitem__))
+    return compare(prefix + ":" + text, words.mod,
+                   lambda: _matrix_sides(words.env, text, _OPERATORS, words.__getitem__),
+                   matrix_witness)
 
 
 def _nilpotent_row(words, a):
@@ -256,8 +238,8 @@ def exp_q(op):
 def exp_q_inverse(op):
     """exp_{q^-1}(-T), once its product with exp_q(T) is checked to be 1."""
     exp, inv, _ = _exp_series(op.matrix, ScalarContext(), op.nil_index)
-    VerificationReport([_eq_entry("expq:exp_q(T)*exp_q(T)^-1=1", None, exp * inv,
-                                  Matrix.identity(len(inv.rows)))]).require()
+    VerificationReport([compare("expq:exp_q(T)*exp_q(T)^-1=1", None, lambda: (
+        exp * inv, Matrix.identity(len(inv.rows))), matrix_witness)]).require()
     return inv
 
 
@@ -314,8 +296,8 @@ def _conjugation_report(env):
     report = _n_rows(env, _AXES, ("nilpotent",)).extend(
         _formula_row(words, prefix, text) for prefix, text in formulas)
     if env["spec"].is_single:
-        report.add(_entry("omega:Omega^3=central-scalar", words.mod,
-                          lambda: (env["Omega^3"], env["Omega^3-scalar"])))
+        report.add(compare("omega:Omega^3=central-scalar", words.mod,
+                           lambda: (env["Omega^3"], env["Omega^3-scalar"]), matrix_witness))
     return report
 
 
@@ -347,7 +329,7 @@ def _closed_form_report(env, cube=True):
             ("closedform:Omega^-1", lambda: (inv, env["Omega^-1"])),
             ("closedform:Omega^3=central-scalar",
              lambda: (env["Omega^3"], env["Omega^3-scalar"]))]
-    return VerificationReport([_entry(identity, mod, build)
+    return VerificationReport([compare(identity, mod, build, matrix_witness)
                                for identity, build in rows[:3 if cube else 2]])
 
 

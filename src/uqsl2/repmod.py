@@ -37,10 +37,10 @@ from functools import reduce
 from itertools import accumulate, permutations
 from operator import add, mul, sub
 
-from .ncore import RELATIONS, equitable_image, holds, sides
+from .ncore import RELATIONS, equitable_image, sides
 from .qfield import (RF_ONE, RF_ZERO, LaurentPoly, RatFunc, check_admissible,
                      laurent_matmul, q_power, qint)
-from .report import ConsistencyError, VerificationReport, check
+from .report import ConsistencyError, RecipeError, VerificationReport, check, compare
 
 CHEVALLEY_GENS = ("k", "k^-1", "e", "f")
 EQUITABLE_GENS = ("x", "x^-1", "y", "z")
@@ -226,12 +226,6 @@ def matrix_witness(lhs, rhs):
     return None
 
 
-def _eq_entry(identity, mod, lhs, rhs):
-    # one row: pass when lhs == rhs, else fail with matrix_witness's witness
-    witness = matrix_witness(lhs, rhs)
-    return check(identity, mod, witness is None, witness=witness)
-
-
 def direct_sum_matrices(blocks):
     """Block-diagonal assembly of square matrices."""
     dim = sum(b.nrows for b in blocks)
@@ -411,10 +405,6 @@ class ScalarContext:
         return m if self.q0 is None else m.map_entries(lambda x: x.evaluate(self.q0))
 
 
-class RecipeError(ConsistencyError):
-    """A recipe of a module environment that raised, named by the keys it builds."""
-
-
 def _recipe_index(table):
     """{keys: recipe} -> {key: (keys, recipe)}; one recipe builds all its keys."""
     return {key: (keys, recipe) for keys, recipe in table.items() for key in keys}
@@ -497,8 +487,8 @@ def _matrix_sides(env, text, presentation, leaves):
 def _relation_rows(env, basis):
     # the rows of the defining relations of basis, each folded over env's generators
     mod = env["spec"].json_obj()
-    return [check("module:%s:" % basis + text, mod,
-                  holds(_matrix_sides(env, text, basis, env.__getitem__)))
+    return [compare("module:%s:" % basis + text, mod,
+                    lambda: _matrix_sides(env, text, basis, env.__getitem__), matrix_witness)
             for text in RELATIONS[basis]]
 
 
@@ -531,10 +521,10 @@ def _equitable_report(env):
         u = Matrix([[sc.one if off <= i <= off + n else zero]
                     for i in range(spec.dim)])
         block = {"n": n, "eps": eps}
-        entries.append(check("module:note:y*u=eps*q^-n*u", block,
-                             Y * u == u.scalar_mul(sc.scal(q_power(-n) * eps))))
-        entries.append(check("module:note:z*u=eps*q^n*u", block,
-                             Z * u == u.scalar_mul(sc.scal(q_power(n) * eps))))
+        entries.append(compare("module:note:y*u=eps*q^-n*u", block, lambda: (
+            Y * u, u.scalar_mul(sc.scal(q_power(-n) * eps))), matrix_witness))
+        entries.append(compare("module:note:z*u=eps*q^n*u", block, lambda: (
+            Z * u, u.scalar_mul(sc.scal(q_power(n) * eps))), matrix_witness))
     return VerificationReport(entries)
 
 
@@ -549,9 +539,10 @@ def _chevalley_report(env):
 def _basis_change_report(env):
     """D^-1 (Chevalley image of g) D = g for each equitable generator g."""
     mod = env["spec"].json_obj()
-    return VerificationReport([_eq_entry("module:basis-change:%s" % g, mod,
-                                         env["D^-1"] * env["image:" + g] * env["D"], env[g])
-                               for g in EQUITABLE_GENS])
+    return VerificationReport([compare(
+        "module:basis-change:%s" % g, mod,
+        lambda: (env["D^-1"] * env["image:" + g] * env["D"], env[g]), matrix_witness)
+        for g in EQUITABLE_GENS])
 
 
 def verify_module_suite(rep, q0=None):

@@ -7,6 +7,10 @@ class ConsistencyError(RuntimeError):
     """A value failed an identity it rests on (see VerificationReport.require)."""
 
 
+class RecipeError(ConsistencyError):
+    """A recipe of a module environment that raised, named by the keys it builds."""
+
+
 @dataclass
 class ReportEntry:
     """Outcome of one checked identity, with an optional failure witness."""
@@ -36,6 +40,20 @@ def check(identity, module, ok, witness=None):
     return ReportEntry(identity=identity, module=module,
                        status="pass" if ok else "fail",
                        witness=None if ok else witness)
+
+
+def compare(identity, module, build, witness):
+    """The row of identity, whose sides build() returns: it passes when each
+    equals the first, else fails with witness(first, the first that differs),
+    or with the message of a recipe that raises (RecipeError)."""
+    try:
+        first, *rest = build()
+    except RecipeError as err:
+        return check(identity, module, False, str(err))
+    for value in rest:
+        if first != value:
+            return check(identity, module, False, witness(first, value))
+    return check(identity, module, True)
 
 
 def _module_str(module):

@@ -406,6 +406,7 @@ def test_a_false_chevalley_relation_fails_its_rows(monkeypatch):
         for report in (verify_module_suite(build_chevalley(spec), q0),
                        cli._module_task(_OperatorEnv(build_equitable(spec)).at(q0))):
             assert _failed_identities(report.entries) == ["module:chevalley:" + false]
+            assert report.failures[0].witness.startswith("first difference at (")
     monkeypatch.setattr(ncore, "_auto_checked", set())
     with pytest.raises(RuntimeError, match=r"break k\*e=q\^3\*e\*k$"):
         ncore.apply_automorphism(ncore.AlgebraElement.generator("e"), 1, q_power(1))
@@ -414,15 +415,29 @@ def test_a_false_chevalley_relation_fails_its_rows(monkeypatch):
 def test_a_false_equitable_relation_fails_its_rows(monkeypatch):
     false = "(q*x*y-q^-1*y*x)/(q-q^-1)=q"
     _swap_relation(monkeypatch, "equitable", "(q*x*y-q^-1*y*x)/(q-q^-1)=1", false)
-    assert _failed_identities(verify_presentation_iso().entries) == ["iso:relation:" + false]
+    iso = verify_presentation_iso()
+    assert _failed_identities(iso.entries) == ["iso:relation:" + false]
+    assert iso.failures[0].witness  # the difference of the two sides in the algebra
     for q0 in [None] + spot_points(1):
         report = verify_module_suite(build_equitable(ModuleSpec.single(2, 1)), q0)
         assert _failed_identities(report.entries) == ["module:equitable:" + false]
+        assert report.failures[0].witness.startswith("first difference at (")
     for module in (GAMMA_Y, GAMMA_Z):
         entries = verify_gamma(module, imax=1, jmax=1).entries
         failed = _failed_identities(entries)
         assert failed and failed == [e.identity for e in entries if e.identity.endswith(false)]
         assert all(e.witness.startswith("difference ") for e in entries if e.status == "fail")
+
+
+def test_a_false_commutation_fails_its_three_rotated_rows(monkeypatch):
+    # the ncomm: rows fold the rotations of one family, so a false entry
+    # fails its rotations on x, y and z and nothing else
+    monkeypatch.setattr(ncore, "N_COMMUTATIONS", ("x*n_y=q^3*n_y*x", "x*n_z=q^-2*n_z*x"))
+    report = verify_n_commutation()
+    assert len(report.entries) == 6
+    assert [e.identity for e in report.failures] == [
+        "ncomm:x*n_y=q^3*n_y*x", "ncomm:y*n_z=q^3*n_z*y", "ncomm:z*n_x=q^3*n_x*z"]
+    assert all(e.witness for e in report.failures)
 
 
 def test_spot_points_are_bounded():
@@ -437,6 +452,18 @@ def test_format_env_var(runner):
     res = runner.invoke(main, ["normalize", "k"], env={"UQSL2_FORMAT": "json"})
     assert res.exit_code == 0
     assert json.loads(res.output)["normal_form"] == "k"
+    # a format the command does not offer falls back to text; rep offers both
+    for fmt in ("csv", "latex"):
+        env = {"UQSL2_FORMAT": fmt}
+        for args in (["normalize", "k"], ["omega", "--n", "1", "--eps", "+1"],
+                     ["verify", "iso"]):
+            assert runner.invoke(main, args, env=env).output == runner.invoke(
+                main, args, env={"UQSL2_FORMAT": "text"}).output
+        rep = ["rep", "--n", "1", "--eps", "+1", "--gen", "x"]
+        assert runner.invoke(main, rep, env=env).output == runner.invoke(
+            main, rep + ["--format", fmt]).output
+    res = runner.invoke(main, ["normalize", "k", "--format", "csv"], env={"UQSL2_FORMAT": "csv"})
+    assert res.exit_code == 2
 
 
 def test_spot_points_deterministic_and_admissible():
@@ -472,6 +499,8 @@ _CORPUS = [
     (["normalize", "(2^1000)^13*(2^1000)^13"], 2),
     (["eval", "(2^1000)^13*(2^1000)^13", "--q", "2"], 2),
     (["eval", "q^1000", "--q", "1000000/3"], 2),
+    (["eval", "q", "--q", "1e30000000"], 2),
+    (["eval", "q", "--q", "1e-30000000"], 2),
     (["eval", "--presentation", "equitable", "--rep", "2,+1", "--q", "99999999/7",
       "x^1000"], 2),
     (["normalize", "(q+1)^600*(q+1)^600"], 2),

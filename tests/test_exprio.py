@@ -303,3 +303,12 @@ def test_fold_on_matrices_matches_normal_form(arg, n, eps):
         expected = d.inverse() * evaluate(from_equitable(tree), chev) * d
         actual = _matrix_fold_at_q0(tree, build_equitable(spec))
     assert actual == expected.map_entries(lambda v: v.evaluate(_Q0))
+
+
+def test_rotated_renames_whole_leaves():
+    # each text on x, then on y, then on z; the x of exp_q is no axis letter
+    assert exprio.rotated(("q*(1-y*z)=q^-1*(1-z*y)",)) == (
+        "q*(1-y*z)=q^-1*(1-z*y)", "q*(1-z*x)=q^-1*(1-x*z)", "q*(1-x*y)=q^-1*(1-y*x)")
+    assert exprio.rotated(("exp_q(n_x)^-1*x^-1*Omega", "Psi*n_z")) == (
+        "exp_q(n_x)^-1*x^-1*Omega", "Psi*n_z", "exp_q(n_y)^-1*y^-1*Omega", "Psi*n_x",
+        "exp_q(n_z)^-1*z^-1*Omega", "Psi*n_y")

@@ -366,7 +366,8 @@ def test_broken_chevalley_fails_both_bases_rows(monkeypatch):
     report = cli._module_task(_ModuleEnv(build_equitable(spec)))
     failed = {e.identity: e.witness for e in report.entries if e.status == "fail"}
     assert failed == {
-        "module:chevalley:e*f-f*e=(k-k^-1)/(q-q^-1)": None,
+        "module:chevalley:e*f-f*e=(k-k^-1)/(q-q^-1)":
+            "first difference at (0, 0): lhs q^3 - q - q^-1, rhs -q - q^-1",
         "module:basis-change:z":
             "first difference at (0, 1): lhs q^4 - 2*q^2 + q^-2, rhs -q^2 + q^-2",
     }
