@@ -219,6 +219,14 @@ def test_verify_battery_bytes_pinned(runner):
         "12a6c5148f8efdd12305c474ae40b33d131f2d624661b1025adb98f76169acda")
 
 
+def test_verify_symbolic_battery_bytes_pinned(runner):
+    # the symbolic battery of perfbench's verify_symbolic request
+    res = runner.invoke(main, ["verify", "all", "--nmax", "10", "--format", "json"])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == (
+        "bcb64a1b4caf88c77b3483d091a171cfe67a91335d63d349b5a6dfee7c1b4bb1")
+
+
 def _separate_suites_rows(nmax, window=4):
     # the battery as its public suites, one call each: operator and closed-form
     # suites build their own operator environments
