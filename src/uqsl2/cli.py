@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, groupby
 from operator import mul
 
 import click
@@ -258,16 +258,20 @@ def verify(scope, nmax, window, q_spot, fmt):
                       verify_n_commutation, verify_n_preimages):
             combined.extend(suite())
     # one symbolic env per module builds its q0-free inputs; each point
-    # reads its own env from it; module rows all print before operators
+    # reads its own env from it; module rows all print before operators.
+    # L(n, +1) and L(n, -1) have the same n_a, so the modules of one run of
+    # summand dimensions share one store of q-exponential series
     modules, operators = VerificationReport(), VerificationReport()
-    for spec in specs:
-        sym = _OperatorEnv(build_equitable(spec))
-        for q0 in points:
-            env = sym.at(q0)
-            if scope != "operators":
-                modules.extend(_module_task(env))
-            if scope != "modules":
-                operators.extend(_operator_task(env))
+    for _, run in groupby(specs, lambda spec: [n for n, _ in spec.summands]):
+        series = {}
+        for spec in run:
+            sym = _OperatorEnv(build_equitable(spec), series=series)
+            for q0 in points:
+                env = sym.at(q0)
+                if scope != "operators":
+                    modules.extend(_module_task(env))
+                if scope != "modules":
+                    operators.extend(_operator_task(env))
     combined.extend(modules).extend(operators)
     if scope in ("gamma", "all"):
         for module in (GAMMA_Y, GAMMA_Z):

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 from .exprio import _OPERATOR_LEAF, _OPERATOR_WORD, _OPERATORS, rotated
 from .ncore import N_DEFINITIONS
-from .qfield import CQ, RF_ZERO, RatFunc, q_power, qbinom, qint
+from .qfield import CQ, RF_ZERO, RatFunc, div_q_power_minus_one, q_power, qbinom, qint
 from .repmod import (Matrix, ModuleSpec, ScalarContext, _matrix_sides, _ModuleEnv,
                      _recipe_index, build_equitable, matrix_witness)
 from .report import ConsistencyError, VerificationReport, check, compare
@@ -94,6 +94,19 @@ class OmegaOperator:
     inverse: Matrix
 
 
+def _times_ratio(mat, sc, lift, m, factor):
+    """mat times the scalar factor() = lift/(q^m - 1), lift a Laurent
+    polynomial.  At a point, mat times factor() at q0.  Symbolically, each
+    entry x is x*lift divided exactly by q^m - 1, in ints
+    (div_q_power_minus_one); only an entry that is not an integer Laurent
+    polynomial, or that q^m - 1 does not divide (a broken identity), takes
+    the RatFunc product x*factor()."""
+    if sc.q0 is not None:
+        return mat.scalar_mul(sc.scal(factor()))
+    return mat.map_entries(
+        lambda x: x and (div_q_power_minus_one(x * lift, m) or x * factor()))
+
+
 def _exp_series(mat, sc, order=None):
     """exp_q(mat), exp_q(mat)^-1 and the index of their first zero term.
 
@@ -108,8 +121,9 @@ def _exp_series(mat, sc, order=None):
     total = inv_total = term
     order = dim + 2 if order is None else order
     for i in range(1, order):
-        term = (term * mat).scalar_mul(
-            sc.scal(RatFunc(q_power(i - 1).num, qint(i))))
+        # q^(i-1)/[i] = q^(2i-2) (q^2 - 1)/(q^(2i) - 1)
+        term = _times_ratio(term * mat, sc, q_power(2 * i) - q_power(2 * i - 2), 2 * i,
+                            lambda i=i: RatFunc(q_power(i - 1).num, qint(i)))
         if term.is_zero():
             return total, inv_total, i
         total = total + term
@@ -160,12 +174,25 @@ def _operator_recipes():
             omega_cube_scalar(env["spec"].summands[0][0])))],
     }
     for a in _AXES:
-        table["n_" + a,] = lambda env, a=a: [_matrix_sides(
-            env, N_DEFINITIONS[a].partition("=")[0], _OPERATORS, env.__getitem__)[0]
-            * env["sc"].scal(CQ)]
+        # CQ = q/(q^2 - 1)
+        table["n_" + a,] = lambda env, a=a: [_times_ratio(_matrix_sides(
+            env, N_DEFINITIONS[a].partition("=")[0], _OPERATORS, env.__getitem__)[0],
+            env["sc"], q_power(1), 2, lambda: CQ)]
         table["exp_q(n_" + a + ")", "exp_q(n_" + a + ")^-1", "idx_" + a] = (
-            lambda env, a=a: _exp_series(env["n_" + a], env["sc"]))
+            lambda env, a=a: _stored_series(env, env["n_" + a]))
     return {**_ModuleEnv.recipes, **_recipe_index(table)}
+
+
+def _stored_series(env, mat):
+    # _exp_series of mat in env's scalars, kept in env's series store (if it
+    # has one) under q0 and the entries of mat
+    store, sc = env.series, env["sc"]
+    if store is None:
+        return _exp_series(mat, sc)
+    key = (sc.q0, tuple(map(tuple, mat.rows)))
+    if key not in store:
+        store[key] = _exp_series(mat, sc)
+    return store[key]
 
 
 class _OperatorEnv(_ModuleEnv):
@@ -173,10 +200,16 @@ class _OperatorEnv(_ModuleEnv):
 
     recipes = _operator_recipes()
 
-    def __init__(self, rep, what="operator suites run"):
+    def __init__(self, rep, what="operator suites run", series=None):
         if rep.basis != "equitable":
             raise ValueError("%s on the equitable basis" % what)
         super().__init__(rep)
+        self.series = series
+
+    def at(self, q0):
+        env = super().at(q0)
+        env.series = self.series
+        return env
 
 
 class _Words(dict):

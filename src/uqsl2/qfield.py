@@ -8,7 +8,9 @@ this normalization, equality is structural comparison and the text
 rendering is bit-stable.
 
 _cancel is the only gcd over Q: it divides num's polynomial part and a
-monic den with nonzero constant term by their monic gcd.  The constructor,
+monic den with nonzero constant term by their monic gcd.  A division
+known to be exact by q^m - 1 skips it: div_q_power_minus_one runs in
+ints and returns None when the division is not exact.  The constructor,
 + and inverse reach it through _reduce, which first shifts den to valuation
 0 and scales both parts by 1/lc.  Products need no such step, and most no
 gcd either, since they read the canonical form of their operands
@@ -657,6 +659,36 @@ def q_power(e):
 
 # 1/(q - q^-1), the scalar every defining relation divides by
 CQ = (q_power(1) - q_power(-1)).inverse()
+
+
+def div_q_power_minus_one(f, m):
+    """f/(q^m - 1) for m >= 1, when f is an integer Laurent polynomial (a
+    RatFunc with denominator 1 and int coefficients) that q^m - 1 divides;
+    else None.  With a = sum a_j q^j = (q^m - 1) b, the quotient follows
+    b_j = a_(j+m) + b_(j+m) from the top, in ints, and what the recurrence
+    leaves on the m lowest exponents of a is the remainder, which must be
+    zero (exact division by a sparse monic divisor, Knuth TAOCP vol. 2,
+    4.6.1).  No gcd runs."""
+    if type(f) is not RatFunc or len(f.den.terms) != 1:
+        return None
+    terms = f.num.terms
+    if not terms:
+        return f
+    if any(type(c) is not int for c in terms.values()):
+        return None
+    lo = min(terms)
+    span = max(terms) - lo + 1
+    if span <= m:  # a nonzero multiple of q^m - 1 spans more than m exponents
+        return None
+    dense = [0] * span
+    for e, c in terms.items():
+        dense[e - lo] = c
+    for j in range(span - 1, m - 1, -1):  # dense[j] is now b at exponent lo + j - m
+        dense[j - m] += dense[j]
+    if any(dense[:m]):
+        return None
+    return RatFunc._raw(LaurentPoly._raw(
+        {lo + j: c for j, c in enumerate(dense[m:]) if c}), _ONE_P)
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uqsl2 import cli, ncore, repmod
+from uqsl2 import cli, ncore, qexpops, repmod
 from uqsl2.cli import main, spot_points
 from uqsl2.exprio import MAX_EXPONENT, parse
 from uqsl2.gammamod import GAMMA_Y, GAMMA_Z, verify_gamma
@@ -308,6 +308,50 @@ def test_verify_builds_each_input_once_per_module(runner, monkeypatch):
                 s.label() for s in specs for _ in range(per_spec))
         points = 1 + int(q_spot)
         assert calls.count(("inverse", None)) == 2 * len(specs) * points
+
+
+def test_verify_builds_each_series_once_per_module_pair(runner, monkeypatch):
+    # L(n, +1) and L(n, -1) share their n_a, and on L(0, eps) n_x = n_y =
+    # n_z: 13 series for the simple modules up to n = 4 and 3 for each
+    # direct sum, against 3 per module
+    calls = []
+    real = qexpops._exp_series
+    monkeypatch.setattr(qexpops, "_exp_series",
+                        lambda *args: calls.append(args) or real(*args))
+    res = runner.invoke(main, ["verify", "all", "--nmax", "4", "--format", "json"])
+    assert res.exit_code == 0
+    assert len(calls) == 19
+
+
+def test_the_series_store_is_keyed_by_value(runner, monkeypatch):
+    # y*z on L(2, +1) alone becomes q*(y*z) + (1 - q)*I, so its n_x is q*n_x,
+    # still nilpotent: exactly rows of L(2, +1) fail, and L(2, -1), which
+    # follows it and shares its store, builds its own series of n_x
+    args = ["verify", "operators", "--nmax", "2", "--q-spot", "1"]
+    code, good = _rows_and_exit(runner, args)
+    assert code == 0
+    keys, recipe = _OperatorEnv.recipes["y*z"]
+    broken_module = ModuleSpec.single(2, 1)
+
+    def broken(env):
+        mat, = recipe(env)
+        if env["spec"] != broken_module:
+            return [mat]
+        q = env["sc"].scal(q_power(1))
+        return [mat * q + (1 - q)]
+
+    monkeypatch.setitem(_OperatorEnv.recipes, "y*z", (keys, broken))
+    code, rows = _rows_and_exit(runner, args)
+    assert code == 1
+    assert [e["identity"] for e in rows] == [e["identity"] for e in good]
+    failed = [e for e in rows if e["status"] == "fail"]
+    assert failed and all(e["module"] == {"n": 2, "eps": 1} and e["witness"] for e in failed)
+    assert any(e["identity"].startswith("conj:") and "@q=" not in e["identity"]
+               for e in failed)
+    assert any(e["identity"].startswith("conj:") and "@q=" in e["identity"] for e in failed)
+    for e, before in zip(rows, good):
+        if e["module"] != {"n": 2, "eps": 1}:
+            assert e == before
 
 
 def test_verify_failure_exits_1(runner, monkeypatch):

@@ -4,16 +4,18 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uqsl2 import cli, qexpops
+from uqsl2 import cli, qexpops, qfield
 from uqsl2.cli import spot_points
 from uqsl2.qexpops import (ConsistencyError, NilpotentOperator, _exp_series,
-                           _OperatorEnv, exp_q, exp_q_inverse, n_matrix, omega,
+                           _OperatorEnv, _times_ratio, exp_q, exp_q_inverse, n_matrix, omega,
                            omega_closed_form, omega_cube_scalar, psi, psi_inverse,
                            verify_closed_form, verify_conjugation_suite,
                            verify_relation_rewrites)
-from uqsl2.qfield import (RF_ONE, RF_ZERO, RatFunc, SpecializationError, q_power,
-                          qbinom, qfact, qint)
+from uqsl2.qfield import (CQ, RF_ONE, RF_ZERO, LaurentPoly, RatFunc,
+                          SpecializationError, q_power, qbinom, qfact, qint)
 from uqsl2.repmod import (Matrix, ModuleSpec, ScalarContext, build_chevalley,
                           build_equitable, verify_basis_change, verify_module_suite)
 
@@ -376,3 +378,47 @@ def test_omega_checks_the_table_rows_it_rests_on(monkeypatch, old, new, failed):
     _swap_identity(monkeypatch, old, new)
     with pytest.raises(ConsistencyError, match="^FAIL  %s  @ n=2,eps=1" % re.escape(failed)):
         omega(_rep(2, 1))
+
+
+@st.composite
+def _scaled_matrices(draw):
+    # a 2x2 matrix and the scalars of the q-exponential term i (i <= 20) or
+    # of CQ; its entries are zero, multiples of the denominator (they
+    # divide), integer Laurent polynomials that need not divide, or take
+    # the fallback: a Fraction coefficient, a denominator other than 1
+    i = draw(st.integers(1, 20))
+    scalars = draw(st.sampled_from([
+        (q_power(2 * i) - q_power(2 * i - 2), 2 * i, RatFunc(q_power(i - 1).num, qint(i))),
+        (q_power(1), 2, CQ)]))
+    denominator = qint(i) if scalars[1] == 2 * i else (q_power(1) - q_power(-1)).num
+    polys = st.dictionaries(st.integers(-12, 12), st.integers(-9, 9), max_size=5).map(
+        LaurentPoly)
+    entry = st.one_of(
+        st.just(RF_ZERO),
+        polys.map(lambda p: RatFunc(p * denominator)),
+        polys.map(RatFunc),
+        st.fractions(max_denominator=5).map(lambda c: RatFunc(denominator * c)),
+        polys.filter(bool).map(lambda p: RatFunc(p * denominator, qint(2) + 2)))
+    return Matrix(draw(st.lists(st.lists(entry, min_size=2, max_size=2),
+                                min_size=2, max_size=2))), scalars
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scaled_matrices())
+def test_exact_scaling_matches_the_ratfunc_product(case):
+    # the symbolic path divides exactly where it can and falls back to the
+    # RatFunc product elsewhere; the value is the RatFunc product's
+    mat, (lift, m, factor) = case
+    assert _times_ratio(mat, ScalarContext(), lift, m, lambda: factor) == (
+        mat.scalar_mul(factor))
+
+
+def test_symbolic_series_run_no_gcd(monkeypatch):
+    # every entry of n_a and of its q-exponential terms divides exactly
+    def cancel(*args):
+        raise AssertionError("_cancel called")
+
+    env = _OperatorEnv(_rep(9, -1))
+    monkeypatch.setattr(qfield, "_cancel", cancel)
+    for axis in ("x", "y", "z"):
+        assert env["idx_" + axis] == 10

@@ -14,6 +14,7 @@ from uqsl2.qfield import (
     RatFunc,
     SpecializationError,
     check_admissible,
+    div_q_power_minus_one,
     q_power,
     qbinom,
     qfact,
@@ -273,6 +274,40 @@ def test_constants_hash_like_their_values():
 def test_polynomials_hash_like_their_numerators(f):
     if f.is_polynomial():
         assert f == f.num and hash(f) == hash(f.num)
+
+
+# exact division by q^m - 1: m = 2i for the q-exponential term i <= 20, and
+# m = 2 for CQ; integer inputs with negative valuations, some multiples of
+# q^m - 1 (plus a stray term, which makes them not divide)
+_int_polys = st.dictionaries(st.integers(-30, 30), st.integers(-9, 9), max_size=6).map(
+    LaurentPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_polys, st.integers(1, 40), st.sampled_from(["multiple", "stray", "any"]),
+       st.integers(-60, 60))
+def test_exact_division_matches_the_ratfunc_quotient(p, m, kind, stray):
+    divisor = (q_power(m) - 1).num
+    a = p * divisor if kind != "any" else p
+    if kind == "stray":
+        a = a + LaurentPoly({stray: 1})
+    expected = RatFunc(a, divisor)
+    got = div_q_power_minus_one(RatFunc(a), m)
+    assert got == (expected if expected.is_polynomial() else None)
+    if got is not None:
+        assert got.is_polynomial() and got * (q_power(m) - 1) == RatFunc(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(_exps, st.fractions(max_denominator=9), min_size=1, max_size=4).map(
+    LaurentPoly).filter(lambda p: any(type(c) is Fraction for c in p.terms.values())),
+    st.integers(1, 40))
+def test_exact_division_refuses_what_is_not_an_integer_laurent_polynomial(p, m):
+    # the caller then takes the RatFunc product
+    divisor = q_power(m) - 1
+    assert div_q_power_minus_one(RatFunc(p) * divisor, m) is None
+    assert div_q_power_minus_one(RatFunc(1, divisor.num), m) is None
+    assert div_q_power_minus_one(RF_ZERO, m) == RF_ZERO
 
 
 # Operands for the product and reduce checks: 0, 1, +-c*q^m with Fraction c,
