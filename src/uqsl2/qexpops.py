@@ -21,9 +21,18 @@ the report reads it again.
 ``_OperatorEnv`` extends the module environment ``repmod._ModuleEnv`` by one
 recipe per operator, built when first read, then kept: n_a, exp_q(n_a) with
 its inverse and index idx_a, Psi, Psi^-1, Omega, Omega^-1, Omega^3 and the
-scalar matrix Omega^3-scalar.  Recipes only build values: each identity is
-checked in its row, so ``uqsl2 verify`` prints a broken one as a failed row
-with its witness, as it does each row that reads a recipe that raises.  The
+scalar matrix Omega^3-scalar.  The series and n_a divide exactly, with no
+gcd: q^(i-1)/[i] = q^(2i-2)(q^2 - 1)/(q^(2i) - 1) and CQ = q/(q^2 - 1), so
+each integer Laurent entry is divided by q^m - 1 in ints
+(qfield.div_q_power_minus_one), and only an entry that does not divide (a
+broken identity) takes the RatFunc product (_times_ratio).  ``uqsl2 verify``
+hands the envs of the modules with one list of summand dimensions (L(n, +1)
+and L(n, -1), whose n_a agree, or one direct sum) one store of series,
+keyed by q0 and the entries of n_a; each row still folds its own module's
+values, and the raising API builds its own series.  Recipes only build
+values: each identity is checked in its row, so ``uqsl2 verify`` prints a
+broken one as a failed row with its witness, as it does each row that reads
+a recipe that raises.  The
 raising API (``n_matrix``, ``exp_q_inverse``, ``omega``,
 ``omega_closed_form``, and the suites for the n_a they read) raises
 ConsistencyError from the first failed row its value rests on.  ``omega``
@@ -94,15 +103,16 @@ class OmegaOperator:
     inverse: Matrix
 
 
-def _times_ratio(mat, sc, lift, m, factor):
-    """mat times the scalar factor() = lift/(q^m - 1), lift a Laurent
+def _times_ratio(mat, sc, factor, lift, m):
+    """mat times the scalar factor() = lift()/(q^m - 1), lift() a Laurent
     polynomial.  At a point, mat times factor() at q0.  Symbolically, each
-    entry x is x*lift divided exactly by q^m - 1, in ints
+    entry x is x*lift() divided exactly by q^m - 1, in ints
     (div_q_power_minus_one); only an entry that is not an integer Laurent
     polynomial, or that q^m - 1 does not divide (a broken identity), takes
     the RatFunc product x*factor()."""
     if sc.q0 is not None:
         return mat.scalar_mul(sc.scal(factor()))
+    lift = lift()
     return mat.map_entries(
         lambda x: x and (div_q_power_minus_one(x * lift, m) or x * factor()))
 
@@ -122,8 +132,8 @@ def _exp_series(mat, sc, order=None):
     order = dim + 2 if order is None else order
     for i in range(1, order):
         # q^(i-1)/[i] = q^(2i-2) (q^2 - 1)/(q^(2i) - 1)
-        term = _times_ratio(term * mat, sc, q_power(2 * i) - q_power(2 * i - 2), 2 * i,
-                            lambda i=i: RatFunc(q_power(i - 1).num, qint(i)))
+        term = _times_ratio(term * mat, sc, lambda: RatFunc(q_power(i - 1).num, qint(i)),
+                            lambda: q_power(2 * i) - q_power(2 * i - 2), 2 * i)
         if term.is_zero():
             return total, inv_total, i
         total = total + term
@@ -177,7 +187,7 @@ def _operator_recipes():
         # CQ = q/(q^2 - 1)
         table["n_" + a,] = lambda env, a=a: [_times_ratio(_matrix_sides(
             env, N_DEFINITIONS[a].partition("=")[0], _OPERATORS, env.__getitem__)[0],
-            env["sc"], q_power(1), 2, lambda: CQ)]
+            env["sc"], lambda: CQ, lambda: q_power(1), 2)]
         table["exp_q(n_" + a + ")", "exp_q(n_" + a + ")^-1", "idx_" + a] = (
             lambda env, a=a: _stored_series(env, env["n_" + a]))
     return {**_ModuleEnv.recipes, **_recipe_index(table)}

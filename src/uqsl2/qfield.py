@@ -8,11 +8,11 @@ this normalization, equality is structural comparison and the text
 rendering is bit-stable.
 
 _cancel is the only gcd over Q: it divides num's polynomial part and a
-monic den with nonzero constant term by their monic gcd.  A division
-known to be exact by q^m - 1 skips it: div_q_power_minus_one runs in
-ints and returns None when the division is not exact.  The constructor,
+monic den with nonzero constant term by their monic gcd.  The constructor,
 + and inverse reach it through _reduce, which first shifts den to valuation
-0 and scales both parts by 1/lc.  Products need no such step, and most no
+0 and scales both parts by 1/lc.  div_q_power_minus_one divides an integer
+Laurent polynomial by q^m - 1 without it, in ints, and returns None when
+the division is not exact.  Products need no such step, and most no
 gcd either, since they read the canonical form of their operands
 (Henrici's product, Knuth TAOCP vol. 2, 4.5.1):
 

@@ -409,7 +409,7 @@ def test_exact_scaling_matches_the_ratfunc_product(case):
     # the symbolic path divides exactly where it can and falls back to the
     # RatFunc product elsewhere; the value is the RatFunc product's
     mat, (lift, m, factor) = case
-    assert _times_ratio(mat, ScalarContext(), lift, m, lambda: factor) == (
+    assert _times_ratio(mat, ScalarContext(), lambda: factor, lambda: lift, m) == (
         mat.scalar_mul(factor))
 
 
