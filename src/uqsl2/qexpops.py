@@ -46,7 +46,8 @@ from functools import lru_cache
 
 from .exprio import _OPERATOR_LEAF, _OPERATOR_WORD, _OPERATORS, rotated
 from .ncore import N_DEFINITIONS
-from .qfield import CQ, RF_ZERO, RatFunc, div_q_power_minus_one, q_power, qbinom, qint
+from .qfield import (CQ, RF_ZERO, LaurentPoly, RatFunc, div_q_power_minus_one, q_power,
+                     qbinom, qint)
 from .repmod import (Matrix, ModuleSpec, ScalarContext, _matrix_sides, _ModuleEnv,
                      _recipe_index, build_equitable, matrix_witness)
 from .report import ConsistencyError, VerificationReport, check, compare
@@ -104,17 +105,16 @@ class OmegaOperator:
 
 
 def _times_ratio(mat, sc, factor, lift, m):
-    """mat times the scalar factor() = lift()/(q^m - 1), lift() a Laurent
-    polynomial.  At a point, mat times factor() at q0.  Symbolically, each
-    entry x is x*lift() divided exactly by q^m - 1, in ints
+    """mat times the scalar factor() = lift/(q^m - 1), lift a LaurentPoly
+    with int coefficients.  At a point, mat times factor() at q0.
+    Symbolically, each entry x is x*lift divided exactly by q^m - 1, in ints
     (div_q_power_minus_one); only an entry that is not an integer Laurent
-    polynomial, or that q^m - 1 does not divide (a broken identity), takes
-    the RatFunc product x*factor()."""
+    polynomial, or where q^m - 1 does not divide x*lift (a broken identity),
+    takes the RatFunc product x*factor()."""
     if sc.q0 is not None:
         return mat.scalar_mul(sc.scal(factor()))
-    lift = lift()
     return mat.map_entries(
-        lambda x: x and (div_q_power_minus_one(x * lift, m) or x * factor()))
+        lambda x: x and (div_q_power_minus_one(x, m, lift) or x * factor()))
 
 
 def _exp_series(mat, sc, order=None):
@@ -133,7 +133,7 @@ def _exp_series(mat, sc, order=None):
     for i in range(1, order):
         # q^(i-1)/[i] = q^(2i-2) (q^2 - 1)/(q^(2i) - 1)
         term = _times_ratio(term * mat, sc, lambda: RatFunc(q_power(i - 1).num, qint(i)),
-                            lambda: q_power(2 * i) - q_power(2 * i - 2), 2 * i)
+                            LaurentPoly({2 * i: 1, 2 * i - 2: -1}), 2 * i)
         if term.is_zero():
             return total, inv_total, i
         total = total + term
@@ -187,7 +187,7 @@ def _operator_recipes():
         # CQ = q/(q^2 - 1)
         table["n_" + a,] = lambda env, a=a: [_times_ratio(_matrix_sides(
             env, N_DEFINITIONS[a].partition("=")[0], _OPERATORS, env.__getitem__)[0],
-            env["sc"], lambda: CQ, lambda: q_power(1), 2)]
+            env["sc"], lambda: CQ, LaurentPoly({1: 1}), 2)]
         table["exp_q(n_" + a + ")", "exp_q(n_" + a + ")^-1", "idx_" + a] = (
             lambda env, a=a: _stored_series(env, env["n_" + a]))
     return {**_ModuleEnv.recipes, **_recipe_index(table)}

@@ -11,8 +11,9 @@ _cancel is the only gcd over Q: it divides num's polynomial part and a
 monic den with nonzero constant term by their monic gcd.  The constructor,
 + and inverse reach it through _reduce, which first shifts den to valuation
 0 and scales both parts by 1/lc.  div_q_power_minus_one divides an integer
-Laurent polynomial by q^m - 1 without it, in ints, and returns None when
-the division is not exact.  Products need no such step, and most no
+Laurent polynomial times a small one by q^m - 1 without it, in ints, and
+returns None when the division is not exact.  Products need no such step,
+and most no
 gcd either, since they read the canonical form of their operands
 (Henrici's product, Knuth TAOCP vol. 2, 4.5.1):
 
@@ -661,14 +662,16 @@ def q_power(e):
 CQ = (q_power(1) - q_power(-1)).inverse()
 
 
-def div_q_power_minus_one(f, m):
-    """f/(q^m - 1) for m >= 1, when f is an integer Laurent polynomial (a
-    RatFunc with denominator 1 and int coefficients) that q^m - 1 divides;
-    else None.  With a = sum a_j q^j = (q^m - 1) b, the quotient follows
-    b_j = a_(j+m) + b_(j+m) from the top, in ints, and what the recurrence
-    leaves on the m lowest exponents of a is the remainder, which must be
-    zero (exact division by a sparse monic divisor, Knuth TAOCP vol. 2,
-    4.6.1).  No gcd runs."""
+def div_q_power_minus_one(f, m, lift):
+    """f*lift/(q^m - 1) for m >= 1 and a LaurentPoly lift with int
+    coefficients, when f is an integer Laurent polynomial (a RatFunc with
+    denominator 1 and int coefficients) and q^m - 1 divides f*lift; else
+    None.  The product a = sum a_j q^j is formed in a dense list of ints (a
+    few shifted adds, one per term of lift), and the quotient b of
+    a = (q^m - 1) b follows b_j = a_(j+m) + b_(j+m) from the top; what the
+    recurrence leaves on the m lowest exponents of a is the remainder, which
+    must be zero (exact division by a sparse monic divisor, Knuth TAOCP
+    vol. 2, 4.6.1).  No gcd runs."""
     if type(f) is not RatFunc or len(f.den.terms) != 1:
         return None
     terms = f.num.terms
@@ -676,13 +679,14 @@ def div_q_power_minus_one(f, m):
         return f
     if any(type(c) is not int for c in terms.values()):
         return None
-    lo = min(terms)
-    span = max(terms) - lo + 1
+    lo = min(terms) + min(lift.terms)
+    span = max(terms) + max(lift.terms) - lo + 1
     if span <= m:  # a nonzero multiple of q^m - 1 spans more than m exponents
         return None
     dense = [0] * span
-    for e, c in terms.items():
-        dense[e - lo] = c
+    for d, l in lift.terms.items():
+        for e, c in terms.items():
+            dense[e + d - lo] += c * l
     for j in range(span - 1, m - 1, -1):  # dense[j] is now b at exponent lo + j - m
         dense[j - m] += dense[j]
     if any(dense[:m]):

@@ -276,26 +276,37 @@ def test_polynomials_hash_like_their_numerators(f):
         assert f == f.num and hash(f) == hash(f.num)
 
 
-# exact division by q^m - 1: m = 2i for the q-exponential term i <= 20, and
-# m = 2 for CQ; integer inputs with negative valuations, some multiples of
-# q^m - 1 (plus a stray term, which makes them not divide)
+# exact division of f*lift by q^m - 1: lift = q^(2i) - q^(2i-2) and m = 2i
+# for the q-exponential term i <= 20, lift = q and m = 2 for CQ, lift = 1
+# for any m; integer inputs with negative valuations, some multiples of
+# q^m - 1 or of [i] (plus a stray term, which makes them not divide)
 _int_polys = st.dictionaries(st.integers(-30, 30), st.integers(-9, 9), max_size=6).map(
     LaurentPoly)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_int_polys, st.integers(1, 40), st.sampled_from(["multiple", "stray", "any"]),
-       st.integers(-60, 60))
-def test_exact_division_matches_the_ratfunc_quotient(p, m, kind, stray):
-    divisor = (q_power(m) - 1).num
-    a = p * divisor if kind != "any" else p
+@st.composite
+def _divisions(draw):
+    i, m = draw(st.integers(1, 20)), draw(st.integers(1, 40))
+    lift, m = draw(st.sampled_from([(LaurentPoly({2 * i: 1, 2 * i - 2: -1}), 2 * i),
+                                    (LaurentPoly({1: 1}), 2), (_ONE_P, m)]))
+    a = draw(_int_polys)
+    kind = draw(st.sampled_from(["multiple", "q-integer", "stray", "any"]))
+    if kind != "any":
+        a = a * (qint(i) if kind == "q-integer" else (q_power(m) - 1).num)
     if kind == "stray":
-        a = a + LaurentPoly({stray: 1})
-    expected = RatFunc(a, divisor)
-    got = div_q_power_minus_one(RatFunc(a), m)
+        a = a + LaurentPoly({draw(st.integers(-60, 60)): 1})
+    return a, lift, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_divisions())
+def test_exact_division_matches_the_ratfunc_quotient(case):
+    a, lift, m = case
+    expected = RatFunc(a * lift, (q_power(m) - 1).num)
+    got = div_q_power_minus_one(RatFunc(a), m, lift)
     assert got == (expected if expected.is_polynomial() else None)
     if got is not None:
-        assert got.is_polynomial() and got * (q_power(m) - 1) == RatFunc(a)
+        assert got.is_polynomial() and got * (q_power(m) - 1) == RatFunc(a * lift)
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,9 +316,9 @@ def test_exact_division_matches_the_ratfunc_quotient(p, m, kind, stray):
 def test_exact_division_refuses_what_is_not_an_integer_laurent_polynomial(p, m):
     # the caller then takes the RatFunc product
     divisor = q_power(m) - 1
-    assert div_q_power_minus_one(RatFunc(p) * divisor, m) is None
-    assert div_q_power_minus_one(RatFunc(1, divisor.num), m) is None
-    assert div_q_power_minus_one(RF_ZERO, m) == RF_ZERO
+    assert div_q_power_minus_one(RatFunc(p) * divisor, m, _ONE_P) is None
+    assert div_q_power_minus_one(RatFunc(1, divisor.num), m, _ONE_P) is None
+    assert div_q_power_minus_one(RF_ZERO, m, _ONE_P) == RF_ZERO
 
 
 # Operands for the product and reduce checks: 0, 1, +-c*q^m with Fraction c,
