@@ -287,9 +287,9 @@ def _tokenize(text, words=None):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # str.isdigit() also holds for digits that int() refuses (²)
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             run = text[i:j].lstrip("0") or "0"
             if len(run) > _MAX_DIGITS:

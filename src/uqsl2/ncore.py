@@ -24,22 +24,20 @@ the product over j, so e^r f^s = sum_{t,i} gamma f^(s-t) k^(t-2i) e^(r-t) with
 
     gamma = (-1)^i q^((t-2i)(3t+1-2r-2s)/2) [r,t][s,t][t]! [t,i] / (q-q^-1)^t,
 
-which _ef_table caches per exponent pair (r, s).  The Chevalley relations,
-read left to right, are rewrite rules on words in f, k, K (= k^-1), e, each
-one reducing the number of out-of-order letter pairs.  That rewriting system
-remains only as the object verify_confluence certifies: every overlap
-ambiguity resolves (critical_pair_entries), so by the diamond lemma the
-normal forms are well defined.
+which _ef_table caches per exponent pair (r, s).  By the diamond lemma
+(Bergman, Adv. Math. 29, 1978) these normal forms are well defined, as
+verify_confluence checks: every overlap of the rewriting system on words in
+f, k, K (= k^-1), e that _derived_rules reads off RELATIONS resolves.
 """
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 from . import exprio
 from .exprio import _OPERATORS, CHEVALLEY, EQUITABLE
 from .qfield import CQ, RF_ONE, RatFunc, q_power, qbinom, qfact
-from .report import VerificationReport, compare
+from .report import RecipeError, VerificationReport, check, compare
 
 _F, _E = itemgetter(0), itemgetter(2)  # the exponents of f and e in a monomial
 
@@ -75,19 +73,6 @@ def sides(text, presentation, scalar, generator):
     return [exprio.fold(side, scalar, generator) for side in _parsed(text, presentation)]
 
 
-# rewrite rules over the letter alphabet f < k, K < e (K stands for k^-1);
-# each left side maps to a linear combination of replacement words
-_RULES = {
-    "ef": ((RF_ONE, "fe"), (CQ, "k"), (-CQ, "K")),
-    "ek": ((q_power(-2), "ke"),),
-    "eK": ((q_power(2), "Ke"),),
-    "kf": ((q_power(-2), "fk"),),
-    "Kf": ((q_power(2), "fK"),),
-    "kK": ((RF_ONE, ""),),
-    "Kk": ((RF_ONE, ""),),
-}
-
-
 def _accumulate(res, key, coeff):
     # res[key] += coeff, dropping the key when the sum cancels
     s = res.get(key)
@@ -98,18 +83,85 @@ def _accumulate(res, key, coeff):
         res[key] = s
 
 
-def _rewrite(combo):
-    """Normal form of a {word: coefficient} combination under _RULES; each
-    round rewrites every word once, at its first redex."""
+class _Words(dict):
+    # a combination {word: coefficient} of words in the letters f, k, K (=
+    # k^-1) and e: the free algebra on them, whose product concatenates words
+
+    def __add__(self, other):
+        res = _Words(self)
+        for word, coeff in other.items():
+            _accumulate(res, word, coeff)
+        return res
+
+    def __neg__(self):
+        return _Words({word: -coeff for word, coeff in self.items()})
+
+    def __mul__(self, other):
+        return reduce(add, (_Words({u + v: a * b}) for u, a in self.items()
+                            for v, b in other.items()), _Words())
+
+    def __pow__(self, n):
+        return reduce(mul, [self] * n)
+
+
+def _word(letters):
+    # a word of the free algebra, or a generator (k^-1 is the letter K)
+    return _Words({"K" if letters == "k^-1" else letters: RF_ONE})
+
+
+_RANK = {"f": 0, "k": 1, "K": 1, "e": 2}
+
+
+def _reducible(word):
+    # whether two adjacent letters are out of the order f < k, K < e, or are k and K
+    return any(_RANK[a] > _RANK[b] or a + b in ("kK", "Kk") for a, b in zip(word, word[1:]))
+
+
+def _oriented(diff, text):
+    # the rule redex -> replacement of diff = 0, where redex is the one word
+    # of diff with a reducible pair.  Each replacement word must be shorter
+    # than the redex or its two letters swapped, so that every rewriting step
+    # lowers (length, count of out-of-order pairs) and rewriting terminates
+    redex = "".join(filter(_reducible, diff))  # two letters only if it is one word
+    if len(redex) != 2 or any(len(w) > 1 and w not in (redex, redex[::-1]) for w in diff):
+        raise RecipeError("%s does not orient into a rewrite rule that terminates" % text)
+    return redex, _Words({w: -c * diff[redex].inverse() for w, c in diff.items() if w != redex})
+
+
+@lru_cache(maxsize=None)
+def _derived_rules(texts):
+    # the rewriting system {redex: replacement} of the Chevalley relations
+    # texts: each left side minus the last side of a relation, folded in the
+    # free algebra of words and oriented; and for a relation of k with e or
+    # f, its conjugate by K, rewritten with the other rules (k*K, K*k -> 1)
+    rules, conjugates = {}, []
+    for text in texts:
+        *lefts, last = sides(text, CHEVALLEY, lambda c: _Words() + {"": c}, _word)
+        for left in lefts:
+            redex, rule = _oriented(left + -last, text)
+            rules[redex] = rule
+            if "k" in redex and "K" not in redex:
+                conjugates.append((redex, _word("K") * (left + -last) * _word("K"), text))
+    for redex, conjugate, text in conjugates:
+        others = {r: rule for r, rule in rules.items() if r != redex}
+        rules.update([_oriented(_rewrite(conjugate, others), text)])
+    return rules
+
+
+def _rewrite(combo, rules=None):
+    # the normal form of a {word: coefficient} combination under rules (those
+    # of RELATIONS[CHEVALLEY] by default); each round rewrites every word
+    # once, at its first redex
+    rules = _derived_rules(RELATIONS[CHEVALLEY]) if rules is None else rules
     res = {}
     while combo:
         step = {}
         for word, coeff in combo.items():
-            pos = next((i for i in range(len(word) - 1) if word[i : i + 2] in _RULES), None)
+            pos = next((i for i in range(len(word) - 1) if word[i : i + 2] in rules), None)
             if pos is None:
                 _accumulate(res, word, coeff)
                 continue
-            for c, repl in _RULES[word[pos : pos + 2]]:
+            for repl, c in rules[word[pos : pos + 2]].items():
                 _accumulate(step, word[:pos] + repl + word[pos + 2 :], coeff * c)
         combo = step
     return res
@@ -392,24 +444,18 @@ def from_equitable(expr):
     return exprio.fold(expr, AlgebraElement.scalar, equitable_image)
 
 
-def _routes(w):
-    # the normal forms of a word w of three letters, rewritten first at its
-    # left pair and first at its right pair
-    routes = []
-    for pos in (0, 1):
-        combo = {}
-        for coeff, repl in _RULES[w[pos : pos + 2]]:
-            nw = w[:pos] + repl + w[pos + 2 :]
-            combo[nw] = combo.get(nw, RF_ONE * 0) + coeff
-        routes.append(_rewrite(combo))
-    return routes
-
-
 def critical_pair_entries():
     """Check every overlap ambiguity of the rewriting system resolves."""
-    overlaps = sorted({u + v[1:] for u in _RULES for v in _RULES if u[1] == v[0]})
-    return [compare("confluence:overlap:%s" % w, None, lambda: _routes(w),
-                    lambda a, b: "%r != %r" % (a, b)) for w in overlaps]
+    try:
+        rules = _derived_rules(RELATIONS[CHEVALLEY])
+    except RecipeError as err:
+        return [check("confluence:rules", None, False, str(err))]
+    overlaps = sorted({u + v[1:] for u in rules for v in rules if u[1] == v[0]})
+    # each overlap w of three letters, rewritten first at its left pair and
+    # first at its right pair
+    return [compare("confluence:overlap:%s" % w, None, lambda: [_rewrite(
+        _word(w[:i]) * rules[w[i : i + 2]] * _word(w[i + 2 :]), rules) for i in (0, 1)],
+        lambda a, b: "%r != %r" % (a, b)) for w in overlaps]
 
 
 def verify_confluence():
@@ -515,7 +561,6 @@ def verify_n_commutation():
 
 def verify_n_preimages():
     """n_y and n_z match their Chevalley preimages e and -q*k*f."""
-    kf = AlgebraElement.generator("k") * AlgebraElement.generator("f")
-    preimages = {"y": ("e", AlgebraElement.generator("e")), "z": ("-q*k*f", kf * -q_power(1))}
     return VerificationReport([compare("npre:n_%s=%s" % (a, text), None, lambda: (
-        _n_sides(a)[0], value), _difference) for a, (text, value) in preimages.items()])
+        _n_sides(a)[0], *sides(text, CHEVALLEY, AlgebraElement.scalar, AlgebraElement.generator)),
+        _difference) for a, text in (("y", "e"), ("z", "-q*k*f"))])

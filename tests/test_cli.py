@@ -1,5 +1,6 @@
 """CLI tests: golden outputs, exit-code contract, and output stability."""
 
+import functools
 import hashlib
 import json
 import os
@@ -16,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uqsl2 import cli, ncore, qexpops, repmod
+from uqsl2 import cli, exprio, ncore, qexpops, repmod
 from uqsl2.cli import main, spot_points
 from uqsl2.exprio import MAX_EXPONENT, parse
 from uqsl2.gammamod import GAMMA_Y, GAMMA_Z, verify_gamma
@@ -481,15 +482,78 @@ def test_a_false_equitable_relation_fails_its_rows(monkeypatch):
         assert all(e.witness.startswith("difference ") for e in entries if e.status == "fail")
 
 
-def test_a_false_commutation_fails_its_three_rotated_rows(monkeypatch):
-    # the ncomm: rows fold the rotations of one family, so a false entry
-    # fails its rotations on x, y and z and nothing else
-    monkeypatch.setattr(ncore, "N_COMMUTATIONS", ("x*n_y=q^3*n_y*x", "x*n_z=q^-2*n_z*x"))
-    report = verify_n_commutation()
-    assert len(report.entries) == 6
-    assert [e.identity for e in report.failures] == [
-        "ncomm:x*n_y=q^3*n_y*x", "ncomm:y*n_z=q^3*n_z*y", "ncomm:z*n_x=q^3*n_x*z"]
-    assert all(e.witness for e in report.failures)
+# every entry of the tables whose rows print their text, as (table, where,
+# text): where is the presentation of a relation, and for an operator
+# identity whether its group is rotated; the q-commutations all are
+_TABLE_ENTRIES = (
+    [("relation", p, text) for p in ("equitable", "chevalley") for text in ncore.RELATIONS[p]]
+    + [("ncomm", True, text) for text in ncore.N_COMMUTATIONS]
+    + [("operator", rot, text) for _, rot, texts in qexpops.OPERATOR_IDENTITIES
+       for text in texts])
+# the relations of k with e and f, and the overlaps that read their rules
+_K_RELATIONS = ("k*e=q^2*e*k", "k*f=q^-2*f*k")
+_K_OVERLAPS = {"confluence:overlap:eKf", "confluence:overlap:ekf"}
+_SWEEP = ["verify", "all", "--nmax", "1", "--q-spot", "1", "--format", "json"]
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_rows():
+    # the number of rows of the sweep's run on the true tables
+    return len(json.loads(CliRunner().invoke(main, _SWEEP).output)["entries"])
+
+
+@pytest.mark.parametrize("table,where,text", _TABLE_ENTRIES,
+                         ids=["%s:%s" % (table, text) for table, _, text in _TABLE_ENTRIES])
+def test_a_false_table_entry_fails_exactly_its_rows(monkeypatch, table, where, text):
+    # with its right side R replaced by q*(R), an entry fails the rows that
+    # print it or its rotations, symbolically and at a point, each with a
+    # witness, and no other row; a relation of k with e or f also fails the
+    # two overlaps that read its rewrite rules
+    rows = _sweep_rows()
+    left, right = text.rsplit("=", 1)
+    false = "%s=q*(%s)" % (left, right)
+
+    def swap(texts):
+        return tuple(false if t == text else t for t in texts)
+
+    if table == "relation":
+        monkeypatch.setitem(ncore.RELATIONS, where, swap(ncore.RELATIONS[where]))
+    elif table == "ncomm":
+        monkeypatch.setattr(ncore, "N_COMMUTATIONS", swap(ncore.N_COMMUTATIONS))
+    else:
+        monkeypatch.setattr(qexpops, "OPERATOR_IDENTITIES", tuple(
+            (prefix, rot, swap(texts)) for prefix, rot, texts in qexpops.OPERATOR_IDENTITIES))
+    printed = exprio.rotated((false,)) if where is True else (false,)
+    res = CliRunner().invoke(main, _SWEEP)
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    entries = json.loads(res.output)["entries"]
+    assert len(entries) == rows
+    failed = [e for e in entries if e["status"] == "fail"]
+    expected = {e["identity"] for e in entries
+                if e["identity"].split("@")[0].endswith(tuple(":" + t for t in printed))}
+    if text in _K_RELATIONS:
+        expected |= _K_OVERLAPS
+    assert expected and {e["identity"] for e in failed} == expected
+    assert all(e.get("witness") for e in failed)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("e*f-f*e=(k-k^-1)/(q-q^-1)", "e*f=f*e*e*f"),
+    ("k*f=q^-2*f*k", "k*f=k*e"),
+])
+def test_a_relation_that_does_not_orient_fails_the_confluence_rows(monkeypatch, old, new):
+    # a text that gives no terminating rewrite rule fails its confluence row,
+    # named in the witness, and every other row of verify relations passes
+    _swap_relation(monkeypatch, "chevalley", old, new)
+    start = time.perf_counter()
+    res = CliRunner().invoke(main, ["verify", "relations"])
+    assert time.perf_counter() - start < _RUN_SECONDS
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert [line for line in res.output.splitlines() if line.startswith("FAIL  ")] == [
+        "FAIL  confluence:rules  -- witness: %s does not orient into a rewrite rule "
+        "that terminates" % new]
 
 
 def test_spot_points_are_bounded():
@@ -597,6 +661,12 @@ _CORPUS = [
     # appended last so that the ids of the cases above stay as they were
     (["eval", "q", "--q", "1e30000000"], 2),
     (["eval", "q", "--q", "1e-30000000"], 2),
+    # digits that str.isdigit() accepts and int() refuses
+    (["normalize", "e^²"], 2),
+    (["normalize", "²"], 2),
+    (["normalize", "q^¹"], 2),
+    (["normalize", "e*①"], 2),
+    (["eval", "--q", "2", "q^²"], 2),
 ]
 
 
@@ -608,7 +678,7 @@ def test_exit_code_contract(runner, args, expected):
 # pieces of normalize/eval input: letters of both presentations, numbers,
 # operators and exponents within and past the budget
 _PIECES = ["e", "f", "k", "k^-1", "x", "x^-1", "y", "z", "q", "2", "7", "+", "-",
-           "*", "/", "^", "(", ")", "^2", "^3", "^-1", "^12", "^1001", " "]
+           "*", "/", "^", "(", ")", "^2", "^3", "^-1", "^12", "^1001", " ", "²", "①"]
 _EXPRESSIONS = st.one_of(
     st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
     st.recursive(

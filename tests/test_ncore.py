@@ -1,5 +1,7 @@
 """Tests for PBW normalization, presentation maps, and n-elements."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from uqsl2 import ncore
 from uqsl2.exprio import BudgetError, parse
 from uqsl2.ncore import AlgebraElement, apply_automorphism, n_element
 from uqsl2.qfield import CQ, RF_ONE, LaurentPoly, RatFunc, q_power, qint
+from uqsl2.report import RecipeError
 
 
 def nf(text):
@@ -43,10 +46,57 @@ def test_confluence_all_overlaps_resolve():
     assert rep.passed
     words = [e.identity.rsplit(":", 1)[1] for e in rep.entries]
     # programmatic enumeration: every two-rule overlap of the system
-    expected = sorted({u + v[1] for u in ncore._RULES for v in ncore._RULES
-                       if u[1] == v[0]})
+    rules = ncore._derived_rules(ncore.RELATIONS["chevalley"])
+    expected = sorted({u + v[1] for u in rules for v in rules if u[1] == v[0]})
     assert words == expected
     assert len(words) == 8
+
+
+# the rewriting system as it was once written by hand, beside the relations:
+# each redex maps to (coefficient, replacement word) pairs, K standing for k^-1
+_HAND_RULES = {
+    "ef": ((RF_ONE, "fe"), (CQ, "k"), (-CQ, "K")),
+    "ek": ((q_power(-2), "ke"),),
+    "eK": ((q_power(2), "Ke"),),
+    "kf": ((q_power(-2), "fk"),),
+    "Kf": ((q_power(2), "fK"),),
+    "kK": ((RF_ONE, ""),),
+    "Kk": ((RF_ONE, ""),),
+}
+
+
+def test_rules_derive_from_the_chevalley_relations():
+    derived = ncore._derived_rules(ncore.RELATIONS["chevalley"])
+    assert derived == {redex: {word: c for c, word in repl}
+                       for redex, repl in _HAND_RULES.items()}
+    # the conjugates by K read the rules of k*k^-1=k^-1*k=1 wherever it stands
+    assert ncore._derived_rules(ncore.RELATIONS["chevalley"][::-1]) == derived
+
+
+def test_a_false_k_relation_fails_the_overlaps_of_its_rules(monkeypatch):
+    # k*e=q^3*e*k gives ek -> q^-3*ke and eK -> q^3*Ke, whose overlaps with
+    # kf and Kf resolve to terms of k and K that differ by a factor of q
+    table = ncore.RELATIONS["chevalley"]
+    monkeypatch.setitem(ncore.RELATIONS, "chevalley", tuple(
+        "k*e=q^3*e*k" if text == "k*e=q^2*e*k" else text for text in table))
+    report = ncore.verify_confluence()
+    assert len(report.entries) == 8
+    assert [e.identity for e in report.failures] == [
+        "confluence:overlap:eKf", "confluence:overlap:ekf"]
+    assert all(e.witness for e in report.failures)
+
+
+@pytest.mark.parametrize("text", [
+    "e*f=f*e*e*f",  # two words with out-of-order pairs
+    "e*f^2=f*e",  # a redex of three letters
+    # ke is as long as kf but not its letters swapped: with ef -> ff, which
+    # e*f=f*f would give, kef -> kff -> kef would loop
+    "k*f=k*e",
+    "e*f=f*e*e",  # a replacement longer than its redex
+])
+def test_a_relation_that_does_not_orient_raises(text):
+    with pytest.raises(RecipeError, match=re.escape(text) + " does not orient"):
+        ncore._derived_rules(("k*k^-1=k^-1*k=1", text))
 
 
 def test_presentation_iso_checks():
