@@ -228,6 +228,18 @@ def test_verify_symbolic_battery_bytes_pinned(runner):
         "bcb64a1b4caf88c77b3483d091a171cfe67a91335d63d349b5a6dfee7c1b4bb1")
 
 
+@pytest.mark.parametrize("scope,digest", [
+    ("relations", "45ff97abdcaede2f5dffbb0b15e77e1cff7387b99ebe71ecef4ffa21d864fa6e"),
+    ("iso", "c792517e00a791ab1eb5c4377dcc1366a48626adfff4cd84e20c154fb35cb422"),
+])
+def test_verify_algebra_bytes_pinned(runner, scope, digest):
+    # the algebra rows; the ncomm: rows fold their text in the alphabet of
+    # the module environment
+    res = runner.invoke(main, ["verify", scope, "--format", "json"])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+
 def _separate_suites_rows(nmax, window=4):
     # the battery as its public suites, one call each: operator and closed-form
     # suites build their own operator environments
