@@ -9,16 +9,16 @@ Grammar (whitespace ignored, error positions are 1-based):
 
 NAME is a generator letter of the active presentation (k, e, f or x, y, z;
 inverses are spelled k^-1, x^-1) or the distinguished scalar q.  The
-private operator alphabet of qexpops and ncore, which no CLI option
-selects, has no letters: its leaves are the keys of the operator
-environment, spelled as they print (exp_q(n_x), exp_q(n_x)^-1, n_x, y^-1,
-Psi^-1, Omega^3, ...), and a word of leaves joined by '*' (exp_q(n_x)*y)
-reads as one leaf named by its text, so that its caller can keep each
-product it folds.  '*' is mandatory; juxtaposition is not multiplication.
-'/' requires its right operand to be (or fold to) a nonzero scalar.
-Subexpressions built only from q and numbers fold into ScalarLiteral nodes
-during parsing, so a parsed tree is always in folded form and render/parse
-round-trip exactly.
+private alphabet of the module environment (repmod, qexpops, ncore), which
+no CLI option selects, has no letters: its leaves are the keys of the
+environment, spelled as they print (k, k^-1, e, f, x, y^-1, n_x,
+exp_q(n_x), exp_q(n_x)^-1, Psi^-1, Omega^3, ...), and a word of leaves
+joined by '*' (k^-1*e, exp_q(n_x)*y) reads as one leaf named by its text,
+so that its reader (repmod._Words) can keep each product it folds.  '*'
+is mandatory; juxtaposition is not multiplication.  '/' requires its
+right operand to be (or fold to) a nonzero scalar.  Subexpressions built
+only from q and numbers fold into ScalarLiteral nodes during parsing, so a
+parsed tree is always in folded form and render/parse round-trip exactly.
 
 Parentheses and unary minus may nest at most MAX_NESTING (100) levels deep,
 counted together; deeper input is a ParseError at the first token past the
@@ -74,10 +74,11 @@ MAX_WORK = 3 * 10 ** 7
 # 2^MAX_POWER_BITS, and int() reads it within Python's 4300-digit limit
 _MAX_DIGITS = len(str(2 ** MAX_POWER_BITS)) - 1
 
-# the operator alphabet (see above): one leaf, and a word of leaves
+# the alphabet of the module environment (see above): one leaf, and a word
+# of leaves; a letter comes after the longer leaves, so exp_q( matches first
 _OPERATORS = "operators"
 _OPERATOR_LEAF = (r"exp_q\(n_[xyz]\)(?:\^-1)?|n_[xyz]|Omega(?:\^-1|\^3)?|Psi(?:\^-1)?"
-                  r"|[xyz](?:\^-1)?")
+                  r"|[xyz](?:\^-1)?|k(?:\^-1)?|[ef]")
 _OPERATOR_WORD = re.compile(r"(?:{0})(?:\*(?:{0}))*".format(_OPERATOR_LEAF))
 # the letter that names the axis of a leaf (x, x^-1, n_x, exp_q(n_x)^-1 and
 # the equitable letters), never one of a longer name (the x of exp_q)

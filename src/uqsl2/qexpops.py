@@ -8,15 +8,17 @@ rotates x -> y -> z -> x under conjugation, and Omega^3 is central.
 OPERATOR_IDENTITIES is the one statement of the operator identities, each
 written as the text its row prints after "expq:", "conj:", "psi:" or
 "omega:", a family rotated x -> y -> z once, for the x axis
-(exprio.rotated).  Each row folds its text with ncore.sides over the
-operator environment of its module, in the operator alphabet of exprio,
-and so do the "rewrite:" rows and the n_a recipe, from ncore.N_DEFINITIONS;
-report.compare builds the row, with repmod.matrix_witness.  Its leaves are
-the env keys, spelled as they print: x, x^-1, y, z, y^-1, z^-1, n_a,
-exp_q(n_a), exp_q(n_a)^-1, Psi, Psi^-1, Omega, Omega^-1 and Omega^3.  A
-word such as exp_q(n_x)*y is the env's product when it has one (y*z), else
-its left prefix times its last leaf, kept for the length of one report if
-the report reads it again.
+(exprio.rotated); OPERATOR_DEFINITIONS is the one statement of Omega,
+Omega^-1 and Omega^3, which their recipes fold and the "closedform:Omega="
+row prints.  Each row and recipe folds its text with repmod._matrix_sides,
+through the env's one word reader repmod._Words, in the env alphabet of
+exprio, and so do the "rewrite:" rows and the n_a recipe, from
+ncore.N_DEFINITIONS; report.compare builds the row, with
+repmod.matrix_witness.  The leaves are the env keys, spelled as they
+print: x, x^-1, y, z, y^-1, z^-1, n_a, exp_q(n_a), exp_q(n_a)^-1, Psi,
+Psi^-1, Omega, Omega^-1 and Omega^3.  A word such as exp_q(n_x)*y is the
+env's product when it has one (y*z), else its left prefix times its last
+leaf, kept for the length of one report if the report reads it again.
 
 ``_OperatorEnv`` extends the module environment ``repmod._ModuleEnv`` by one
 recipe per operator, built when first read, then kept: n_a, exp_q(n_a) with
@@ -25,7 +27,8 @@ scalar matrix Omega^3-scalar.  The series and n_a divide exactly, with no
 gcd: q^(i-1)/[i] = q^(2i-2)(q^2 - 1)/(q^(2i) - 1) and CQ = q/(q^2 - 1), so
 each integer Laurent entry is divided by q^m - 1 in ints
 (qfield.div_q_power_minus_one), and only an entry that does not divide (a
-broken identity) takes the RatFunc product (_times_ratio).  ``uqsl2 verify``
+broken identity) takes the RatFunc product; at a point the scalar is one
+Fraction (_times_ratio).  ``uqsl2 verify``
 hands the envs of the modules with one list of summand dimensions (L(n, +1)
 and L(n, -1), whose n_a agree, or one direct sum) one store of series,
 keyed by q0 and the entries of n_a; each row still folds its own module's
@@ -44,12 +47,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exprio import _OPERATOR_LEAF, _OPERATOR_WORD, _OPERATORS, rotated
+from .exprio import _OPERATOR_LEAF, _OPERATOR_WORD, rotated
 from .ncore import N_DEFINITIONS
-from .qfield import (CQ, RF_ZERO, LaurentPoly, RatFunc, div_q_power_minus_one, q_power,
-                     qbinom, qint)
+from .qfield import RF_ZERO, LaurentPoly, RatFunc, div_q_power_minus_one, q_power, qbinom
 from .repmod import (Matrix, ModuleSpec, ScalarContext, _matrix_sides, _ModuleEnv,
-                     _recipe_index, build_equitable, matrix_witness)
+                     _recipe_index, _Words, build_equitable, matrix_witness)
 from .report import ConsistencyError, VerificationReport, check, compare
 
 _AXES = ("x", "y", "z")
@@ -69,10 +71,14 @@ OPERATOR_IDENTITIES = (
     ("omega", True, ("Omega^-1*x*Omega=y",)),
     ("omega", True, ("Omega^3*x=x*Omega^3",)),
 )
+# the operators built from others, each by the text its recipe folds
+OPERATOR_DEFINITIONS = {"Omega": "exp_q(n_z)*Psi*exp_q(n_y)",
+                        "Omega^-1": "exp_q(n_y)^-1*Psi^-1*exp_q(n_z)^-1",
+                        "Omega^3": "Omega*Omega*Omega"}
 
 _LEAF = re.compile(_OPERATOR_LEAF)
-# the leaves Omega and Omega^-1 are built from, besides Psi
-_OMEGA_LEAVES = {"Omega", "Omega^-1", *rotated(("exp_q(n_x)", "exp_q(n_x)^-1"))[2:]}
+# Omega, Omega^-1 and the leaves of their definitions
+_OMEGA_LEAVES = set(_LEAF.findall("Omega*Omega^-1*%(Omega)s*%(Omega^-1)s" % OPERATOR_DEFINITIONS))
 
 
 @lru_cache(maxsize=None)
@@ -104,17 +110,17 @@ class OmegaOperator:
     inverse: Matrix
 
 
-def _times_ratio(mat, sc, factor, lift, m):
-    """mat times the scalar factor() = lift/(q^m - 1), lift a LaurentPoly
-    with int coefficients.  At a point, mat times factor() at q0.
+def _times_ratio(mat, sc, lift, m):
+    """mat times lift/(q^m - 1), lift a LaurentPoly with int coefficients.
+    At a point, mat times the one Fraction lift(q0)/(q0^m - 1).
     Symbolically, each entry x is x*lift divided exactly by q^m - 1, in ints
     (div_q_power_minus_one); only an entry that is not an integer Laurent
     polynomial, or where q^m - 1 does not divide x*lift (a broken identity),
-    takes the RatFunc product x*factor()."""
+    takes the RatFunc product x*(lift/(q^m - 1))."""
     if sc.q0 is not None:
-        return mat.scalar_mul(sc.scal(factor()))
-    return mat.map_entries(
-        lambda x: x and (div_q_power_minus_one(x, m, lift) or x * factor()))
+        return mat.scalar_mul(lift.evaluate(sc.q0) / (sc.q0 ** m - 1))
+    return mat.map_entries(lambda x: x and (
+        div_q_power_minus_one(x, m, lift) or x * RatFunc(lift, LaurentPoly({m: 1, 0: -1}))))
 
 
 def _exp_series(mat, sc, order=None):
@@ -132,8 +138,7 @@ def _exp_series(mat, sc, order=None):
     order = dim + 2 if order is None else order
     for i in range(1, order):
         # q^(i-1)/[i] = q^(2i-2) (q^2 - 1)/(q^(2i) - 1)
-        term = _times_ratio(term * mat, sc, lambda: RatFunc(q_power(i - 1).num, qint(i)),
-                            LaurentPoly({2 * i: 1, 2 * i - 2: -1}), 2 * i)
+        term = _times_ratio(term * mat, sc, LaurentPoly({2 * i: 1, 2 * i - 2: -1}), 2 * i)
         if term.is_zero():
             return total, inv_total, i
         total = total + term
@@ -177,17 +182,15 @@ def _operator_recipes():
     # the module recipes of _ModuleEnv, plus one recipe per operator
     table = {
         ("Psi", "Psi^-1"): lambda env: map(env["sc"].matrix, _psi_pair(env["rep"])),
-        ("Omega",): lambda env: [env["exp_q(n_z)"] * env["Psi"] * env["exp_q(n_y)"]],
-        ("Omega^-1",): lambda env: [env["exp_q(n_y)^-1"] * env["Psi^-1"] * env["exp_q(n_z)^-1"]],
-        ("Omega^3",): lambda env: [env["Omega"] * env["Omega"] * env["Omega"]],
         ("Omega^3-scalar",): lambda env: [env["I"].scalar_mul(env["sc"].scal(
             omega_cube_scalar(env["spec"].summands[0][0])))],
     }
+    for key in OPERATOR_DEFINITIONS:
+        table[key,] = lambda env, key=key: _matrix_sides(_Words(env), OPERATOR_DEFINITIONS[key])
     for a in _AXES:
-        # CQ = q/(q^2 - 1)
+        # (q - q^-1) n_a, times 1/(q - q^-1) = q/(q^2 - 1)
         table["n_" + a,] = lambda env, a=a: [_times_ratio(_matrix_sides(
-            env, N_DEFINITIONS[a].partition("=")[0], _OPERATORS, env.__getitem__)[0],
-            env["sc"], lambda: CQ, LaurentPoly({1: 1}), 2)]
+            _Words(env), N_DEFINITIONS[a].partition("=")[0])[0], env["sc"], LaurentPoly({1: 1}), 2)]
         table["exp_q(n_" + a + ")", "exp_q(n_" + a + ")^-1", "idx_" + a] = (
             lambda env, a=a: _stored_series(env, env["n_" + a]))
     return {**_ModuleEnv.recipes, **_recipe_index(table)}
@@ -222,28 +225,10 @@ class _OperatorEnv(_ModuleEnv):
         return env
 
 
-class _Words(dict):
-    """The words the rows of one report read (see the module docstring),
-    each in keep kept for the report; mod is the module of every row."""
-
-    def __init__(self, env, keep=frozenset()):
-        super().__init__()
-        self.env, self.keep, self.mod = env, keep, env["spec"].json_obj()
-
-    def __missing__(self, word):
-        if "*" not in word or word in self.env.recipes:
-            return self.env[word]
-        prefix, _, leaf = word.rpartition("*")
-        value = self[prefix] * self.env[leaf]
-        if word in self.keep:
-            self[word] = value
-        return value
-
-
 def _formula_row(words, prefix, text):
     # the row prefix:text, its sides folded over words
     return compare(prefix + ":" + text, words.mod,
-                   lambda: _matrix_sides(words.env, text, _OPERATORS, words.__getitem__),
+                   lambda: _matrix_sides(words, text),
                    matrix_witness)
 
 
@@ -296,7 +281,7 @@ def _omega_rows(env):
 
 
 def omega(rep):
-    """Omega = exp_q(n_z) * Psi * exp_q(n_y), with its factor-built inverse."""
+    """Omega (OPERATOR_DEFINITIONS), with its factor-built inverse."""
     env = _OperatorEnv(rep, what="Psi is defined")
     _omega_rows(env).require()
     return OmegaOperator(matrix=env["Omega"], inverse=env["Omega^-1"])
@@ -368,7 +353,7 @@ def _closed_form_report(env, cube=True):
     spec = env["spec"]
     mod = spec.json_obj()
     mat, inv = map(env["sc"].matrix, _closed_form_matrices(spec.summands[0][0]))
-    rows = [("closedform:Omega=exp_q(n_z)*Psi*exp_q(n_y)", lambda: (mat, env["Omega"])),
+    rows = [("closedform:Omega=" + OPERATOR_DEFINITIONS["Omega"], lambda: (mat, env["Omega"])),
             ("closedform:Omega^-1", lambda: (inv, env["Omega^-1"])),
             ("closedform:Omega^3=central-scalar",
              lambda: (env["Omega^3"], env["Omega^3-scalar"]))]

@@ -23,9 +23,17 @@ products ``a*b`` of x, y, z at q0.  The equitable, Chevalley and basis-change
 reports and the operator recipes of ``qexpops._OperatorEnv`` read one env;
 one read only by equitable rows never builds the Chevalley side.  A recipe
 that raises (a singular y has no y^-1) raises RecipeError, which names it.
-The defining-relation rows fold the text of ``ncore.RELATIONS`` over the
-env's generators: a Matrix takes a scalar operand c in ``*``, and in ``+``
-and ``-`` as c*I, and a side that folds to a bare scalar c is compared as c*I.
+
+Every formula the env turns into a matrix is folded by one reader,
+``_Words``, in the env alphabet of exprio, whose leaves are the env keys
+(k, k^-1, e, f, x, x^-1, y, z, y^-1, n_x, exp_q(n_x), Psi, Omega, ...): the
+defining relations of both bases (``ncore.RELATIONS``), the images
+``image:g`` (the text of ``ncore.IMAGES``, over the Chevalley generators),
+and the formulas of qexpops.  A word such as x*y or k^-1*e is the env's
+product when it has one, else its left prefix times its last leaf, kept
+for the length of one report if the report reads it again.  A Matrix takes
+a scalar operand c in ``*``, and in ``+`` and ``-`` as c*I, and a side that
+folds to a bare scalar c is compared as c*I.
 """
 
 import json
@@ -34,10 +42,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, permutations
-from operator import add, mul, sub
+from itertools import accumulate, chain, permutations
+from operator import add, gt, lt, mul, ne, sub
 
-from .ncore import RELATIONS, equitable_image, sides
+from .exprio import _OPERATORS, EQUITABLE
+from .ncore import IMAGES, RELATIONS, sides
 from .qfield import (RF_ONE, RF_ZERO, LaurentPoly, RatFunc, check_admissible,
                      laurent_matmul, q_power, qint)
 from .report import ConsistencyError, RecipeError, VerificationReport, check, compare
@@ -159,14 +168,6 @@ class Matrix:
     def is_diagonal(self):
         return all(not x for i, row in enumerate(self.rows)
                    for j, x in enumerate(row) if i != j)
-
-    def is_lower_triangular(self):
-        return all(not x for i, row in enumerate(self.rows)
-                   for j, x in enumerate(row) if j > i)
-
-    def is_upper_triangular(self):
-        return all(not x for i, row in enumerate(self.rows)
-                   for j, x in enumerate(row) if j < i)
 
     def diagonal(self):
         return [self.rows[i][i] for i in range(min(self.nrows, self.ncols))]
@@ -389,9 +390,7 @@ class ScalarContext:
     """Adapter so identity checks run symbolically or at a rational q0."""
 
     def __init__(self, q0=None):
-        if q0 is not None:
-            check_admissible(q0)
-        self.q0 = q0
+        self.q0 = None if q0 is None else check_admissible(q0)  # a Fraction
         self.one = RF_ONE if q0 is None else Fraction(1)
 
     def scal(self, v):
@@ -432,8 +431,7 @@ def _module_recipes():
             q0_free(g, lambda env, basis=basis, g=g: env[basis].action[g])
     q0_free("D", lambda env: change_of_basis(env["spec"]))
     for g in EQUITABLE_GENS:
-        q0_free("image:" + g,
-                lambda env, g=g: evaluate(equitable_image(g), env["chevalley"]))
+        q0_free("image:" + g, lambda env, g=g: _matrix_sides(_Words(env), IMAGES[EQUITABLE][g])[0])
     for a in ("y", "z"):
         table[a + "^-1",] = lambda env, a=a: [env[a].inverse()]
     for a, b in permutations("xyz", 2):
@@ -477,45 +475,75 @@ def _low_diag(env):
             for _, n, eps in env["spec"].blocks() for i in range(n + 1)]
 
 
-def _matrix_sides(env, text, presentation, leaves):
-    # each side of text folded over leaves and env's scalars; a side that
-    # folds to a bare scalar c is c*I
+class _Words(dict):
+    """The words that the rows of one report, or one recipe, read (see the
+    module docstring), each in keep kept; mod is the module of every row."""
+
+    def __init__(self, env, keep=frozenset()):
+        super().__init__()
+        self.env, self.keep, self.mod = env, keep, env["spec"].json_obj()
+
+    def __missing__(self, word):
+        if "*" not in word or word in self.env.recipes:
+            return self.env[word]
+        prefix, _, leaf = word.rpartition("*")
+        value = self[prefix] * self.env[leaf]
+        if word in self.keep:
+            self[word] = value
+        return value
+
+
+def _matrix_sides(words, text):
+    # each side of text, in the env alphabet, folded over words and the
+    # env's scalars; a side that folds to a bare scalar c is c*I
+    env = words.env
     return [s if isinstance(s, Matrix) else Matrix.identity(env["spec"].dim, s)
-            for s in sides(text, presentation, env["sc"].scal, leaves)]
+            for s in sides(text, _OPERATORS, env["sc"].scal, words.__getitem__)]
 
 
 def _relation_rows(env, basis):
-    # the rows of the defining relations of basis, each folded over env's generators
-    mod = env["spec"].json_obj()
-    return [compare("module:%s:" % basis + text, mod,
-                    lambda: _matrix_sides(env, text, basis, env.__getitem__), matrix_witness)
+    # the rows of the defining relations of basis, each folded over env's words
+    words = _Words(env)
+    return [compare("module:%s:" % basis + text, words.mod,
+                    lambda: _matrix_sides(words, text), matrix_witness)
             for text in RELATIONS[basis]]
+
+
+def _eigenvalue_row(env, gen, zero_at, ordered, low_diag):
+    # the row of gen's eigenvalues: its matrix is 0 wherever zero_at(i, j),
+    # and its diagonal is low_diag (_low_diag), in order, or else as a multiset
+    m = env[gen]
+    spectrum, what = ((lambda d: dict(enumerate(d)), "diagonal entry") if ordered
+                      else (Counter, "multiplicity of"))
+    found, expected = spectrum(m.diagonal()), spectrum(low_diag)
+    witness = next(chain(
+        ("entry (%d, %d) is %s, not 0" % (i, j, x) for i, row in enumerate(m.rows)
+         for j, x in enumerate(row) if x and zero_at(i, j)),
+        ("%s %s: %s, expected %s" % (what, key, found.get(key, 0), expected.get(key, 0))
+         for key in {**found, **expected} if found.get(key, 0) != expected.get(key, 0))), None)
+    return check("module:eigenvalues:" + gen, env["spec"].json_obj(), witness is None, witness)
+
+
+def _invertible_row(env, gen):
+    # gen times gen^-1 is I; symbolically gen^-1 also has Laurent entries,
+    # as the determinant of gen is +-1
+    identity, mod, inv = "module:invertible:" + gen, env["spec"].json_obj(), gen + "^-1"
+    row = compare(identity, mod, lambda: (env[gen] * env[inv], env["I"]), matrix_witness)
+    witness = row.witness or env["sc"].q0 is None and next((
+        "entry (%d, %d) of %s is not a Laurent polynomial: %s" % (i, j, inv, x) for i, r
+        in enumerate(env[inv].rows) for j, x in enumerate(r) if not x.is_polynomial()), None)
+    return check(identity, mod, not witness, witness)
 
 
 def _equitable_report(env):
     """The rows of verify_module_suite on the equitable basis of env's module."""
     spec, sc = env["spec"], env["sc"]
-    mod = spec.json_obj()
-    ident = env["I"]
+    Y, Z = env["y"], env["z"]
     low_diag = _low_diag(env)
-    X, Y, Z = env["x"], env["y"], env["z"]
     entries = _relation_rows(env, "equitable")
-    entries.append(check("module:eigenvalues:x", mod, X.is_diagonal() and
-                         Counter(X.diagonal()) == Counter(low_diag)))
-    entries.append(check("module:eigenvalues:y", mod,
-                         Y.is_lower_triangular() and Y.diagonal() == low_diag))
-    entries.append(check("module:eigenvalues:z", mod,
-                         Z.is_upper_triangular() and Z.diagonal() == low_diag))
-    for name in ("y", "z"):
-        try:
-            Minv = env[name + "^-1"]
-            ok = env[name] * Minv == ident
-            if ok and sc.q0 is None:
-                # determinant is +-1, so the inverse has Laurent entries
-                ok = all(x.is_polynomial() for row in Minv.rows for x in row)
-        except RecipeError:
-            ok = False
-        entries.append(check("module:invertible:%s" % name, mod, ok))
+    entries += [_eigenvalue_row(env, g, zero_at, ordered, low_diag)
+                for g, zero_at, ordered in (("x", ne, False), ("y", lt, True), ("z", gt, True))]
+    entries += [_invertible_row(env, g) for g in ("y", "z")]
     zero = sc.one - sc.one
     for off, n, eps in spec.blocks():
         u = Matrix([[sc.one if off <= i <= off + n else zero]
@@ -530,10 +558,8 @@ def _equitable_report(env):
 
 def _chevalley_report(env):
     """The rows of verify_module_suite on the Chevalley basis of env's module."""
-    K = env["k"]
-    actual = Counter(K.diagonal()) if K.is_diagonal() else None
-    return VerificationReport(_relation_rows(env, "chevalley") + [check(
-        "module:eigenvalues:k", env["spec"].json_obj(), actual == Counter(_low_diag(env)))])
+    return VerificationReport(_relation_rows(env, "chevalley")
+                              + [_eigenvalue_row(env, "k", ne, False, _low_diag(env))])
 
 
 def _basis_change_report(env):

@@ -289,13 +289,16 @@ def test_verify_all_rows_match_separate_suites(runner):
 
 
 def test_verify_builds_each_input_once_per_module(runner, monkeypatch):
-    # each module's symbolic env builds both Reps and the four Chevalley
-    # images once, whatever --q-spot is; each (module, point) inverts y and z
+    # each module's symbolic env builds both Reps and folds the four
+    # Chevalley images once, whatever --q-spot is; each (module, point)
+    # inverts y and z
     calls = []
+    images = set(ncore.IMAGES["equitable"].values())
 
     def counting(name, fn):
         def wrapper(*args):
-            calls.append((name, args[-1].spec if name == "evaluate" else args[0]))
+            if name != "image" or args[1] in images:
+                calls.append((name, args[0].env["spec"] if name == "image" else args[0]))
             return fn(*args)
         return wrapper
 
@@ -304,7 +307,7 @@ def test_verify_builds_each_input_once_per_module(runner, monkeypatch):
                             counting("build_equitable", repmod.build_equitable))
     monkeypatch.setattr(repmod, "build_chevalley",
                         counting("build_chevalley", repmod.build_chevalley))
-    monkeypatch.setattr(repmod, "evaluate", counting("evaluate", repmod.evaluate))
+    monkeypatch.setattr(repmod, "_matrix_sides", counting("image", repmod._matrix_sides))
     real_inverse = repmod.Matrix.inverse
     monkeypatch.setattr(repmod.Matrix, "inverse",
                         lambda self: calls.append(("inverse", None)) or real_inverse(self))
@@ -316,11 +319,32 @@ def test_verify_builds_each_input_once_per_module(runner, monkeypatch):
                                    "--q-spot", q_spot, "--format", "json"])
         assert res.exit_code == 0
         for name, per_spec in (("build_equitable", 1), ("build_chevalley", 1),
-                               ("evaluate", 4)):
+                               ("image", 4)):
             assert sorted(s.label() for n, s in calls if n == name) == sorted(
                 s.label() for s in specs for _ in range(per_spec))
         points = 1 + int(q_spot)
         assert calls.count(("inverse", None)) == 2 * len(specs) * points
+
+
+def test_verify_forms_each_product_once_per_module_and_point(runner, monkeypatch):
+    # one word reader folds every formula the module environment turns into
+    # a matrix, so the relation rows read the env's products x*y, ... and the
+    # Chevalley images multiply no identity matrix: 1376 products of two
+    # matrices, against 1580 when each formed its own
+    products = []
+    real = Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__", lambda self, other: (
+        products.append(None) if isinstance(other, Matrix) else None) or real(self, other))
+    res = runner.invoke(main, ["verify", "all", "--nmax", "4", "--format", "json"])
+    assert (res.exit_code, len(products)) == (0, 1376)
+
+
+def test_verify_never_calls_evaluate(runner, monkeypatch):
+    # repmod.evaluate stays as the reference of the tests; verify folds text
+    calls = []
+    monkeypatch.setattr(repmod, "evaluate", lambda *args: calls.append(args))
+    res = runner.invoke(main, ["verify", "all", "--nmax", "2", "--q-spot", "1"])
+    assert (res.exit_code, calls) == (0, [])
 
 
 def test_verify_builds_each_series_once_per_module_pair(runner, monkeypatch):
@@ -547,6 +571,75 @@ def test_a_false_table_entry_fails_exactly_its_rows(monkeypatch, table, where, t
     if text in _K_RELATIONS:
         expected |= _K_OVERLAPS
     assert expected and {e["identity"] for e in failed} == expected
+    assert all(e.get("witness") for e in failed)
+
+
+# the rows a false definition fails, without their @q= tags: an image of
+# an equitable generator g fails the algebra rows that read g (directly, or
+# through n_a or a Chevalley image) and the basis-change row of g; a
+# Chevalley image its composite row; the others the rows that print their
+# text ({false}) or read the operator they define
+_DEFINITION_ROWS = {
+    ("IMAGES", "equitable", "x"): (
+        "iso:relation:x*x^-1=x^-1*x=1", "iso:relation:(q*x*y-q^-1*y*x)/(q-q^-1)=1",
+        "iso:relation:(q*z*x-q^-1*x*z)/(q-q^-1)=1", "iso:composite:k", "iso:composite:e",
+        "ncomm:x*n_y=q^2*n_y*x", "ncomm:x*n_z=q^-2*n_z*x", "ncomm:y*n_z=q^2*n_z*y",
+        "ncomm:z*n_y=q^-2*n_y*z", "ndef:n_y:q*(1-z*x)=q^-1*(1-x*z)",
+        "ndef:n_z:q*(1-x*y)=q^-1*(1-y*x)", "npre:n_y=e", "npre:n_z=-q*k*f",
+        "module:basis-change:x"),
+    ("IMAGES", "equitable", "x^-1"): (
+        "iso:relation:x*x^-1=x^-1*x=1", "iso:composite:k^-1", "iso:composite:f",
+        "module:basis-change:x^-1"),
+    ("IMAGES", "equitable", "y"): (
+        "iso:relation:(q*x*y-q^-1*y*x)/(q-q^-1)=1", "iso:relation:(q*y*z-q^-1*z*y)/(q-q^-1)=1",
+        "iso:composite:f", "ncomm:x*n_z=q^-2*n_z*x", "ncomm:y*n_x=q^-2*n_x*y",
+        "ncomm:y*n_z=q^2*n_z*y", "ncomm:z*n_x=q^2*n_x*z", "ndef:n_x:q*(1-y*z)=q^-1*(1-z*y)",
+        "ndef:n_z:q*(1-x*y)=q^-1*(1-y*x)", "npre:n_z=-q*k*f", "module:basis-change:y"),
+    ("IMAGES", "equitable", "z"): (
+        "iso:relation:(q*y*z-q^-1*z*y)/(q-q^-1)=1", "iso:relation:(q*z*x-q^-1*x*z)/(q-q^-1)=1",
+        "iso:composite:e", "ncomm:x*n_y=q^2*n_y*x", "ncomm:y*n_x=q^-2*n_x*y",
+        "ncomm:z*n_x=q^2*n_x*z", "ncomm:z*n_y=q^-2*n_y*z", "ndef:n_x:q*(1-y*z)=q^-1*(1-z*y)",
+        "ndef:n_y:q*(1-z*x)=q^-1*(1-x*z)", "npre:n_y=e", "module:basis-change:z"),
+    **{("IMAGES", "chevalley", g): ("iso:composite:" + g,) for g in ("k", "k^-1", "f", "e")},
+    **{("N_DEFINITIONS", None, a): ("ndef:n_%s:{false}" % a, "rewrite:{false}")
+       for a in "xyz"},
+    ("OPERATOR_DEFINITIONS", None, "Omega"): (
+        "closedform:Omega={false}", "closedform:Omega^3=central-scalar",
+        "omega:Omega*Omega^-1=1", *exprio.rotated(("omega:Omega^-1*x*Omega=y",)),
+        "omega:Omega^3=central-scalar"),
+    ("OPERATOR_DEFINITIONS", None, "Omega^-1"): (
+        "closedform:Omega^-1", "omega:Omega*Omega^-1=1",
+        *exprio.rotated(("omega:Omega^-1*x*Omega=y",))),
+    ("OPERATOR_DEFINITIONS", None, "Omega^3"): (
+        "closedform:Omega^3=central-scalar", "omega:Omega^3=central-scalar"),
+}
+
+
+@pytest.mark.parametrize("table,where,key", _DEFINITION_ROWS,
+                         ids=[":".join(filter(None, entry)) for entry in _DEFINITION_ROWS])
+def test_a_false_definition_fails_exactly_its_rows(monkeypatch, table, where, key):
+    # with its text R replaced by q*(R) (its right side, in a formula), a
+    # definition that recipes and rows read fails exactly the rows of the
+    # table above, each with a witness; a rewrite: row on L(0, eps) passes,
+    # as both sides of n_a are 0 there.  The caches keyed by name start empty
+    rows = _sweep_rows()
+    for name in ("equitable_image", "_n_sides"):
+        monkeypatch.setattr(ncore, name, functools.lru_cache(getattr(ncore, name).__wrapped__))
+    texts = getattr(qexpops if table == "OPERATOR_DEFINITIONS" else ncore, table)
+    texts = texts if where is None else texts[where]
+    left, _, right = texts[key].rpartition("=")
+    false = left + "=" * bool(left) + "q*(%s)" % right
+    monkeypatch.setitem(texts, key, false)
+    res = CliRunner().invoke(main, _SWEEP)
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    entries = json.loads(res.output)["entries"]
+    assert len(entries) == rows
+    expected = {row.format(false=false) for row in _DEFINITION_ROWS[table, where, key]}
+    failed = [e for e in entries if e["status"] == "fail"]
+    assert {e["identity"] for e in failed} == {
+        e["identity"] for e in entries if e["identity"].split("@")[0] in expected
+        and not (e["identity"].startswith("rewrite:") and e["module"].get("n") == 0)}
     assert all(e.get("witness") for e in failed)
 
 
@@ -821,6 +914,16 @@ def test_a_recipe_that_raises_fails_the_rows_that_read_it(runner, monkeypatch, k
             assert any(leaf in e["identity"] for leaf in reads)
         elif key == "Psi" or "@q=" not in e["identity"]:
             assert e == before
+
+
+def test_a_singular_y_fails_the_module_rows_with_witnesses(runner, monkeypatch):
+    # the rows that read a y with no inverse each name what failed
+    _break_recipe(monkeypatch, "y", _singular_y)
+    code, rows = _rows_and_exit(runner, ["verify", "modules", "--nmax", "1", "--q-spot", "1"])
+    failed = {e["identity"]: e.get("witness") for e in rows if e["status"] == "fail"}
+    assert code == 1 and all(failed.values())
+    assert failed["module:invertible:y@q=8"] == "y^-1 not built: matrix is singular"
+    assert failed["module:eigenvalues:y@q=8"].startswith("diagonal entry 0: 0, expected ")
 
 
 def test_verify_grid_has_one_budget(runner):

@@ -407,10 +407,16 @@ def _scaled_matrices(draw):
 @given(_scaled_matrices())
 def test_exact_scaling_matches_the_ratfunc_product(case):
     # the symbolic path divides exactly where it can and falls back to the
-    # RatFunc product elsewhere; the value is the RatFunc product's
+    # RatFunc product elsewhere; the value is the RatFunc product's.  At a
+    # point (an int, a float and a Fraction q0), the one Fraction
+    # lift(q0)/(q0^m - 1) gives the product at q0, exactly
     mat, (lift, m, factor) = case
-    assert _times_ratio(mat, ScalarContext(), lambda: factor, lift, m) == (
-        mat.scalar_mul(factor))
+    assert _times_ratio(mat, ScalarContext(), lift, m) == mat.scalar_mul(factor)
+    for q0 in (2, 0.5, Fraction(-7, 3)):
+        sc = ScalarContext(q0)
+        scaled = _times_ratio(sc.matrix(mat), sc, lift, m)
+        assert scaled == sc.matrix(mat.scalar_mul(factor))
+        assert all(type(x) is Fraction for row in scaled.rows for x in row)
 
 
 def test_symbolic_series_run_no_gcd(monkeypatch):

@@ -143,6 +143,27 @@ def test_module_suite_passes_and_counts():
     assert len(r.entries) == 13  # 9 shared + 2 note rows per summand
 
 
+def test_failed_eigenvalue_and_invertible_rows_name_what_differs():
+    # y^-1 that is not the inverse of y, a z of determinant q + 1, an entry
+    # of x off its diagonal, and a k with one eigenvalue replaced
+    env = _ModuleEnv(build_equitable(L11))
+    q = q_power(1)
+    env["y^-1"], env["z"] = env["y"], Matrix.diag([q + 1, RF_ONE])
+    x = Matrix(env["x"].rows)
+    x.rows[0][1] = q
+    env["x"] = x
+    witnesses = {e.identity: e.witness for e in repmod._equitable_report(env).entries}
+    assert witnesses["module:invertible:y"].startswith("first difference at (0, 0): ")
+    assert witnesses["module:invertible:z"] == (
+        "entry (0, 0) of z^-1 is not a Laurent polynomial: (1)/(q + 1)")
+    assert witnesses["module:eigenvalues:x"] == "entry (0, 1) is q, not 0"
+    assert witnesses["module:eigenvalues:z"] == "diagonal entry 0: q + 1, expected q^-1"
+    env = _ModuleEnv(build_chevalley(L11))
+    env["k"] = Matrix.diag([q_power(2), q_power(-1)])
+    assert repmod._chevalley_report(env).entries[-1].witness == (
+        "multiplicity of q^2: 1, expected 0")
+
+
 def test_module_suite_numeric_mode():
     for q0 in (Fraction(3), Fraction(-7, 2)):
         rep = build_equitable(ModuleSpec.single(3, 1))
