@@ -227,8 +227,7 @@ class _OperatorEnv(_ModuleEnv):
 
 def _formula_row(words, prefix, text):
     # the row prefix:text, its sides folded over words
-    return compare(prefix + ":" + text, words.mod,
-                   lambda: _matrix_sides(words, text),
+    return compare(prefix + ":" + text, words.mod, lambda: _matrix_sides(words, text),
                    matrix_witness)
 
 

@@ -501,18 +501,17 @@ def _matrix_sides(words, text):
             for s in sides(text, _OPERATORS, env["sc"].scal, words.__getitem__)]
 
 
-def _relation_rows(env, basis):
-    # the rows of the defining relations of basis, each folded over env's words
-    words = _Words(env)
+def _relation_rows(words, basis):
+    # the rows of the defining relations of basis, each folded over words
     return [compare("module:%s:" % basis + text, words.mod,
                     lambda: _matrix_sides(words, text), matrix_witness)
             for text in RELATIONS[basis]]
 
 
-def _eigenvalue_row(env, gen, zero_at, ordered, low_diag):
+def _eigenvalue_row(words, gen, zero_at, ordered, low_diag):
     # the row of gen's eigenvalues: its matrix is 0 wherever zero_at(i, j),
     # and its diagonal is low_diag (_low_diag), in order, or else as a multiset
-    m = env[gen]
+    m = words.env[gen]
     spectrum, what = ((lambda d: dict(enumerate(d)), "diagonal entry") if ordered
                       else (Counter, "multiplicity of"))
     found, expected = spectrum(m.diagonal()), spectrum(low_diag)
@@ -521,13 +520,13 @@ def _eigenvalue_row(env, gen, zero_at, ordered, low_diag):
          for j, x in enumerate(row) if x and zero_at(i, j)),
         ("%s %s: %s, expected %s" % (what, key, found.get(key, 0), expected.get(key, 0))
          for key in {**found, **expected} if found.get(key, 0) != expected.get(key, 0))), None)
-    return check("module:eigenvalues:" + gen, env["spec"].json_obj(), witness is None, witness)
+    return check("module:eigenvalues:" + gen, words.mod, witness is None, witness)
 
 
-def _invertible_row(env, gen):
+def _invertible_row(words, gen):
     # gen times gen^-1 is I; symbolically gen^-1 also has Laurent entries,
     # as the determinant of gen is +-1
-    identity, mod, inv = "module:invertible:" + gen, env["spec"].json_obj(), gen + "^-1"
+    env, mod, identity, inv = words.env, words.mod, "module:invertible:" + gen, gen + "^-1"
     row = compare(identity, mod, lambda: (env[gen] * env[inv], env["I"]), matrix_witness)
     witness = row.witness or env["sc"].q0 is None and next((
         "entry (%d, %d) of %s is not a Laurent polynomial: %s" % (i, j, inv, x) for i, r
@@ -538,12 +537,11 @@ def _invertible_row(env, gen):
 def _equitable_report(env):
     """The rows of verify_module_suite on the equitable basis of env's module."""
     spec, sc = env["spec"], env["sc"]
-    Y, Z = env["y"], env["z"]
-    low_diag = _low_diag(env)
-    entries = _relation_rows(env, "equitable")
-    entries += [_eigenvalue_row(env, g, zero_at, ordered, low_diag)
+    Y, Z, words, low_diag = env["y"], env["z"], _Words(env), _low_diag(env)
+    entries = _relation_rows(words, "equitable")
+    entries += [_eigenvalue_row(words, g, zero_at, ordered, low_diag)
                 for g, zero_at, ordered in (("x", ne, False), ("y", lt, True), ("z", gt, True))]
-    entries += [_invertible_row(env, g) for g in ("y", "z")]
+    entries += [_invertible_row(words, g) for g in ("y", "z")]
     zero = sc.one - sc.one
     for off, n, eps in spec.blocks():
         u = Matrix([[sc.one if off <= i <= off + n else zero]
@@ -558,8 +556,9 @@ def _equitable_report(env):
 
 def _chevalley_report(env):
     """The rows of verify_module_suite on the Chevalley basis of env's module."""
-    return VerificationReport(_relation_rows(env, "chevalley")
-                              + [_eigenvalue_row(env, "k", ne, False, _low_diag(env))])
+    words = _Words(env)
+    return VerificationReport(_relation_rows(words, "chevalley")
+                              + [_eigenvalue_row(words, "k", ne, False, _low_diag(env))])
 
 
 def _basis_change_report(env):
