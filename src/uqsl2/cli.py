@@ -30,7 +30,7 @@ from .ncore import (from_equitable, normalize_chevalley, verify_confluence,
 from .qexpops import (_closed_form_report, _conjugation_report, _OperatorEnv,
                       _rewrite_report, omega, omega_closed_form, verify_closed_form)
 from .qfield import RF_ONE, PoleError, SpecializationError, check_admissible
-from .repmod import (CHEVALLEY_GENS, EQUITABLE_GENS, Matrix, ModuleSpec,
+from .repmod import (CHEVALLEY_GENS, EQUITABLE_GENS, Matrix, ModuleSpec, ScalarContext,
                      _basis_change_report, _chevalley_report,
                      _equitable_report, build_chevalley, build_equitable,
                      json_bytes, matrix_csv, matrix_json_obj, matrix_latex)
@@ -349,7 +349,8 @@ class _Budgeted:
         if not isinstance(other, _Budgeted):  # a scalar commutes with the matrix
             return self._entrywise(lambda: self.matrix * other)
         a, b = self.matrix, other.matrix
-        (cols, abits), (rows, bbits) = _line_weights(zip(*a.rows)), _line_weights(b.rows)
+        (cols, abits), (rows, bbits) = (_line_weights(zip(*a.ratfuncs().rows)),
+                                        _line_weights(b.ratfuncs().rows))
         words = (abits + bbits) // 64 + 1
         units = 2 * a.nrows * b.ncols + sum(map(mul, cols, rows)) * words ** 2 // 2
         return self._then(units, lambda: a * b)
@@ -360,9 +361,9 @@ class _Budgeted:
         return reduce(mul, [self] * (n - 1), self)  # the steps share the tally
 
     def evaluate(self, q0):
-        terms = sum(len(x.num.terms) + len(x.den.terms)
-                    for row in self.matrix.rows for x in row)
-        return self._then(80 * terms, lambda: self.matrix.map_entries(
+        matrix = self.matrix.ratfuncs()
+        terms = sum(len(x.num.terms) + len(x.den.terms) for row in matrix.rows for x in row)
+        return self._then(80 * terms, lambda: matrix.map_entries(
             lambda v: v.evaluate(q0))).matrix
 
 
@@ -410,10 +411,10 @@ def eval_cmd(expr, expr_opt, presentation, q_text, rep_text):
             spec = ModuleSpec.single(n, eps)
             built = (build_equitable(spec) if presentation == "equitable"
                      else build_chevalley(spec))
-            tally = [0]
-            value = exprio.fold(ast, lambda v: v, lambda g: _Budgeted(built.action[g], tally))
+            tally, sc = [0], ScalarContext()  # the fold runs in Z[q, q^-1] where it can
+            value = exprio.fold(ast, sc.scal, lambda g: _Budgeted(sc.matrix(built.action[g]), tally))
             if isinstance(ast, ScalarLiteral):  # c*I
-                value = _Budgeted(Matrix.identity(built.dim), tally) * value
+                value = _Budgeted(Matrix.identity(built.dim, sc.one), tally) * value
             values = value.evaluate(q0)
             for x in chain.from_iterable(values.rows):
                 exprio.check(exprio.size(RF_ONE * x))

@@ -46,10 +46,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .exprio import _OPERATOR_LEAF, _OPERATOR_WORD, rotated
 from .ncore import N_DEFINITIONS
-from .qfield import RF_ZERO, LaurentPoly, RatFunc, div_q_power_minus_one, q_power, qbinom
+from .qfield import RF_ZERO, LaurentPoly, RatFunc, ZLaurent, q_power, qbinom
 from .repmod import (Matrix, ModuleSpec, ScalarContext, _matrix_sides, _ModuleEnv,
                      _recipe_index, _Words, build_equitable, matrix_witness)
 from .report import ConsistencyError, VerificationReport, check, compare
@@ -112,15 +113,12 @@ class OmegaOperator:
 
 def _times_ratio(mat, sc, lift, m):
     """mat times lift/(q^m - 1), lift a LaurentPoly with int coefficients.
-    At a point, mat times the one Fraction lift(q0)/(q0^m - 1).
-    Symbolically, each entry x is x*lift divided exactly by q^m - 1, in ints
-    (div_q_power_minus_one); only an entry that is not an integer Laurent
-    polynomial, or where q^m - 1 does not divide x*lift (a broken identity),
-    takes the RatFunc product x*(lift/(q^m - 1))."""
+    At a point, mat times the one Fraction lift(q0)/(q0^m - 1); symbolically
+    Matrix.times_ratio, exact in the ring, and a RatFunc product only for a
+    matrix that is not in the ring or does not divide (a broken identity)."""
     if sc.q0 is not None:
         return mat.scalar_mul(lift.evaluate(sc.q0) / (sc.q0 ** m - 1))
-    return mat.map_entries(lambda x: x and (
-        div_q_power_minus_one(x, m, lift) or x * RatFunc(lift, LaurentPoly({m: 1, 0: -1}))))
+    return mat.times_ratio(lift, m)
 
 
 def _exp_series(mat, sc, order=None):
@@ -202,7 +200,7 @@ def _stored_series(env, mat):
     store, sc = env.series, env["sc"]
     if store is None:
         return _exp_series(mat, sc)
-    key = (sc.q0, tuple(map(tuple, mat.rows)))
+    key = (sc.q0, tuple((x.v, x.c) if type(x) is ZLaurent else x for x in chain(*mat.rows)))
     if key not in store:
         store[key] = _exp_series(mat, sc)
     return store[key]
@@ -254,20 +252,27 @@ def n_matrix(axis, rep):
     if axis not in _AXES:
         raise ValueError("axis must be one of x, y, z")
     _n_rows(env, axis).require()
-    return NilpotentOperator(matrix=env["n_" + axis], nil_index=env["idx_" + axis])
+    return NilpotentOperator(matrix=env["n_" + axis].ratfuncs(), nil_index=env["idx_" + axis])
+
+
+def _public_series(op):
+    # exp_q(T) and its inverse series, in the ring where T's entries are
+    sc = ScalarContext()
+    return _exp_series(sc.matrix(op.matrix), sc, op.nil_index)[:2]
 
 
 def exp_q(op):
     """The truncated q-exponential of a NilpotentOperator."""
-    return _exp_series(op.matrix, ScalarContext(), op.nil_index)[0]
+    return _public_series(op)[0].ratfuncs()
 
 
 def exp_q_inverse(op):
     """exp_{q^-1}(-T), once its product with exp_q(T) is checked to be 1."""
-    exp, inv, _ = _exp_series(op.matrix, ScalarContext(), op.nil_index)
+    exp, inv = _public_series(op)
     VerificationReport([compare("expq:exp_q(T)*exp_q(T)^-1=1", None, lambda: (
-        exp * inv, Matrix.identity(len(inv.rows))), matrix_witness)]).require()
-    return inv
+        exp * inv, Matrix.identity(len(inv.rows), exp.rows[0][0] * 0 + 1)),
+        matrix_witness)]).require()
+    return inv.ratfuncs()
 
 
 def _omega_rows(env):
@@ -283,7 +288,7 @@ def omega(rep):
     """Omega (OPERATOR_DEFINITIONS), with its factor-built inverse."""
     env = _OperatorEnv(rep, what="Psi is defined")
     _omega_rows(env).require()
-    return OmegaOperator(matrix=env["Omega"], inverse=env["Omega^-1"])
+    return OmegaOperator(matrix=env["Omega"].ratfuncs(), inverse=env["Omega^-1"].ratfuncs())
 
 
 def _closed_form_matrices(n):

@@ -10,10 +10,7 @@ rendering is bit-stable.
 _cancel is the only gcd over Q: it divides num's polynomial part and a
 monic den with nonzero constant term by their monic gcd.  The constructor,
 + and inverse reach it through _reduce, which first shifts den to valuation
-0 and scales both parts by 1/lc.  div_q_power_minus_one divides an integer
-Laurent polynomial times a small one by q^m - 1 without it, in ints, and
-returns None when the division is not exact.  Products need no such step,
-and most no
+0 and scales both parts by 1/lc.  Products need no such step, and most no
 gcd either, since they read the canonical form of their operands
 (Henrici's product, Knuth TAOCP vol. 2, 4.5.1):
 
@@ -28,45 +25,48 @@ gcd either, since they read the canonical form of their operands
   with nonzero constant term as a product of divisors of b and d.  When d
   divides a, one division finds g1 = d and no gcd runs.
 
-Matrices whose entries are all integer Laurent polynomials (denominator 1,
-int coefficients) multiply by Kronecker substitution in laurent_matmul,
-which repmod.Matrix.__mul__ calls (Harvey, J. Symbolic Comput. 44 (2009)).
-Each nonzero entry a = sum c_e q^e of valuation v is packed once per
-product into the integer A = sum c_e 2^(s(e - v)): one s-bit slot per
-exponent, counted from the entry's own valuation, so entries far apart in
-valuation cost no empty slots.  Evaluation at q = 2^s is a ring
-homomorphism, so for output entry (i, j)
+ZLaurent is the ring Z[q, q^-1] of the symbolic module environment: an
+integer Laurent polynomial sum c[i] q^(v+i) held as its valuation v and the
+tuple c of its coefficients, c[0] and c[-1] nonzero (zero is v = 0, c =
+()), so equality and hashing read (v, c).  Its +, - and * stay in the ring;
+with a RatFunc or Fraction operand it leaves the ring, as a RatFunc.
+div_q_power_minus_one divides one by q^m - 1 in ints, with no gcd.
+
+Matrices of ZLaurent entries multiply by Kronecker substitution in
+ring_matmul (Harvey, J. Symbolic Comput. 44 (2009)).  An entry of
+valuation v packs into the integer A = sum c_i 2^(s i), one s-bit slot per
+exponent counted from v, so entries far apart in valuation cost no empty
+slots.  Evaluation at q = 2^s is a ring homomorphism, so output entry (i, j)
 
     R = sum_k A_ik * B_kj * 2^(s(v_ik + v_kj - base))
 
-is the value at 2^s of that entry divided by q^base.  Here base is the least
-valuation in row i of the left factor plus the least valuation in column j
-of the right factor, at most every v_ik + v_kj, so each shift is
-nonnegative.  Each output coefficient is a sum, over at most `inner` values
-of k, of at most min(n_a, n_b) products c * c', where n is the most terms
-of one entry (for a fixed k an exponent of a_ik fixes that of b_kj); inner,
-n, max|a| and max|b| are taken over the entries that meet a nonzero
-partner, so the coefficient's absolute value is at most
-max|a| * max|b| * min(n_a, n_b) * inner.  The slot width s is that bound's
-bit length plus one sign bit, rounded up to whole bytes (3 to 4 and 5-7 to
-8, the widths memoryview reads), so every coefficient lies strictly between
--2^(s-1) and 2^(s-1).  Such signed digits of R are unique, and adding the bias 2^(s-1)
-to every slot turns them into plain base-2^s digits in [1, 2^s - 1] with no
-carries between slots, which one to_bytes reads off.  Subtracting the bias
-again gives exactly the product's coefficients, as ints, over the
-canonical denominator 1.  Any other matrix (Fraction entries at a
-specialization point, or an entry with a nontrivial denominator or a
-Fraction coefficient) makes laurent_matmul return None, and Matrix.__mul__
-multiplies it entry by entry.
+is the value at 2^s of that entry divided by q^base, where base, the least
+valuation in row i of the left factor plus the least in column j of the
+right, makes each shift nonnegative.  Each output coefficient sums, over at
+most `inner` values of k, at most min(n_a, n_b) products c * c' (n the
+most terms of one entry), so its absolute value is at most max|a| * max|b|
+* min(n_a, n_b) * inner, over the entries that meet a nonzero partner.  The
+slot is that bound's bit length plus one sign bit, in whole bytes (3 to 4
+and 5-7 to 8, the widths of an array of machine ints), so each digit lies
+strictly between -2^(s-1) and 2^(s-1), and such signed digits of R are
+unique.  With M the top bit of every slot, (R + M) ^ M has every digit in
+two's complement and no carries between slots, which one to_bytes and one
+signed array read off; packing is the inverse, (U ^ M) - M.  An entry keeps
+its packed form for the next product of the same slot width, and an output
+entry is born with it, so an entry that several products read is packed
+once.  Any other matrix (Fraction entries at a point, or RatFunc entries
+outside the ring) is multiplied entry by entry in repmod.
 
 Coefficients are Python ints where possible and fractions.Fraction
 otherwise; no floating point appears anywhere.
 """
 
 import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import count, repeat
+from operator import add, itemgetter, mul, neg, sub
 
 
 class PoleError(ArithmeticError):
@@ -221,13 +221,8 @@ class LaurentPoly:
         return self.terms[max(self.terms)]
 
     def evaluate(self, q0):
-        # with q0 = p/r, the sum of c p^e r^-e is (sum of c p^(e-lo) r^(hi-e))
-        # p^lo / r^hi: one integer sum (for integer c), reduced once
-        p, r = Fraction(q0).as_integer_ratio()
-        lo, hi = min(self.terms, default=0), max(self.terms, default=0)
-        total = sum(c * p ** (e - lo) * r ** (hi - e) for e, c in self.terms.items())
-        return Fraction(total * p ** max(lo, 0) * r ** max(-hi, 0),
-                        r ** max(hi, 0) * p ** max(-lo, 0))
+        return _evaluate(self.terms.items(), min(self.terms, default=0),
+                         max(self.terms, default=0), q0)
 
     def __str__(self):
         if not self.terms:
@@ -250,6 +245,18 @@ class LaurentPoly:
 
     def __repr__(self):
         return "LaurentPoly(%s)" % self
+
+
+def _evaluate(terms, lo, hi, q0):
+    # the pairs (e, c) of terms, exponents in [lo, hi], summed as c q0^e: with
+    # q0 = p/r, (sum of c p^(e-lo) r^(hi-e)) p^lo / r^hi, one integer sum
+    # (for integer c) reduced once; q0 = 0 is a pole of q^lo when lo < 0
+    p, r = Fraction(q0).as_integer_ratio()
+    if not p and lo < 0:
+        raise PoleError("q^%d has a pole at q = 0" % lo)
+    total = sum(c * p ** (e - lo) * r ** (hi - e) for e, c in terms)
+    return Fraction(total * p ** max(lo, 0) * r ** max(-hi, 0),
+                    r ** max(hi, 0) * p ** max(-lo, 0))
 
 
 # dense polynomial helpers (index = exponent, trailing zeros stripped)
@@ -523,133 +530,216 @@ RF_ONE = RatFunc._raw(_ONE_P, _ONE_P)
 RF_Q = RatFunc._raw(LaurentPoly._raw({1: 1}), _ONE_P)
 
 
-# Kronecker-packed products of integer Laurent matrices; the module
-# docstring says why they are exact
+class ZLaurent:
+    """An integer Laurent polynomial sum c[i] q^(v+i), the entries of the
+    symbolic module environment (see the module docstring)."""
 
-# memoryview formats that read one little-endian slot of 2, 4 or 8 bytes;
-# iterating bytes reads 1-byte slots
-_SLOT_FORMATS = ({2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {})
+    __slots__ = ("v", "c", "w", "p")  # w, p: the packed form in w-byte slots
+
+    def __init__(self, v, c):
+        self.v, self.c, self.w = v, c, 0
+
+    @staticmethod
+    def of(x):
+        """x (an int, LaurentPoly or RatFunc) as a ZLaurent, or None when it
+        is not an integer Laurent polynomial."""
+        if type(x) is ZLaurent:
+            return x
+        if type(x) is int:
+            return _zl(0, [x])
+        if type(x) is RatFunc and len(x.den.terms) == 1:  # a canonical den of one term is 1
+            x = x.num
+        if type(x) is not LaurentPoly or any(type(c) is not int for c in x.terms.values()):
+            return None
+        t = x.terms
+        c = [0] * (max(t) - min(t) + 1) if t else []
+        for e, a in t.items():
+            c[e - min(t)] = a
+        return _zl(min(t, default=0), c)
+
+    def poly(self):
+        return LaurentPoly._raw({e: a for e, a in enumerate(self.c, self.v) if a})
+
+    def ratfunc(self):
+        return RatFunc._raw(self.poly(), _ONE_P)
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __eq__(self, other):
+        if type(other) is ZLaurent:
+            return self.c == other.c and self.v == other.v
+        if isinstance(other, (int, Fraction, LaurentPoly, RatFunc)):
+            return self.ratfunc() == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.poly())  # it equals its LaurentPoly and RatFunc
+
+    def __neg__(self):
+        return ZLaurent(self.v, tuple(map(neg, self.c)))
+
+    def _ring_op(self, other, op):
+        # other as a ZLaurent, or op's RatFunc value, or NotImplemented
+        if type(other) is ZLaurent:
+            return other
+        if type(other) is int:
+            return _zl(0, [other])
+        if isinstance(other, (Fraction, LaurentPoly, RatFunc)):
+            return op(self.ratfunc(), other)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._ring_op(other, add)
+        if type(o) is not ZLaurent or not self.c:
+            return o
+        if not o.c:
+            return self
+        (v, a), (w, b) = sorted(((self.v, self.c), (o.v, o.c)), key=itemgetter(0))
+        res = list(a) + [0] * (w - v + len(b) - len(a))
+        res[w - v:w - v + len(b)] = map(add, res[w - v:w - v + len(b)], b)
+        return _zl(v, res)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._ring_op(other, sub)
+        return self + -o if type(o) is ZLaurent else o
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._ring_op(other, mul)
+        if type(o) is not ZLaurent:
+            return o
+        a, b = sorted((self.c, o.c), key=len)
+        if not a:
+            return ZL_ZERO
+        res = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            res[i:i + len(b)] = map(add, res[i:i + len(b)], map(mul, b, repeat(x)))
+        return ZLaurent(self.v + o.v, tuple(res))
+
+    __rmul__ = __mul__
+
+    def unit_inverse(self):
+        """1/self when self is a unit +-q^m, else None."""
+        return ZLaurent(-self.v, self.c) if self.c in ((1,), (-1,)) else None
+
+    def __truediv__(self, other):
+        # a unit divides in the ring; any other divisor leaves it
+        if type(other) is ZLaurent:
+            u = other.unit_inverse()
+            return self * u if u is not None else self.ratfunc() / other.ratfunc()
+        return self.ratfunc() / other
+
+    def is_polynomial(self):
+        return True
+
+    def evaluate(self, q0):
+        return _evaluate(zip(count(self.v), self.c), self.v, self.v + len(self.c) - 1, q0)
+
+    def __str__(self):
+        return str(self.poly())
+
+    def __repr__(self):
+        return "ZLaurent(%s)" % self
 
 
-def _nonzero(rows):
-    # per row, the (col, terms) of each nonzero entry; None unless every
-    # entry is a RatFunc with denominator 1 (a canonical one-term denominator)
-    found = []
-    for row in rows:
-        nonzero = []
-        for k, x in enumerate(row):
-            if type(x) is not RatFunc:
-                return None
-            t = x.num.terms
-            if t:
-                if len(x.den.terms) != 1:
-                    return None
-                nonzero.append((k, t))
-        found.append(nonzero)
-    return found
+def _zl(v, c):
+    # sum c[i] q^(v+i) for a list c of ints, its zero ends stripped
+    hi = len(c)
+    while hi and not c[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not c[lo]:
+        lo += 1
+    return ZLaurent(v + lo, tuple(c[lo:hi])) if hi else ZL_ZERO
 
 
-def _coeff_bound(rows):
-    # (max |coeff|, most terms in one entry) over the rows of _nonzero, or
-    # None if a coefficient is not an int
-    terms = [t for row in rows for _, t in row]
-    coeffs = list(chain.from_iterable(map(dict.values, terms)))
-    # int + Fraction is a Fraction: the sum is an int only if all are
-    if type(sum(coeffs)) is not int:
-        return None
-    return max(max(coeffs), -min(coeffs)), max(map(len, terms))
+ZL_ZERO, ZL_ONE = ZLaurent(0, ()), ZLaurent(0, (1,))
+
+# array typecodes of a signed slot of 1, 2, 4 or 8 bytes, read little-endian
+_SLOTS = {array(t).itemsize: t for t in "bhiq"} if sys.byteorder == "little" else {}
 
 
-def _pack(entries, bits):
-    """Pack each (key, terms) of entries as (key, P, v): v is the valuation
-    and P = sum of c * 2^(bits*(e - v)) over the terms c*q^e."""
-    packed = []
-    for key, terms in entries:
-        lo = min(terms)
-        p = 0
-        for e, c in terms.items():
-            p += c << bits * (e - lo)
-        packed.append((key, p, lo))
-    return packed
+@lru_cache(maxsize=4096)
+def _top_bits(w, n):
+    # M: the top bit of each of n slots of w bytes
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
 
 
-def _unpack(packed, lo, bits):
-    """The terms {lo + i: c_i} with packed = sum of c_i * 2^(bits*i), given
-    packed != 0, |c_i| < 2^(bits-1) and bits a multiple of 8."""
-    low = (packed & -packed).bit_length() - 1
-    if low >= bits:  # drop whole zero slots at the bottom
-        packed >>= bits * (low // bits)
-        lo += low // bits
-    half = 1 << (bits - 1)
-    if -half < packed < half:
-        return {lo: packed}
-    width = bits >> 3
-    slots = abs(packed).bit_length() // bits + 1
-    # adding half to every slot makes each slot's digit c_i + half >= 0
-    raw = (packed + int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-           ).to_bytes(slots * width, "little")
-    fmt = _SLOT_FORMATS.get(width)
-    if width == 1:
-        digits = raw
-    elif fmt:
-        digits = memoryview(raw).cast(fmt)
-    else:
-        digits = [int.from_bytes(raw[o:o + width], "little")
-                  for o in range(0, len(raw), width)]
-    return {lo + i: d - half for i, d in enumerate(digits) if d != half}
+def _packed(x, w):
+    # sum x.c[i] 2^(8w i) (the module docstring), kept on x
+    if x.w != w:
+        t, m = _SLOTS.get(w), _top_bits(w, len(x.c))
+        raw = (array(t, x.c).tobytes() if t else
+               b"".join(c.to_bytes(w, "little", signed=True) for c in x.c))
+        x.w, x.p = w, (int.from_bytes(raw, "little") ^ m) - m
+    return x.p
 
 
-def laurent_matmul(a_rows, b_rows):
-    """Product of two matrices of integer Laurent polynomials (RatFunc entries).
+def _unpacked(p, v, w):
+    # the ZLaurent q^v sum c_i q^i, given p = sum c_i 2^(8w i) != 0 with
+    # every |c_i| < 2^(8w-1); p's top slot is its bit length // 8w
+    bits, low = 8 * w, 0
+    if not p & ((1 << bits) - 1):  # whole zero slots at the bottom
+        low = ((p & -p).bit_length() - 1) // bits
+        p >>= bits * low
+    n = p.bit_length() // bits + 1
+    m, t = _top_bits(w, n), _SLOTS.get(w)
+    raw = ((p + m) ^ m).to_bytes(n * w, "little")
+    x = ZLaurent(v + low, tuple(array(t, raw)) if t else tuple(
+        int.from_bytes(raw[o:o + w], "little", signed=True) for o in range(0, n * w, w)))
+    x.w, x.p = w, p
+    return x
 
-    Returns the rows of the product, or None when an entry of either factor
-    is not a RatFunc with denominator 1 and int coefficients.
-    """
-    a = _nonzero(a_rows)
-    b = None if a is None else _nonzero(b_rows)
-    if b is None:
-        return None
-    ncols = len(b_rows[0])
-    # only entries that meet a nonzero partner are packed
-    used = {k for row in a for k, _ in row}
-    b = [row if k in used else [] for k, row in enumerate(b)]
-    if not all(b):
-        a = [[e for e in row if b[e[0]]] for row in a]
-    if not any(a):
-        return [[RF_ZERO] * ncols for _ in a_rows]
-    bound_a, bound_b = _coeff_bound(a), _coeff_bound(b)
-    if bound_a is None or bound_b is None:
-        return None
-    bound = (bound_a[0] * bound_b[0] * min(bound_a[1], bound_b[1])
-             * sum(map(bool, b)))
-    width = (bound.bit_length() + 8) // 8  # one sign bit, whole bytes
-    if width in (3, 5, 6, 7):  # widen to a slot memoryview reads
-        width = 4 if width == 3 else 8
-    bits = 8 * width
-    # output (i, j) has the base valuation base + col_lo[j], base from row i
-    b_packed = [_pack(row, bits) for row in b]
-    col_lo = {}
-    for row in b_packed:
-        for j, _, lo in row:
-            if col_lo.get(j, lo) >= lo:
-                col_lo[j] = lo
-    b_packed = [[(j, p, bits * (lo - col_lo[j])) for j, p, lo in row]
-                for row in b_packed]
+
+class RingKernel:
+    """What ring_matmul reads of one ring matrix, read off once: per row, its
+    nonzero (column, entry) pairs; the largest |coefficient| and the most
+    terms of one entry; the number of nonzero rows; per column, the least
+    valuation; and per slot width, the packed rows as a right factor."""
+
+    __slots__ = ("nz", "mag", "span", "inner", "col_lo", "packed")
+
+    def __init__(self, rows):
+        self.nz = [[(j, x) for j, x in enumerate(row) if x.c] for row in rows]
+        cs = [x.c for row in self.nz for _, x in row]
+        self.mag = max(max(map(max, cs)), -min(map(min, cs))) if cs else 0
+        self.span, self.inner = max(map(len, cs), default=0), sum(map(bool, self.nz))
+        self.col_lo, self.packed = {}, {}
+        for row in self.nz:
+            for j, x in row:
+                if self.col_lo.get(j, x.v) >= x.v:
+                    self.col_lo[j] = x.v
+
+
+def ring_matmul(ka, kb, ncols):
+    """The rows of the product of two ring matrices, given by their
+    RingKernels, by Kronecker substitution (the module docstring)."""
+    bound = ka.mag * kb.mag * min(ka.span, kb.span) * kb.inner
+    if not bound:
+        return [[ZL_ZERO] * ncols for _ in ka.nz]
+    w = (bound.bit_length() + 8) // 8  # one sign bit, whole bytes
+    w = 4 if w == 3 else 8 if 4 < w < 8 else w
+    bits, col_lo = 8 * w, kb.col_lo
+    b = kb.packed.get(w)
+    if b is None:  # output (i, j) has the valuation base + col_lo[j], base from row i
+        b = kb.packed[w] = [[(j, x.p if x.w == w else _packed(x, w), bits * (x.v - col_lo[j]))
+                             for j, x in row] for row in kb.nz]
     out = []
-    for row in a:
-        if not row:
-            out.append([RF_ZERO] * ncols)
-            continue
-        a_packed = _pack(row, bits)
-        base = min([lo for _, _, lo in a_packed])
+    for row in ka.nz:
+        base = min([x.v for _, x in row], default=0)
         acc = [0] * ncols
-        for k, pa, lo in a_packed:
-            sa = bits * (lo - base)
-            for j, pb, sb in b_packed[k]:
-                acc[j] += (pa * pb) << (sa + sb)
-        out.append([RatFunc._raw(LaurentPoly._raw(
-                        _unpack(v, base + col_lo[j], bits)), _ONE_P)
-                    if v else RF_ZERO for j, v in enumerate(acc)])
+        for k, x in row:
+            if b[k]:
+                pa, sa = x.p if x.w == w else _packed(x, w), bits * (x.v - base)
+                for j, pb, sb in b[k]:
+                    acc[j] += (pa * pb) << (sa + sb)
+        out.append([_unpacked(p, base + col_lo[j], w) if p else ZL_ZERO
+                    for j, p in enumerate(acc)])
     return out
 
 
@@ -663,36 +753,26 @@ CQ = (q_power(1) - q_power(-1)).inverse()
 
 
 def div_q_power_minus_one(f, m, lift):
-    """f*lift/(q^m - 1) for m >= 1 and a LaurentPoly lift with int
-    coefficients, when f is an integer Laurent polynomial (a RatFunc with
-    denominator 1 and int coefficients) and q^m - 1 divides f*lift; else
-    None.  The product a = sum a_j q^j is formed in a dense list of ints (a
-    few shifted adds, one per term of lift), and the quotient b of
-    a = (q^m - 1) b follows b_j = a_(j+m) + b_(j+m) from the top; what the
-    recurrence leaves on the m lowest exponents of a is the remainder, which
-    must be zero (exact division by a sparse monic divisor, Knuth TAOCP
-    vol. 2, 4.6.1).  No gcd runs."""
-    if type(f) is not RatFunc or len(f.den.terms) != 1:
-        return None
-    terms = f.num.terms
-    if not terms:
+    """f*lift/(q^m - 1) for a ZLaurent f, m >= 1 and a LaurentPoly lift with
+    int coefficients, when q^m - 1 divides f*lift; else None.  The product
+    a = sum a_j q^j is formed in a dense list of ints (one shifted add per
+    term of lift), and the quotient b of a = (q^m - 1) b follows
+    b_j = a_(j+m) + b_(j+m) from the top; what the recurrence leaves on the
+    m lowest exponents of a is the remainder, which must be zero (exact
+    division by a sparse monic divisor, Knuth TAOCP vol. 2, 4.6.1).  No gcd
+    runs."""
+    if not f.c:
         return f
-    if any(type(c) is not int for c in terms.values()):
-        return None
-    lo = min(terms) + min(lift.terms)
-    span = max(terms) + max(lift.terms) - lo + 1
+    lo, n = min(lift.terms), len(f.c)
+    span = n + max(lift.terms) - lo
     if span <= m:  # a nonzero multiple of q^m - 1 spans more than m exponents
         return None
     dense = [0] * span
     for d, l in lift.terms.items():
-        for e, c in terms.items():
-            dense[e + d - lo] += c * l
-    for j in range(span - 1, m - 1, -1):  # dense[j] is now b at exponent lo + j - m
+        dense[d - lo:d - lo + n] = map(add, dense[d - lo:d - lo + n], map(mul, f.c, repeat(l)))
+    for j in range(span - 1, m - 1, -1):  # dense[j] is now b at exponent f.v + lo + j - m
         dense[j - m] += dense[j]
-    if any(dense[:m]):
-        return None
-    return RatFunc._raw(LaurentPoly._raw(
-        {lo + j: c for j, c in enumerate(dense[m:]) if c}), _ONE_P)
+    return None if any(dense[:m]) else ZLaurent(f.v + lo, tuple(dense[m:]))
 
 
 @lru_cache(maxsize=None)
@@ -723,10 +803,12 @@ def qbinom(n, i):
     m = min(i, n - i)
     if m == 0:
         return _ONE_P
-    f = RatFunc(qbinom(n, m - 1) * qint(n - m + 1), qint(m))
-    if not f.is_polynomial():
+    # 1/[m] = q^(m-1) (q^2 - 1)/(q^(2m) - 1), divided exactly in ints
+    f = div_q_power_minus_one(ZLaurent.of(qbinom(n, m - 1) * qint(n - m + 1)), 2 * m,
+                              LaurentPoly({m + 1: 1, m - 1: -1}))
+    if f is None:
         raise ArithmeticError("[%d,%d] is not a Laurent polynomial" % (n, m))
-    return f.num
+    return f.poly()
 
 
 def check_admissible(q0):

@@ -47,26 +47,54 @@ from operator import add, gt, lt, mul, ne, sub
 
 from .exprio import _OPERATORS, EQUITABLE
 from .ncore import IMAGES, RELATIONS, sides
-from .qfield import (RF_ONE, RF_ZERO, LaurentPoly, RatFunc, check_admissible,
-                     laurent_matmul, q_power, qint)
+from .qfield import (RF_ONE, RF_ZERO, ZL_ONE, ZL_ZERO, LaurentPoly, RatFunc, ZLaurent,
+                     RingKernel, check_admissible, div_q_power_minus_one, q_power, qint,
+                     ring_matmul)
 from .report import ConsistencyError, RecipeError, VerificationReport, check, compare
 
 CHEVALLEY_GENS = ("k", "k^-1", "e", "f")
 EQUITABLE_GENS = ("x", "x^-1", "y", "z")
 # the entry types of a matrix: a Matrix takes one as a scalar operand
-_SCALARS = (int, Fraction, RatFunc)
+_SCALARS = (int, Fraction, RatFunc, ZLaurent)
+_RING = (int, ZLaurent)  # the scalars that keep a ring matrix in the ring
 
 
 class Matrix:
-    """Dense matrix over an exact ring (Q(q) elements or Fractions)."""
+    """Dense matrix over an exact ring: ZLaurent entries (a ring matrix),
+    RatFunc entries or Fractions (see the module docstring)."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_ring", "_kernel")
 
     def __init__(self, rows):
         rows = [list(r) for r in rows]
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("matrix rows must be nonempty and rectangular")
-        self.rows = rows
+        self.rows, self._ring, self._kernel = rows, None, None
+
+    @classmethod
+    def _ring_of(cls, rows):
+        # the ring matrix of the rows a ring operation built
+        m = cls.__new__(cls)
+        m.rows, m._ring, m._kernel = rows, True, None
+        return m
+
+    @property
+    def ring(self):
+        """Whether every entry is a ZLaurent; this and the RingKernel are
+        read once, so a matrix is not changed after its first operation."""
+        if self._ring is None:
+            self._ring = all(type(x) is ZLaurent for x in chain.from_iterable(self.rows))
+        return self._ring
+
+    def kernel(self):
+        if self._kernel is None:
+            self._kernel = RingKernel(self.rows)
+        return self._kernel
+
+    def ratfuncs(self):
+        """self, with its ZLaurent entries as RatFuncs."""
+        return Matrix([[x.ratfunc() if type(x) is ZLaurent else x for x in row]
+                       for row in self.rows])
 
     @classmethod
     def identity(cls, dim, one=RF_ONE):
@@ -95,7 +123,8 @@ class Matrix:
         return self.rows == other.rows
 
     def __neg__(self):
-        return Matrix([[-x for x in row] for row in self.rows])
+        rows = [[-x for x in row] for row in self.rows]
+        return Matrix._ring_of(rows) if self.ring else Matrix(rows)
 
     def _check_same_shape(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -106,7 +135,8 @@ class Matrix:
         # meets the diagonal alone
         if isinstance(other, Matrix):
             self._check_same_shape(other)
-            return Matrix([list(map(op, r1, r2)) for r1, r2 in zip(self.rows, other.rows)])
+            rows = [list(map(op, r1, r2)) for r1, r2 in zip(self.rows, other.rows)]
+            return Matrix._ring_of(rows) if self.ring and other.ring else Matrix(rows)
         if not isinstance(other, _SCALARS):
             return NotImplemented
         if self.nrows != self.ncols:
@@ -114,7 +144,7 @@ class Matrix:
         rows = [list(r) for r in self.rows]
         for i, row in enumerate(rows):
             row[i] = op(row[i], other)
-        return Matrix(rows)
+        return Matrix._ring_of(rows) if self.ring and type(other) in _RING else Matrix(rows)
 
     def __add__(self, other):
         return self._entrywise(other, add)
@@ -134,9 +164,8 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("matrix dimensions do not match")
-        packed = laurent_matmul(self.rows, other.rows)
-        if packed is not None:
-            return Matrix(packed)
+        if self.ring and other.ring:
+            return Matrix._ring_of(ring_matmul(self.kernel(), other.kernel(), other.ncols))
         zero = self.rows[0][0] * 0
         orows = other.rows
         out = []
@@ -155,7 +184,23 @@ class Matrix:
     __rmul__ = __mul__  # reached only with a scalar on the left
 
     def scalar_mul(self, c):
+        if self.ring and type(c) in _RING:
+            return Matrix._ring_of([[x * c if x.c else x for x in row] for row in self.rows])
+        den = c.den.terms if self.ring and type(c) is RatFunc else {}
+        if len(den) == 2 and den == {max(den): 1, 0: -1}:  # c = lift/(q^m - 1)
+            return self.times_ratio(c.num, max(den))
         return Matrix([[x * c if x else x for x in row] for row in self.rows])
+
+    def times_ratio(self, lift, m):
+        """self times lift/(q^m - 1), lift a LaurentPoly.  A ring matrix
+        divides each entry exactly (div_q_power_minus_one); if one does not
+        divide (a broken identity), or lift has a Fraction coefficient, or
+        self is not a ring matrix, each entry takes the RatFunc product."""
+        if self.ring and all(type(a) is int for a in lift.terms.values()):
+            rows = [[div_q_power_minus_one(x, m, lift) for x in row] for row in self.rows]
+            if all(x is not None for row in rows for x in row):
+                return Matrix._ring_of(rows)
+        return self.ratfuncs().scalar_mul(RatFunc(lift, LaurentPoly({m: 1, 0: -1})))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -173,10 +218,17 @@ class Matrix:
         return [self.rows[i][i] for i in range(min(self.nrows, self.ncols))]
 
     def inverse(self):
-        """Inverse by exact Gauss-Jordan elimination; raises on singular input."""
+        """Inverse by substitution over Z[q, q^-1] of a triangular ring matrix
+        with unit (+-q^m) diagonal, else by exact Gauss-Jordan elimination
+        over Q(q) or Q; raises on singular input."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("only square matrices have inverses")
+        if self.ring:
+            inv = _unit_triangular_inverse(self.rows)
+            if inv is not None:
+                return Matrix._ring_of(inv)
+            self = self.ratfuncs()
         one = self._one_like()
         a = [[one * x for x in row] for row in self.rows]
         inv = Matrix.identity(n, one).rows
@@ -211,6 +263,28 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%s)" % self
+
+
+def _unit_triangular_inverse(rows):
+    # the inverse of a triangular ring matrix with unit diagonal entries
+    # +-q^m, by substitution, or None; a lower one is the transpose of an upper
+    n = len(rows)
+    if any(rows[i][j] for i in range(n) for j in range(i)):
+        if any(rows[i][j] for i in range(n) for j in range(i + 1, n)):
+            return None
+        inv = _unit_triangular_inverse([list(r) for r in zip(*rows)])
+        return inv and [list(r) for r in zip(*inv)]
+    units = [rows[i][i].unit_inverse() for i in range(n)]
+    if any(u is None for u in units):
+        return None
+    # U X = I: X[i][j] = -u_i^-1 (sum of U[i][k] X[k][j], i < k <= j), from the bottom row
+    inv = [[ZL_ZERO] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        inv[i][i] = units[i]
+        for j in range(i + 1, n):
+            inv[i][j] = -units[i] * sum((rows[i][k] * inv[k][j] for k in range(i + 1, j + 1)
+                                         if rows[i][k]), ZL_ZERO)
+    return inv
 
 
 def matrix_witness(lhs, rhs):
@@ -387,21 +461,28 @@ def weight_spaces(rep):
 
 
 class ScalarContext:
-    """Adapter so identity checks run symbolically or at a rational q0."""
+    """Adapter so identity checks run symbolically, in Z[q, q^-1] where they
+    can, or at a rational q0: scal and matrix take a value in."""
 
     def __init__(self, q0=None):
         self.q0 = None if q0 is None else check_admissible(q0)  # a Fraction
-        self.one = RF_ONE if q0 is None else Fraction(1)
+        self.one = ZL_ONE if q0 is None else Fraction(1)
 
     def scal(self, v):
         if self.q0 is None:
-            return v if isinstance(v, RatFunc) else RatFunc(v)
-        if isinstance(v, (RatFunc, LaurentPoly)):
+            z = ZLaurent.of(v)
+            return z if z is not None else v if isinstance(v, RatFunc) else RatFunc(v)
+        if isinstance(v, (RatFunc, LaurentPoly, ZLaurent)):
             return v.evaluate(self.q0)
         return Fraction(v)
 
     def matrix(self, m):
-        return m if self.q0 is None else m.map_entries(lambda x: x.evaluate(self.q0))
+        """m at q0, or else m as a ring matrix if all its entries are in the
+        ring, else with RatFunc entries."""
+        if self.q0 is not None:
+            return m.map_entries(lambda x: x.evaluate(self.q0))
+        rows = [[ZLaurent.of(x) for x in row] for row in m.rows]
+        return m if any(x is None for row in rows for x in row) else Matrix._ring_of(rows)
 
 
 def _recipe_index(table):
@@ -416,15 +497,16 @@ def _module_recipes():
         ("chevalley",): lambda env: [build_chevalley(env["spec"])],
         ("I",): lambda env: [Matrix.identity(env["spec"].dim, env["sc"].one)],
         # D is diagonal, so its inverse holds the reciprocals of its diagonal
+        # (units +-q^m, which symbolically stay in the ring)
         ("D^-1",): lambda env: [Matrix.diag([env["sc"].one / d
                                              for d in env["D"].diagonal()])],
     }
 
     def q0_free(key, build):
-        # built once, in the symbolic env, from the Reps that only it reads;
-        # a point env specializes that matrix
-        table[key,] = lambda env: [build(env) if env.sym is None
-                                   else env["sc"].matrix(env.sym[key])]
+        # built once, in the symbolic env, from the Reps that only it reads,
+        # and taken into the ring there; a point env specializes that matrix
+        table[key,] = lambda env: [env["sc"].matrix(build(env) if env.sym is None
+                                                    else env.sym[key])]
 
     for basis, gens in (("equitable", EQUITABLE_GENS), ("chevalley", CHEVALLEY_GENS)):
         for g in gens:

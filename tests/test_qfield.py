@@ -13,6 +13,8 @@ from uqsl2.qfield import (
     PoleError,
     RatFunc,
     SpecializationError,
+    ZL_ZERO,
+    ZLaurent,
     check_admissible,
     div_q_power_minus_one,
     q_power,
@@ -303,10 +305,10 @@ def _divisions(draw):
 def test_exact_division_matches_the_ratfunc_quotient(case):
     a, lift, m = case
     expected = RatFunc(a * lift, (q_power(m) - 1).num)
-    got = div_q_power_minus_one(RatFunc(a), m, lift)
-    assert got == (expected if expected.is_polynomial() else None)
+    got = div_q_power_minus_one(ZLaurent.of(a), m, lift)
+    assert got == (ZLaurent.of(expected) if expected.is_polynomial() else None)
     if got is not None:
-        assert got.is_polynomial() and got * (q_power(m) - 1) == RatFunc(a * lift)
+        assert got.ratfunc() == expected and got * (q_power(m) - 1) == RatFunc(a * lift)
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,11 +316,11 @@ def test_exact_division_matches_the_ratfunc_quotient(case):
     LaurentPoly).filter(lambda p: any(type(c) is Fraction for c in p.terms.values())),
     st.integers(1, 40))
 def test_exact_division_refuses_what_is_not_an_integer_laurent_polynomial(p, m):
-    # the caller then takes the RatFunc product
+    # such a value never enters the ring, so its matrix takes the RatFunc product
     divisor = q_power(m) - 1
-    assert div_q_power_minus_one(RatFunc(p) * divisor, m, _ONE_P) is None
-    assert div_q_power_minus_one(RatFunc(1, divisor.num), m, _ONE_P) is None
-    assert div_q_power_minus_one(RF_ZERO, m, _ONE_P) == RF_ZERO
+    assert ZLaurent.of(RatFunc(p) * divisor) is None
+    assert ZLaurent.of(RatFunc(1, divisor.num)) is None
+    assert div_q_power_minus_one(ZL_ZERO, m, _ONE_P) == RF_ZERO
 
 
 # Operands for the product and reduce checks: 0, 1, +-c*q^m with Fraction c,

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from uqsl2 import cli, repmod
 from uqsl2.cli import spot_points
 from uqsl2.ncore import AlgebraElement
-from uqsl2.qfield import CQ, RF_ONE, RF_ZERO, LaurentPoly, RatFunc, laurent_matmul, q_power
+from uqsl2.qfield import (CQ, RF_ONE, RF_ZERO, ZL_ZERO, LaurentPoly, RatFunc, ZLaurent,
+                          q_power, qint)
 from uqsl2.repmod import (
     Matrix,
     ModuleSpec,
@@ -237,7 +238,8 @@ def test_matrix_emission_formats():
 
 
 def _schoolbook(a, b):
-    # the entry-by-entry product that the packed kernel replaces
+    # the entry-by-entry product of RatFunc matrices, the reference of the
+    # ring product
     zero = a.rows[0][0] * 0
     return [[sum((x * b.rows[k][j] for k, x in enumerate(row)), zero)
              for j in range(b.ncols)] for row in a.rows]
@@ -250,12 +252,20 @@ def _assert_integer_laurent(rows):
             assert all(type(c) is int for c in x.num.terms.values())
 
 
+def _ring(m):
+    # a RatFunc matrix of integer Laurent polynomials, as a ring matrix
+    got = ScalarContext().matrix(m)
+    assert got.ring and got.ratfuncs() == m
+    return got
+
+
 def _assert_packed_product(a, b):
     want = _schoolbook(a, b)
-    got = laurent_matmul(a.rows, b.rows)
-    assert got == want
+    got = _ring(a) * _ring(b)
+    assert got.ring and all(type(x) is ZLaurent for row in got.rows for x in row)
+    assert got.ratfuncs().rows == want
     _assert_integer_laurent(want)
-    _assert_integer_laurent(got)
+    _assert_integer_laurent(got.ratfuncs().rows)
     assert (a * b).rows == want
 
 
@@ -308,8 +318,8 @@ def test_packed_product_at_slot_boundaries(width):
             # the same bound reached by summing over the inner dimension
             dot = Matrix([[RatFunc(LaurentPoly({2: sign * (c // 2)}))] * 2])
             _assert_packed_product(dot, Matrix([[q_power(-2)], [q_power(-2)]]))
-    out = laurent_matmul([[RatFunc(LaurentPoly({0: 1 - half}))]], [[RF_ONE]])
-    assert out[0][0].num.terms == {0: 1 - half}
+    out = _ring(Matrix([[RatFunc(LaurentPoly({0: 1 - half}))]])) * _ring(Matrix([[RF_ONE]]))
+    assert out.rows[0][0].c == (1 - half,)
 
 
 def test_packed_product_leaves_other_matrices_to_the_loop():
@@ -321,13 +331,17 @@ def test_packed_product_leaves_other_matrices_to_the_loop():
                        [RF_ZERO, RF_ZERO, CQ * CQ]])
     half_coeff = Matrix([[RatFunc(LaurentPoly({0: Fraction(1, 2), 1: 3}))
                           if i == j else RF_ZERO for j in range(3)] for i in range(3)])
+    for m in (frac, rational, half_coeff):
+        assert not ScalarContext().matrix(m).ring  # they stay out of the ring
     for a, b in ((frac, frac), (rational, y), (y, rational), (half_coeff, y),
                  (y, half_coeff)):
-        assert laurent_matmul(a.rows, b.rows) is None
         assert (a * b).rows == _schoolbook(a, b)
-    # an all-zero integer product needs no packing at all
+        if b is not frac:  # a ring factor meets a RatFunc one entry by entry
+            got = ScalarContext().matrix(a) * ScalarContext().matrix(b)
+            assert not got.ring and got.rows == _schoolbook(a, b)
+    # an all-zero ring product packs nothing
     zero = Matrix([[RF_ZERO] * 3] * 3)
-    assert laurent_matmul(zero.rows, y.rows) == [[RF_ZERO] * 3] * 3
+    assert (_ring(zero) * _ring(y)).rows == [[ZL_ZERO] * 3] * 3
 
 
 def test_matrix_witness_names_first_difference():
