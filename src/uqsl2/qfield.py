@@ -66,7 +66,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, repeat
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, eq, mul, neg, sub
 
 
 class PoleError(ArithmeticError):
@@ -536,26 +536,28 @@ class ZLaurent:
 
     __slots__ = ("v", "c", "w", "p")  # w, p: the packed form in w-byte slots
 
-    def __init__(self, v, c):
-        self.v, self.c, self.w = v, c, 0
+    def __init__(self, v, c, w=0, p=0):
+        self.v, self.c, self.w, self.p = v, c, w, p
 
     @staticmethod
     def of(x):
-        """x (an int, LaurentPoly or RatFunc) as a ZLaurent, or None when it
-        is not an integer Laurent polynomial."""
-        if type(x) is ZLaurent:
-            return x
-        if type(x) is int:
-            return _zl(0, [x])
+        """x (an int, LaurentPoly, RatFunc or ZLaurent) as a ZLaurent, or None
+        when it is not an integer Laurent polynomial."""
+        if type(x) is ZLaurent or type(x) is int:
+            return x if type(x) is ZLaurent else _zl(0, [x])
         if type(x) is RatFunc and len(x.den.terms) == 1:  # a canonical den of one term is 1
             x = x.num
-        if type(x) is not LaurentPoly or any(type(c) is not int for c in x.terms.values()):
+        if type(x) is not LaurentPoly:
             return None
-        t = x.terms
-        c = [0] * (max(t) - min(t) + 1) if t else []
-        for e, a in t.items():
-            c[e - min(t)] = a
-        return _zl(min(t, default=0), c)
+        if not x.terms:
+            return ZL_ZERO
+        lo = min(x.terms)
+        c = [0] * (max(x.terms) - lo + 1)
+        for e, a in x.terms.items():
+            if type(a) is not int:
+                return None
+            c[e - lo] = a
+        return ZLaurent(lo, tuple(c))
 
     def poly(self):
         return LaurentPoly._raw({e: a for e, a in enumerate(self.c, self.v) if a})
@@ -569,9 +571,7 @@ class ZLaurent:
     def __eq__(self, other):
         if type(other) is ZLaurent:
             return self.c == other.c and self.v == other.v
-        if isinstance(other, (int, Fraction, LaurentPoly, RatFunc)):
-            return self.ratfunc() == other
-        return NotImplemented
+        return self._leave(other, eq) if type(other) is not int else self.ratfunc() == other
 
     def __hash__(self):
         return hash(self.poly())  # it equals its LaurentPoly and RatFunc
@@ -579,47 +579,52 @@ class ZLaurent:
     def __neg__(self):
         return ZLaurent(self.v, tuple(map(neg, self.c)))
 
-    def _ring_op(self, other, op):
-        # other as a ZLaurent, or op's RatFunc value, or NotImplemented
-        if type(other) is ZLaurent:
-            return other
-        if type(other) is int:
-            return _zl(0, [other])
+    def _leave(self, other, op):
+        # self op other for an operand outside the ring: a RatFunc, or
+        # NotImplemented for a non-scalar
         if isinstance(other, (Fraction, LaurentPoly, RatFunc)):
             return op(self.ratfunc(), other)
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._ring_op(other, add)
-        if type(o) is not ZLaurent or not self.c:
-            return o
-        if not o.c:
-            return self
-        (v, a), (w, b) = sorted(((self.v, self.c), (o.v, o.c)), key=itemgetter(0))
-        res = list(a) + [0] * (w - v + len(b) - len(a))
-        res[w - v:w - v + len(b)] = map(add, res[w - v:w - v + len(b)], b)
+    def _sum(self, o, op):
+        # self op o, op add or sub, o a ZLaurent or int, aligned at the lesser valuation
+        if type(o) is not ZLaurent:
+            if type(o) is not int:
+                return self._leave(o, op)
+            o = _zl(0, [o])
+        a, b = self.c, o.c
+        if not a or not b:
+            return self if not b else o if op is add else -o
+        v = self.v if self.v < o.v else o.v
+        i, j = self.v - v, o.v - v
+        res = [0] * (i + len(a) if i + len(a) > j + len(b) else j + len(b))
+        res[i:i + len(a)] = a
+        res[j:j + len(b)] = map(op, res[j:j + len(b)], b)
         return _zl(v, res)
+
+    def __add__(self, other):
+        return self._sum(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._ring_op(other, sub)
-        return self + -o if type(o) is ZLaurent else o
+        return self._sum(other, sub)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        o = self._ring_op(other, mul)
-        if type(o) is not ZLaurent:
-            return o
-        a, b = sorted((self.c, o.c), key=len)
-        if not a:
-            return ZL_ZERO
+        if type(other) is not ZLaurent:
+            if type(other) is not int:
+                return self._leave(other, mul)
+            other = _zl(0, [other])
+        (a, b), v = sorted((self.c, other.c), key=len), self.v + other.v
+        if len(a) <= 1:  # zero, or a one-term factor
+            return ZLaurent(v, tuple(map(mul, b, repeat(a[0])))) if a else ZL_ZERO
         res = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             res[i:i + len(b)] = map(add, res[i:i + len(b)], map(mul, b, repeat(x)))
-        return ZLaurent(self.v + o.v, tuple(res))
+        return ZLaurent(v, tuple(res))
 
     __rmul__ = __mul__
 
@@ -690,10 +695,8 @@ def _unpacked(p, v, w):
     n = p.bit_length() // bits + 1
     m, t = _top_bits(w, n), _SLOTS.get(w)
     raw = ((p + m) ^ m).to_bytes(n * w, "little")
-    x = ZLaurent(v + low, tuple(array(t, raw)) if t else tuple(
-        int.from_bytes(raw[o:o + w], "little", signed=True) for o in range(0, n * w, w)))
-    x.w, x.p = w, p
-    return x
+    return ZLaurent(v + low, tuple(array(t, raw)) if t else tuple(
+        int.from_bytes(raw[o:o + w], "little", signed=True) for o in range(0, n * w, w)), w, p)
 
 
 class RingKernel:
@@ -723,7 +726,7 @@ def ring_matmul(ka, kb, ncols):
     if not bound:
         return [[ZL_ZERO] * ncols for _ in ka.nz]
     w = (bound.bit_length() + 8) // 8  # one sign bit, whole bytes
-    w = 4 if w == 3 else 8 if 4 < w < 8 else w
+    w = 2 if w <= 2 else 4 if w <= 4 else 8 if w <= 8 else w
     bits, col_lo = 8 * w, kb.col_lo
     b = kb.packed.get(w)
     if b is None:  # output (i, j) has the valuation base + col_lo[j], base from row i
