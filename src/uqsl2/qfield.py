@@ -25,37 +25,30 @@ gcd either, since they read the canonical form of their operands
   with nonzero constant term as a product of divisors of b and d.  When d
   divides a, one division finds g1 = d and no gcd runs.
 
-ZLaurent is the ring Z[q, q^-1] of the symbolic module environment: an
-integer Laurent polynomial sum c[i] q^(v+i) held as its valuation v and the
-tuple c of its coefficients, c[0] and c[-1] nonzero (zero is v = 0, c =
-()), so equality and hashing read (v, c).  Its +, - and * stay in the ring;
-with a RatFunc or Fraction operand it leaves the ring, as a RatFunc.
-div_q_power_minus_one divides one by q^m - 1 in ints, with no gcd.
+ZLaurent is Z[q, q^-1], the ring of the symbolic module environment: an
+integer Laurent polynomial sum c[i] q^(v+i), held as its valuation v and a
+tuple c with c[0], c[-1] nonzero (zero is v = 0, c = ()), so equality reads
+(v, c).  Its +, - and * stay in the ring; a RatFunc or Fraction operand
+takes it out, to a RatFunc.  div_q_power_minus_one divides it by q^m - 1.
 
-Matrices of ZLaurent entries multiply by Kronecker substitution in
-ring_matmul (Harvey, J. Symbolic Comput. 44 (2009)).  An entry of
-valuation v packs into the integer A = sum c_i 2^(s i), one s-bit slot per
-exponent counted from v, so entries far apart in valuation cost no empty
-slots.  Evaluation at q = 2^s is a ring homomorphism, so output entry (i, j)
+Ring matrices multiply by Kronecker substitution in ring_matmul (Harvey,
+J. Symbolic Comput. 44 (2009)): evaluation at q = 2^s is a ring
+homomorphism, so with A = sum c_i 2^(s i) for each entry, one s-bit slot
+per exponent from its own valuation, output entry (i, j) is read off
 
-    R = sum_k A_ik * B_kj * 2^(s(v_ik + v_kj - base))
+    R = sum_k A_ik * B_kj * 2^(s(v_ik + v_kj - base)),
 
-is the value at 2^s of that entry divided by q^base, where base, the least
-valuation in row i of the left factor plus the least in column j of the
-right, makes each shift nonnegative.  Each output coefficient sums, over at
-most `inner` values of k, at most min(n_a, n_b) products c * c' (n the
-most terms of one entry), so its absolute value is at most max|a| * max|b|
-* min(n_a, n_b) * inner, over the entries that meet a nonzero partner.  The
-slot is that bound's bit length plus one sign bit, in whole bytes (3 to 4
-and 5-7 to 8, the widths of an array of machine ints), so each digit lies
-strictly between -2^(s-1) and 2^(s-1), and such signed digits of R are
-unique.  With M the top bit of every slot, (R + M) ^ M has every digit in
-two's complement and no carries between slots, which one to_bytes and one
-signed array read off; packing is the inverse, (U ^ M) - M.  An entry keeps
-its packed form for the next product of the same slot width, and an output
-entry is born with it, so an entry that several products read is packed
-once.  Any other matrix (Fraction entries at a point, or RatFunc entries
-outside the ring) is multiplied entry by entry in repmod.
+its value at 2^s over q^base (base: the least valuation in row i of the
+left factor plus the least in column j of the right).  A coefficient of R
+sums at most inner * min(n_a, n_b) products c * c' (n: the most terms of
+an entry), so its size is at most max|a| * max|b| * min(n_a, n_b) * inner;
+s is that bound's bit length plus a sign bit, in 2, 4, 8 or more whole
+bytes, so the signed digits of R are unique.  With M the top bit of every
+slot, (R + M) ^ M holds each digit in two's complement with no carries,
+which to_bytes and a signed array read off; packing is (U ^ M) - M.  An
+entry keeps its packed form, and a matrix its RingKernel, for the next
+product, so an entry that many products read is packed once per slot
+width.  Any other matrix is multiplied entry by entry in repmod.
 
 Coefficients are Python ints where possible and fractions.Fraction
 otherwise; no floating point appears anywhere.
@@ -65,7 +58,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import repeat
 from operator import add, eq, mul, neg, sub
 
 
@@ -221,8 +214,16 @@ class LaurentPoly:
         return self.terms[max(self.terms)]
 
     def evaluate(self, q0):
-        return _evaluate(self.terms.items(), min(self.terms, default=0),
-                         max(self.terms, default=0), q0)
+        # with q0 = p/r, the sum of c p^e r^-e is (sum of c p^(e-lo) r^(hi-e))
+        # p^lo / r^hi: one integer sum (for integer c), reduced once; q = 0
+        # is a pole when lo < 0
+        p, r = Fraction(q0).as_integer_ratio()
+        lo, hi = min(self.terms, default=0), max(self.terms, default=0)
+        if not p and lo < 0:
+            raise PoleError("q^%d has a pole at q = 0" % lo)
+        total = sum(c * p ** (e - lo) * r ** (hi - e) for e, c in self.terms.items())
+        return Fraction(total * p ** max(lo, 0) * r ** max(-hi, 0),
+                        r ** max(hi, 0) * p ** max(-lo, 0))
 
     def __str__(self):
         if not self.terms:
@@ -245,18 +246,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return "LaurentPoly(%s)" % self
-
-
-def _evaluate(terms, lo, hi, q0):
-    # the pairs (e, c) of terms, exponents in [lo, hi], summed as c q0^e: with
-    # q0 = p/r, (sum of c p^(e-lo) r^(hi-e)) p^lo / r^hi, one integer sum
-    # (for integer c) reduced once; q0 = 0 is a pole of q^lo when lo < 0
-    p, r = Fraction(q0).as_integer_ratio()
-    if not p and lo < 0:
-        raise PoleError("q^%d has a pole at q = 0" % lo)
-    total = sum(c * p ** (e - lo) * r ** (hi - e) for e, c in terms)
-    return Fraction(total * p ** max(lo, 0) * r ** max(-hi, 0),
-                    r ** max(hi, 0) * p ** max(-lo, 0))
 
 
 # dense polynomial helpers (index = exponent, trailing zeros stripped)
@@ -547,17 +536,10 @@ class ZLaurent:
             return x if type(x) is ZLaurent else _zl(0, [x])
         if type(x) is RatFunc and len(x.den.terms) == 1:  # a canonical den of one term is 1
             x = x.num
-        if type(x) is not LaurentPoly:
+        if type(x) is not LaurentPoly or any(type(a) is not int for a in x.terms.values()):
             return None
-        if not x.terms:
-            return ZL_ZERO
-        lo = min(x.terms)
-        c = [0] * (max(x.terms) - lo + 1)
-        for e, a in x.terms.items():
-            if type(a) is not int:
-                return None
-            c[e - lo] = a
-        return ZLaurent(lo, tuple(c))
+        lo, t = min(x.terms, default=0), x.terms
+        return ZLaurent(lo, tuple(t.get(e, 0) for e in range(lo, max(t, default=-1) + 1)))
 
     def poly(self):
         return LaurentPoly._raw({e: a for e, a in enumerate(self.c, self.v) if a})
@@ -628,22 +610,17 @@ class ZLaurent:
 
     __rmul__ = __mul__
 
-    def unit_inverse(self):
-        """1/self when self is a unit +-q^m, else None."""
-        return ZLaurent(-self.v, self.c) if self.c in ((1,), (-1,)) else None
-
     def __truediv__(self, other):
-        # a unit divides in the ring; any other divisor leaves it
-        if type(other) is ZLaurent:
-            u = other.unit_inverse()
-            return self * u if u is not None else self.ratfunc() / other.ratfunc()
-        return self.ratfunc() / other
+        # a unit +-q^m divides in the ring; any other divisor takes self out
+        if type(other) is ZLaurent and other.c in ((1,), (-1,)):
+            return self * ZLaurent(-other.v, other.c)
+        return self.ratfunc() / (other.ratfunc() if type(other) is ZLaurent else other)
 
     def is_polynomial(self):
         return True
 
     def evaluate(self, q0):
-        return _evaluate(zip(count(self.v), self.c), self.v, self.v + len(self.c) - 1, q0)
+        return self.poly().evaluate(q0)
 
     def __str__(self):
         return str(self.poly())
@@ -665,8 +642,8 @@ def _zl(v, c):
 
 ZL_ZERO, ZL_ONE = ZLaurent(0, ()), ZLaurent(0, (1,))
 
-# array typecodes of a signed slot of 1, 2, 4 or 8 bytes, read little-endian
-_SLOTS = {array(t).itemsize: t for t in "bhiq"} if sys.byteorder == "little" else {}
+# array typecodes of a signed slot of 2, 4 or 8 bytes, read little-endian
+_SLOTS = {array(t).itemsize: t for t in "hiq"} if sys.byteorder == "little" else {}
 
 
 @lru_cache(maxsize=4096)

@@ -218,17 +218,13 @@ class Matrix:
         return [self.rows[i][i] for i in range(min(self.nrows, self.ncols))]
 
     def inverse(self):
-        """Inverse by substitution over Z[q, q^-1] of a triangular ring matrix
-        with unit (+-q^m) diagonal, else by exact Gauss-Jordan elimination
-        over Q(q) or Q; raises on singular input."""
+        """Inverse by exact Gauss-Jordan elimination; raises on singular input.
+        A ring matrix whose pivots are units +-q^m (the triangular y and z,
+        the diagonal D) divides only by units, so its elimination is
+        substitution over Z[q, q^-1] and stays in the ring."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("only square matrices have inverses")
-        if self.ring:
-            inv = _unit_triangular_inverse(self.rows)
-            if inv is not None:
-                return Matrix._ring_of(inv)
-            self = self.ratfuncs()
         one = self._one_like()
         a = [[one * x for x in row] for row in self.rows]
         inv = Matrix.identity(n, one).rows
@@ -263,28 +259,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%s)" % self
-
-
-def _unit_triangular_inverse(rows):
-    # the inverse of a triangular ring matrix with unit diagonal entries
-    # +-q^m, by substitution, or None; a lower one is the transpose of an upper
-    n = len(rows)
-    if any(rows[i][j] for i in range(n) for j in range(i)):
-        if any(rows[i][j] for i in range(n) for j in range(i + 1, n)):
-            return None
-        inv = _unit_triangular_inverse([list(r) for r in zip(*rows)])
-        return inv and [list(r) for r in zip(*inv)]
-    units = [rows[i][i].unit_inverse() for i in range(n)]
-    if any(u is None for u in units):
-        return None
-    # U X = I: X[i][j] = -u_i^-1 (sum of U[i][k] X[k][j], i < k <= j), from the bottom row
-    inv = [[ZL_ZERO] * n for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        inv[i][i] = units[i]
-        for j in range(i + 1, n):
-            inv[i][j] = -units[i] * sum((rows[i][k] * inv[k][j] for k in range(i + 1, j + 1)
-                                         if rows[i][k]), ZL_ZERO)
-    return inv
 
 
 def matrix_witness(lhs, rhs):
