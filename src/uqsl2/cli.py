@@ -228,6 +228,26 @@ def _grid(nmax, q_spot):
     return specs, points
 
 
+def _matrix_reports(specs, points, scope):
+    # the module rows, then the operator rows, of verify: one symbolic env
+    # per module builds its q0-free inputs, and each point reads its own env
+    # from it.  L(n, +1) and L(n, -1) have the same n_a, so the modules of
+    # one run of summand dimensions share one store of q-exponential series.
+    # The envs and stores are freed on return, before the report is printed
+    modules, operators = VerificationReport(), VerificationReport()
+    for _, run in groupby(specs, lambda spec: [n for n, _ in spec.summands]):
+        series = {}
+        for spec in run:
+            sym = _OperatorEnv(build_equitable(spec), series=series)
+            for q0 in points:
+                env = sym.at(q0)
+                if scope != "operators":
+                    modules.extend(_module_task(env))
+                if scope != "modules":
+                    operators.extend(_operator_task(env))
+    return modules, operators
+
+
 def _emit_report(report, fmt):
     if fmt == "json":
         _echo_json(report.json_obj())
@@ -257,22 +277,8 @@ def verify(scope, nmax, window, q_spot, fmt):
         for suite in (verify_confluence, verify_n_definitions,
                       verify_n_commutation, verify_n_preimages):
             combined.extend(suite())
-    # one symbolic env per module builds its q0-free inputs; each point
-    # reads its own env from it; module rows all print before operators.
-    # L(n, +1) and L(n, -1) have the same n_a, so the modules of one run of
-    # summand dimensions share one store of q-exponential series
-    modules, operators = VerificationReport(), VerificationReport()
-    for _, run in groupby(specs, lambda spec: [n for n, _ in spec.summands]):
-        series = {}
-        for spec in run:
-            sym = _OperatorEnv(build_equitable(spec), series=series)
-            for q0 in points:
-                env = sym.at(q0)
-                if scope != "operators":
-                    modules.extend(_module_task(env))
-                if scope != "modules":
-                    operators.extend(_operator_task(env))
-    combined.extend(modules).extend(operators)
+    for report in _matrix_reports(specs, points, scope):
+        combined.extend(report)
     if scope in ("gamma", "all"):
         for module in (GAMMA_Y, GAMMA_Z):
             combined.extend(_gamma_task(module, window))

@@ -54,12 +54,11 @@ Coefficients are Python ints where possible and fractions.Fraction
 otherwise; no floating point appears anywhere.
 """
 
-import sys
-from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add, eq, mul, neg, sub
+from struct import Struct
 
 
 class PoleError(ArithmeticError):
@@ -642,22 +641,20 @@ def _zl(v, c):
 
 ZL_ZERO, ZL_ONE = ZLaurent(0, ()), ZLaurent(0, (1,))
 
-# array typecodes of a signed slot of 2, 4 or 8 bytes, read little-endian
-_SLOTS = {array(t).itemsize: t for t in "hiq"} if sys.byteorder == "little" else {}
-
-
 @lru_cache(maxsize=4096)
-def _top_bits(w, n):
-    # M: the top bit of each of n slots of w bytes
-    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+def _slots(w, n):
+    # M, the top bit of each of n slots of w bytes, and the Struct that
+    # writes and reads them as signed little-endian ints (None past 8 bytes)
+    fmt = {2: "h", 4: "i", 8: "q"}.get(w)
+    return (int.from_bytes((bytes(w - 1) + b"\x80") * n, "little"),
+            fmt and Struct("<%d%s" % (n, fmt)))
 
 
 def _packed(x, w):
     # sum x.c[i] 2^(8w i) (the module docstring), kept on x
     if x.w != w:
-        t, m = _SLOTS.get(w), _top_bits(w, len(x.c))
-        raw = (array(t, x.c).tobytes() if t else
-               b"".join(c.to_bytes(w, "little", signed=True) for c in x.c))
+        m, st = _slots(w, len(x.c))
+        raw = st.pack(*x.c) if st else b"".join(c.to_bytes(w, "little", signed=True) for c in x.c)
         x.w, x.p = w, (int.from_bytes(raw, "little") ^ m) - m
     return x.p
 
@@ -670,9 +667,9 @@ def _unpacked(p, v, w):
         low = ((p & -p).bit_length() - 1) // bits
         p >>= bits * low
     n = p.bit_length() // bits + 1
-    m, t = _top_bits(w, n), _SLOTS.get(w)
+    m, st = _slots(w, n)
     raw = ((p + m) ^ m).to_bytes(n * w, "little")
-    return ZLaurent(v + low, tuple(array(t, raw)) if t else tuple(
+    return ZLaurent(v + low, st.unpack(raw) if st else tuple(
         int.from_bytes(raw[o:o + w], "little", signed=True) for o in range(0, n * w, w)), w, p)
 
 

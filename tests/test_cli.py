@@ -17,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uqsl2 import cli, exprio, ncore, qexpops, repmod
+from uqsl2 import cli, exprio, ncore, qexpops, qfield, repmod
 from uqsl2.cli import main, spot_points
 from uqsl2.exprio import MAX_EXPONENT, parse
 from uqsl2.gammamod import GAMMA_Y, GAMMA_Z, verify_gamma
@@ -337,6 +337,23 @@ def test_verify_forms_each_product_once_per_module_and_point(runner, monkeypatch
         products.append(None) if isinstance(other, Matrix) else None) or real(self, other))
     res = runner.invoke(main, ["verify", "all", "--nmax", "4", "--format", "json"])
     assert (res.exit_code, len(products)) == (0, 1376)
+
+
+@pytest.mark.parametrize("scope", ["modules", "operators"])
+def test_the_passing_battery_stays_in_the_ring(runner, monkeypatch, scope):
+    # every identity on L(n, eps) is one over Z[q, q^-1]: no division runs
+    # over Q(q), where the parent made 562 and 28 calls of _dense_divmod.  The
+    # first run parses the formula texts once per process (their division
+    # by q - q^-1 is a RatFunc inverse); q-binomials are rebuilt cold
+    args = ["verify", scope, "--nmax", "10", "--format", "json"]
+    first = runner.invoke(main, args)
+    assert first.exit_code == 0
+    qfield.qbinom.cache_clear()
+    calls = []
+    real = qfield._dense_divmod
+    monkeypatch.setattr(qfield, "_dense_divmod", lambda *a: calls.append(a) or real(*a))
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.output, len(calls)) == (0, first.output, 0)
 
 
 def test_verify_never_calls_evaluate(runner, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqsl2.qfield import (
+    CQ,
     LaurentPoly,
     RF_ONE,
     RF_ZERO,
@@ -184,6 +185,16 @@ def test_specialize_raises_on_pole():
     assert f.evaluate(3) == 1
 
 
+def test_a_pole_at_zero_raises_pole_error():
+    # q^-1 has a pole at q0 = 0 in every form; callers catch PoleError
+    for f in (LaurentPoly({-1: 1}), RatFunc(LaurentPoly({-1: 1})),
+              ZLaurent.of(LaurentPoly({-2: 3, 1: 1}))):
+        with pytest.raises(PoleError):
+            f.evaluate(0)
+    assert ZLaurent.of(Q + 1).evaluate(0) == (Q + 1).evaluate(0) == 1
+    assert LaurentPoly({}).evaluate(0) == ZL_ZERO.evaluate(0) == 0
+
+
 def test_zero_inverse_raises():
     with pytest.raises(ZeroDivisionError):
         RatFunc(0).inverse()
@@ -321,6 +332,54 @@ def test_exact_division_refuses_what_is_not_an_integer_laurent_polynomial(p, m):
     assert ZLaurent.of(RatFunc(p) * divisor) is None
     assert ZLaurent.of(RatFunc(1, divisor.num)) is None
     assert div_q_power_minus_one(ZL_ZERO, m, _ONE_P) == RF_ZERO
+
+
+# The ring form against RatFunc, its reference: integer Laurent
+# polynomials with negative valuations, coefficients past 2^64 and zero
+
+_ring_coeffs = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
+_ring_polys = st.dictionaries(st.integers(-12, 12), _ring_coeffs, max_size=6).map(LaurentPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ring_polys, _ring_polys, st.integers(-9, 9))
+def test_ring_form_matches_ratfunc(a, b, k):
+    za, zb = ZLaurent.of(a), ZLaurent.of(b)
+    ra, rb = RatFunc(a), RatFunc(b)
+    for got, want in ((za + zb, ra + rb), (za - zb, ra - rb), (-za, -ra), (za * zb, ra * rb),
+                      (za + k, ra + k), (k - za, k - ra), (za * k, ra * k), (k * za, k * ra)):
+        assert type(got) is ZLaurent and got.ratfunc() == want
+        assert (got.v, got.c) == (ZLaurent.of(want).v, ZLaurent.of(want).c)  # canonical
+        assert str(got) == str(want) and got.is_polynomial()
+    # an operand outside the ring takes it out, to the RatFunc value
+    assert za * CQ == ra * CQ and type(za * CQ) is RatFunc and za + CQ == ra + CQ
+    for q0 in _POINTS:
+        assert za.evaluate(q0) == ra.evaluate(q0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ring_polys, _ring_polys)
+def test_ring_form_keeps_the_eq_hash_contract(a, b):
+    # equal entries hash alike, also against the RatFunc, LaurentPoly or int
+    # they equal; the form of a value is unique
+    za, zb = ZLaurent.of(a), ZLaurent.of(b)
+    assert (za == zb) == (a == b) and (za != zb) == (a != b)
+    if za == zb:
+        assert hash(za) == hash(zb) and (za.v, za.c) == (zb.v, zb.c)
+    assert za == RatFunc(a) == a and hash(za) == hash(RatFunc(a)) == hash(a)
+    assert bool(za) == bool(a) and (not za.c or za.c[0] and za.c[-1])
+    if len(a.terms) <= 1 and 0 in a.terms or not a.terms:
+        assert za == a.terms.get(0, 0) and hash(za) == hash(a.terms.get(0, 0))
+
+
+def test_ring_form_divides_by_units_only():
+    x = ZLaurent.of(LaurentPoly({-1: 2, 3: -5}))
+    for unit in (ZLaurent.of(q_power(4)), ZLaurent.of(-q_power(-3))):
+        assert type(x / unit) is ZLaurent and x / unit * unit == x
+    two = ZLaurent.of(LaurentPoly.const(2))
+    assert x / two == RatFunc(LaurentPoly({-1: 2, 3: -5})) / 2 and type(x / two) is RatFunc
+    assert x / (Q + 1) == RatFunc(LaurentPoly({-1: 2, 3: -5})) / (Q + 1)
+    assert ZLaurent.of(Fraction(1, 2)) is None and ZLaurent.of(CQ) is None
 
 
 # Operands for the product and reduce checks: 0, 1, +-c*q^m with Fraction c,

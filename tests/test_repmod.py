@@ -322,6 +322,95 @@ def test_packed_product_at_slot_boundaries(width):
     assert out.rows[0][0].c == (1 - half,)
 
 
+def _assert_ring_matches(got, want):
+    # got, a ring matrix, is want (a RatFunc matrix), entry by entry and as printed
+    assert got.ring and all(type(x) is ZLaurent for row in got.rows for x in row)
+    assert got.ratfuncs() == want and got == want and got.to_strings() == want.to_strings()
+
+
+@st.composite
+def _same_shape(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return [Matrix([[draw(_kentry) for _ in range(n)] for _ in range(m)]) for _ in "ab"]
+
+
+# +-q^m, and integer Laurent scalars of up to three terms
+_ring_scalars = st.one_of(
+    st.builds(lambda m, s: q_power(m) * s, st.integers(-6, 6), st.sampled_from([1, -1])),
+    _kentry.filter(lambda x: len(x.num.terms) <= 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_same_shape(), _ring_scalars)
+def test_ring_sums_and_scalar_products_match_ratfunc(pair, c):
+    a, b = pair
+    ra, rb, rc = _ring(a), _ring(b), ScalarContext().scal(c)
+    assert type(rc) is ZLaurent
+    for got, want in ((ra + rb, a + b), (ra - rb, a - b), (-ra, -a), (ra * rc, a * c),
+                      (rc * ra, c * a), (ra.scalar_mul(3), a.scalar_mul(3))):
+        _assert_ring_matches(got, want)
+    if a.nrows == a.ncols:  # a scalar is c*I
+        _assert_ring_matches(ra + rc, a + c)
+        _assert_ring_matches(1 - ra, 1 - a)
+
+
+@st.composite
+def _ratio_case(draw):
+    # a matrix times lift/(q^m - 1): some entries multiples of q^m - 1 (which
+    # divide), others with a stray term (which do not, and take the fallback)
+    i = draw(st.integers(1, 12))
+    lift, m = draw(st.sampled_from([(LaurentPoly({2 * i: 1, 2 * i - 2: -1}), 2 * i),
+                                    (LaurentPoly({1: 1}), 2), (LaurentPoly({0: 1}), i)]))
+    divisor = RatFunc(q_power(m).num - 1)
+    entries = st.tuples(_kentry, st.booleans()).map(
+        lambda t: t[0] * divisor + (q_power(7) if t[1] else 0))
+    n = draw(st.integers(1, 3))
+    return Matrix([[draw(entries) for _ in range(n)] for _ in range(n)]), lift, m
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ratio_case())
+def test_ring_division_by_q_power_minus_one_matches_ratfunc(case):
+    mat, lift, m = case
+    want = mat.scalar_mul(RatFunc(lift, q_power(m).num - 1))
+    got = _ring(mat).times_ratio(lift, m)
+    assert got == want and got.to_strings() == want.to_strings()
+    assert got.ring == all(x.is_polynomial() for row in want.rows for x in row)
+    if lift == LaurentPoly({1: 1}):  # the fold's scalar q/(q^2 - 1), by scalar_mul
+        assert _ring(mat) * CQ == mat * CQ
+
+
+@st.composite
+def _unit_triangular(draw):
+    # bidiagonal (as y and z) or diagonal (as D), diagonal entries +-q^m
+    n, shape = draw(st.integers(1, 6)), draw(st.sampled_from(["lower", "upper", "diagonal"]))
+    rows = [[RF_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = q_power(draw(st.integers(-5, 5))) * draw(st.sampled_from([1, -1]))
+        if i and shape != "diagonal":
+            j = (i, i - 1) if shape == "lower" else (i - 1, i)
+            rows[j[0]][j[1]] = draw(_kentry)
+    return Matrix(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit_triangular())
+def test_ring_inverse_of_unit_triangular_matches_gauss_jordan(mat):
+    # elimination on the ring matrix divides only by units, so it stays in
+    # the ring; Gauss-Jordan over Q(q) is the reference
+    got = _ring(mat).inverse()
+    _assert_ring_matches(got, mat.inverse())
+    _assert_ring_matches(_ring(mat) * got, Matrix.identity(mat.nrows))
+
+
+def test_ring_inverse_leaves_the_ring_only_for_a_non_unit_pivot():
+    mat = Matrix([[q_power(1) + 1, RF_ZERO], [q_power(2), RF_ONE]])
+    got = _ring(mat).inverse()
+    assert not got.ring and got == mat.inverse()
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        _ring(Matrix([[RF_ZERO, RF_ONE], [RF_ZERO, q_power(1)]])).inverse()
+
+
 def test_packed_product_leaves_other_matrices_to_the_loop():
     y = build_equitable(ModuleSpec.single(2, 1)).action["y"]
     frac = Matrix([[Fraction(1, 2), Fraction(3), Fraction(0)],
