@@ -42,8 +42,8 @@ from .report import ConsistencyError, VerificationReport
 # (n+1)^2 of them, and eval --rep 1000,+1 k took 27 s there
 MAX_OMEGA_N = 32
 MAX_REP_N = 200
-# verify's largest modules and window: verify all --nmax 16 took 5.7 to
-# 7.6 s on that host, verify gamma --window 32 about 7 s
+# verify's largest modules and window: verify all --nmax 16 took 3.6 to
+# 4.9 s on that host, verify gamma --window 32 about 7 s
 MAX_VERIFY_NMAX = 16
 MAX_WINDOW = 32
 # spot_points draws q0 = a/b with |a| <= 12 and 1 <= b <= 12, q0 not in

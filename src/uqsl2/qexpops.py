@@ -23,23 +23,25 @@ leaf, kept for the length of one report if the report reads it again.
 ``_OperatorEnv`` extends the module environment ``repmod._ModuleEnv`` by one
 recipe per operator, built when first read, then kept: n_a, exp_q(n_a) with
 its inverse and index idx_a, Psi, Psi^-1, Omega, Omega^-1, Omega^3 and the
-scalar matrix Omega^3-scalar.  The series and n_a divide exactly, with no
-gcd: q^(i-1)/[i] = q^(2i-2)(q^2 - 1)/(q^(2i) - 1) and CQ = q/(q^2 - 1), so
-each integer Laurent entry is divided by q^m - 1 in ints
-(qfield.div_q_power_minus_one), and only an entry that does not divide (a
-broken identity) takes the RatFunc product; at a point the scalar is one
-Fraction (_times_ratio).  ``uqsl2 verify``
-hands the envs of the modules with one list of summand dimensions (L(n, +1)
-and L(n, -1), whose n_a agree, or one direct sum) one store of series,
-keyed by q0 and the entries of n_a; each row still folds its own module's
-values, and the raising API builds its own series.  Recipes only build
-values: each identity is checked in its row, so ``uqsl2 verify`` prints a
-broken one as a failed row with its witness, as it does each row that reads
-a recipe that raises.  The
-raising API (``n_matrix``, ``exp_q_inverse``, ``omega``,
-``omega_closed_form``, and the suites for the n_a they read) raises
-ConsistencyError from the first failed row its value rests on.  ``omega``
-and ``verify_closed_form`` never build n_x, y^-1 or z^-1.
+scalar matrix Omega^3-scalar.  Symbolically all of them are ring matrices
+over Z[q, q^-1] (repmod): Psi and the closed-form matrices enter the ring
+through ScalarContext.matrix, and the series and n_a divide exactly, with
+no gcd: q^(i-1)/[i] = q^(2i-2)(q^2 - 1)/(q^(2i) - 1) and CQ = q/(q^2 - 1),
+so each entry is divided by q^m - 1 in ints (Matrix.times_ratio), and only
+a matrix with an entry that does not divide (a broken identity) takes the
+RatFunc product; at a point the scalar is one Fraction (_times_ratio).
+``uqsl2 verify`` hands the envs of the modules with one list of summand
+dimensions (L(n, +1) and L(n, -1), whose n_a agree, or one direct sum) one
+store of series, keyed by q0 and the (valuation, coefficients) of each
+entry of n_a; each row still folds its own module's values, and the raising
+API builds its own series, in the ring, and returns RatFunc matrices.
+Recipes only build values: each identity is checked in its row, so
+``uqsl2 verify`` prints a broken one as a failed row with its witness, as
+it does each row that reads a recipe that raises.  The raising API
+(``n_matrix``, ``exp_q_inverse``, ``omega``, ``omega_closed_form``, and the
+suites for the n_a they read) raises ConsistencyError from the first failed
+row its value rests on.  ``omega`` and ``verify_closed_form`` never build
+n_x, y^-1 or z^-1.
 """
 
 import re
@@ -256,9 +258,9 @@ def n_matrix(axis, rep):
 
 
 def _public_series(op):
-    # exp_q(T) and its inverse series, in the ring where T's entries are
+    # _exp_series of T, in the ring when T's entries are in it
     sc = ScalarContext()
-    return _exp_series(sc.matrix(op.matrix), sc, op.nil_index)[:2]
+    return _exp_series(sc.matrix(op.matrix), sc, op.nil_index)
 
 
 def exp_q(op):
@@ -268,10 +270,9 @@ def exp_q(op):
 
 def exp_q_inverse(op):
     """exp_{q^-1}(-T), once its product with exp_q(T) is checked to be 1."""
-    exp, inv = _public_series(op)
+    exp, inv, _ = _public_series(op)
     VerificationReport([compare("expq:exp_q(T)*exp_q(T)^-1=1", None, lambda: (
-        exp * inv, Matrix.identity(len(inv.rows), exp.rows[0][0] * 0 + 1)),
-        matrix_witness)]).require()
+        exp * inv, Matrix.identity(len(inv.rows))), matrix_witness)]).require()
     return inv.ratfuncs()
 
 

@@ -34,6 +34,17 @@ product when it has one, else its left prefix times its last leaf, kept
 for the length of one report if the report reads it again.  A Matrix takes
 a scalar operand c in ``*``, and in ``+`` and ``-`` as c*I, and a side that
 folds to a bare scalar c is compared as c*I.
+
+The symbolic env holds every matrix in Z[q, q^-1]: its entries are
+qfield.ZLaurent, taken in once by ``ScalarContext.matrix`` (and its
+scalars by ``ScalarContext.scal``), and they leave the ring only to print,
+to build a witness, at a point, or through the public API, which returns
+RatFunc matrices.  A ring matrix multiplies by qfield.ring_matmul, reading
+its RingKernel once; it divides by q^m - 1 exactly (``times_ratio``, and a
+scalar lift/(q^m - 1) such as 1/(q - q^-1)); and its inverse by elimination
+divides only by the unit pivots of y, z and D.  A division that is not
+exact, or a scalar with another denominator (a broken identity), takes the
+matrix out to RatFunc entries, whose row fails with its witness as before.
 """
 
 import json
@@ -87,6 +98,7 @@ class Matrix:
         return self._ring
 
     def kernel(self):
+        # what ring_matmul reads of a ring matrix, read off at its first product
         if self._kernel is None:
             self._kernel = RingKernel(self.rows)
         return self._kernel
@@ -451,8 +463,8 @@ class ScalarContext:
         return Fraction(v)
 
     def matrix(self, m):
-        """m at q0, or else m as a ring matrix if all its entries are in the
-        ring, else with RatFunc entries."""
+        """m at q0; symbolically m as a ring matrix when every entry is in
+        the ring, else m."""
         if self.q0 is not None:
             return m.map_entries(lambda x: x.evaluate(self.q0))
         rows = [[ZLaurent.of(x) for x in row] for row in m.rows]
