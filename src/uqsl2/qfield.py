@@ -522,10 +522,10 @@ class ZLaurent:
     """An integer Laurent polynomial sum c[i] q^(v+i), the entries of the
     symbolic module environment (see the module docstring)."""
 
-    __slots__ = ("v", "c", "w", "p")  # w, p: the packed form in w-byte slots
+    __slots__ = ("v", "c", "pk")  # pk: (w, the packed form in w-byte slots)
 
-    def __init__(self, v, c, w=0, p=0):
-        self.v, self.c, self.w, self.p = v, c, w, p
+    def __init__(self, v, c, pk=(0, 0)):
+        self.v, self.c, self.pk = v, c, pk
 
     @staticmethod
     def of(x):
@@ -641,6 +641,7 @@ def _zl(v, c):
 
 ZL_ZERO, ZL_ONE = ZLaurent(0, ()), ZLaurent(0, (1,))
 
+
 @lru_cache(maxsize=4096)
 def _slots(w, n):
     # M, the top bit of each of n slots of w bytes, and the Struct that
@@ -651,12 +652,14 @@ def _slots(w, n):
 
 
 def _packed(x, w):
-    # sum x.c[i] 2^(8w i) (the module docstring), kept on x
-    if x.w != w:
+    # sum x.c[i] 2^(8w i) (the module docstring), kept on x in one slot, so
+    # a reader never pairs one width with another's packed form
+    pk = x.pk
+    if pk[0] != w:
         m, st = _slots(w, len(x.c))
         raw = st.pack(*x.c) if st else b"".join(c.to_bytes(w, "little", signed=True) for c in x.c)
-        x.w, x.p = w, (int.from_bytes(raw, "little") ^ m) - m
-    return x.p
+        pk = x.pk = w, (int.from_bytes(raw, "little") ^ m) - m
+    return pk[1]
 
 
 def _unpacked(p, v, w):
@@ -670,7 +673,7 @@ def _unpacked(p, v, w):
     m, st = _slots(w, n)
     raw = ((p + m) ^ m).to_bytes(n * w, "little")
     return ZLaurent(v + low, st.unpack(raw) if st else tuple(
-        int.from_bytes(raw[o:o + w], "little", signed=True) for o in range(0, n * w, w)), w, p)
+        int.from_bytes(raw[o:o + w], "little", signed=True) for o in range(0, n * w, w)), (w, p))
 
 
 class RingKernel:
@@ -704,15 +707,15 @@ def ring_matmul(ka, kb, ncols):
     bits, col_lo = 8 * w, kb.col_lo
     b = kb.packed.get(w)
     if b is None:  # output (i, j) has the valuation base + col_lo[j], base from row i
-        b = kb.packed[w] = [[(j, x.p if x.w == w else _packed(x, w), bits * (x.v - col_lo[j]))
-                             for j, x in row] for row in kb.nz]
+        b = kb.packed[w] = [[(j, _packed(x, w), bits * (x.v - col_lo[j])) for j, x in row]
+                            for row in kb.nz]
     out = []
     for row in ka.nz:
         base = min([x.v for _, x in row], default=0)
         acc = [0] * ncols
         for k, x in row:
             if b[k]:
-                pa, sa = x.p if x.w == w else _packed(x, w), bits * (x.v - base)
+                pa, sa = _packed(x, w), bits * (x.v - base)
                 for j, pb, sb in b[k]:
                     acc[j] += (pa * pb) << (sa + sb)
         out.append([_unpacked(p, base + col_lo[j], w) if p else ZL_ZERO
