@@ -418,7 +418,8 @@ def eval_cmd(expr, expr_opt, presentation, q_text, rep_text):
             built = (build_equitable(spec) if presentation == "equitable"
                      else build_chevalley(spec))
             tally, sc = [0], ScalarContext()  # the fold runs in Z[q, q^-1] where it can
-            value = exprio.fold(ast, sc.scal, lambda g: _Budgeted(sc.matrix(built.action[g]), tally))
+            value = exprio.fold(ast, sc.scal,
+                                lambda g: _Budgeted(sc.matrix(built.action[g]), tally))
             if isinstance(ast, ScalarLiteral):  # c*I
                 value = _Budgeted(Matrix.identity(built.dim, sc.one), tally) * value
             values = value.evaluate(q0)

@@ -40,9 +40,9 @@ qfield.ZLaurent, taken in once by ``ScalarContext.matrix`` (and its
 scalars by ``ScalarContext.scal``), and they leave the ring only to print,
 to build a witness, at a point, or through the public API, which returns
 RatFunc matrices.  A ring matrix multiplies by qfield.ring_matmul, reading
-its RingKernel once; it divides by q^m - 1 exactly (``times_ratio``, and a
-scalar lift/(q^m - 1) such as 1/(q - q^-1)); and its inverse by elimination
-divides only by the unit pivots of y, z and D.  A division that is not
+its RingKernel once, and divides by q^m - 1 exactly (``times_ratio``, and a
+scalar lift/(q^m - 1) such as 1/(q - q^-1)); the elimination that inverts
+y, z and D divides only by their unit pivots.  A division that is not
 exact, or a scalar with another denominator (a broken identity), takes the
 matrix out to RatFunc entries, whose row fails with its witness as before.
 """
