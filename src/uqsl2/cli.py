@@ -37,7 +37,7 @@ from .repmod import (CHEVALLEY_GENS, EQUITABLE_GENS, Matrix, ModuleSpec, ScalarC
 from .report import ConsistencyError, VerificationReport
 
 # the largest module L(n, eps) a command builds: rep prints entries up to
-# q^n, which parse back up to MAX_EXPONENT; omega --n 32 takes about 7 s in
+# q^n, which parse back up to MAX_EXPONENT; omega --n 32 takes 3.4 to 4.2 s in
 # each mode on a 2-vCPU host; eval --rep evaluates and prints every entry,
 # (n+1)^2 of them, and eval --rep 1000,+1 k took 27 s there
 MAX_OMEGA_N = 32

@@ -7,10 +7,14 @@ with nonzero constant term and gcd(num's polynomial part, den) = 1.  With
 this normalization, equality is structural comparison and the text
 rendering is bit-stable.
 
-_cancel is the only gcd over Q: it divides num's polynomial part and a
-monic den with nonzero constant term by their monic gcd.  The constructor,
-+ and inverse reach it through _reduce, which first shifts den to valuation
-0 and scales both parts by 1/lc.  Products need no such step, and most no
+_cancel is the only gcd routine: it divides num's polynomial part and a
+monic den with nonzero constant term by their monic gcd.  When den is
+(q - 1)^a (q + 1)^b, as every denominator the PBW product makes is, the
+gcd is (q - 1)^i (q + 1)^j: a coefficient sum (alternating at q = -1)
+tests each root, and synthetic division strips it, at most a and b times.
+Any other den falls back to the dense Euclid over Q.  The constructor, +
+and inverse reach _cancel through _reduce, which first shifts den to
+valuation 0 and scales both parts by 1/lc.  Products need no such step, and most no
 gcd either, since they read the canonical form of their operands
 (Henrici's product, Knuth TAOCP vol. 2, 4.5.1):
 
@@ -56,7 +60,7 @@ otherwise; no floating point appears anywhere.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, eq, mul, neg, sub
 from struct import Struct
 
@@ -451,6 +455,8 @@ class RatFunc:
 
 _ZERO_P = LaurentPoly._raw({})
 _ONE_P = LaurentPoly._raw({0: 1})
+_Q_MINUS_1 = LaurentPoly._raw({0: -1, 1: 1})
+_Q_PLUS_1 = LaurentPoly._raw({0: 1, 1: 1})
 
 
 def _as_poly(v):
@@ -500,6 +506,9 @@ def _cancel(num, den):
     # constant term (so den = 1 if it has one term), by their monic gcd
     if len(den.terms) == 1:
         return num, den
+    ab = _pm1_exponents(frozenset(den.terms.items()))
+    if ab is not None:
+        return _cancel_pm1(num, den, *ab)
     v = num.valuation()
     n, d = _dense(num.shift(-v)), _dense(den)
     quo, rem = _dense_divmod(n, d)
@@ -511,6 +520,55 @@ def _cancel(num, den):
         return num, den
     return (_from_dense(_dense_divmod(n, g)[0]).shift(v),
             _from_dense(_dense_divmod(d, g)[0]))
+
+
+def _quo_linear(c, r):
+    # Horner: the quotient of sum c[k] q^k by q - r, r = +-1, dense low to
+    # high; the remainder c(r) is dropped, so r must be a root
+    qc = list(accumulate(c[:0:-1], add if r == 1 else _minus_acc))
+    qc.reverse()
+    return qc
+
+
+def _minus_acc(acc, c):
+    return c - acc
+
+
+@lru_cache(maxsize=1024)
+def _pm1_exponents(terms):
+    # (a, b) when the polynomial with these terms is (q - 1)^a (q + 1)^b,
+    # else None; read once per distinct denominator
+    d = _dense(LaurentPoly._raw(dict(terms)))
+    a = b = 0
+    while len(d) > 1 and not sum(d):
+        d, a = _quo_linear(d, 1), a + 1
+    while len(d) > 1 and not sum(d[::2]) - sum(d[1::2]):
+        d, b = _quo_linear(d, -1), b + 1
+    return (a, b) if d == [1] else None
+
+
+@lru_cache(maxsize=1024)
+def _pm1_power(a, b):
+    return _Q_MINUS_1 ** a * _Q_PLUS_1 ** b
+
+
+def _cancel_pm1(num, den, a, b):
+    # _cancel for den = (q - 1)^a (q + 1)^b: the monic gcd is (q - 1)^i
+    # (q + 1)^j, i <= a and j <= b the multiplicities of the roots 1 and -1
+    # of num's polynomial part, read by coefficient sums (alternating at
+    # -1) and stripped by synthetic division; i and j can differ
+    v = num.valuation()
+    n = [0] * (num.degree() - v + 1)
+    for e, c in num.terms.items():
+        n[e - v] = c
+    i = j = 0
+    while i < a and not sum(n):
+        n, i = _quo_linear(n, 1), i + 1
+    while j < b and not sum(n[::2]) - sum(n[1::2]):
+        n, j = _quo_linear(n, -1), j + 1
+    if not i and not j:
+        return num, den
+    return LaurentPoly(dict(enumerate(n, v))), _pm1_power(a - i, b - j)
 
 
 RF_ZERO = RatFunc._raw(_ZERO_P, _ONE_P)

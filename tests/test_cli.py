@@ -356,6 +356,25 @@ def test_the_passing_battery_stays_in_the_ring(runner, monkeypatch, scope):
     assert (res.exit_code, res.output, len(calls)) == (0, first.output, 0)
 
 
+@pytest.mark.parametrize("word,digest", [
+    ("(e*f)^12", "55b1e2431914537c69ff3404a89a31f3055fb7c3d8afb8467c6cdb84848b38b8"),
+    ("(e^6*f^6)^2", "17d2793b1223865f31ccbff6d4c5b37a5c231042d5c936c5cbfe1d0c2f0eceff"),
+])
+def test_pbw_denominators_cancel_without_euclid(runner, monkeypatch, word, digest):
+    # PBW denominators are (q - 1)^a (q + 1)^b, which _cancel strips by
+    # synthetic division: no _dense_divmod call, where the Euclid path made
+    # 13,962 and 51,166 in a fresh process.  The PBW tables are rebuilt cold
+    ncore._ef_terms.cache_clear()
+    ncore._ef_table.cache_clear()
+    qfield.qbinom.cache_clear()
+    calls = []
+    real = qfield._dense_divmod
+    monkeypatch.setattr(qfield, "_dense_divmod", lambda *a: calls.append(a) or real(*a))
+    res = runner.invoke(main, ["normalize", word])
+    assert (res.exit_code, len(calls)) == (0, 0)
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+
 def test_verify_never_calls_evaluate(runner, monkeypatch):
     # repmod.evaluate stays as the reference of the tests; verify folds text
     calls = []

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqsl2.qfield import (
@@ -24,8 +24,9 @@ from uqsl2.qfield import (
     qint,
     specialize,
 )
-from uqsl2.qfield import (_ONE_P, _ZERO_P, _dense, _dense_divmod, _dense_gcd,
-                          _from_dense)
+from uqsl2 import qfield
+from uqsl2.qfield import (_ONE_P, _ZERO_P, _cancel, _dense, _dense_divmod, _dense_gcd,
+                          _from_dense, _pm1_exponents)
 
 Q = q_power(1)
 QINV = q_power(-1)
@@ -494,6 +495,73 @@ def test_product_cancels_cross_factors():
     y = RatFunc(LaurentPoly({0: 1, 1: 1, 2: 1}), q2m1 ** 2)
     assert _typed(x * y) == _typed(_reference_reduce(x.num * y.num, x.den * y.den))
     assert str(x * y) == "(q^2 + 1 + q^-2)/(q^2 - 1)"  # both cross factors cancel
+
+
+_Q_M1 = LaurentPoly({0: -1, 1: 1})
+_Q_P1 = LaurentPoly({0: 1, 1: 1})
+# monic, nonzero constant term, and coprime to q^2 - 1
+_OTHER_FACTORS = [LaurentPoly({0: 3, 2: 1}), LaurentPoly({0: 1, 1: 1, 2: 1}),
+                  LaurentPoly({0: Fraction(1, 2), 3: 1})]
+
+
+def _euclid_cancel(num, den):
+    # _cancel by the dense Euclid over Q alone: the reference of its q -+ 1
+    # branch, which must give the same canonical pair
+    v = num.valuation()
+    n, d = _dense(num.shift(-v)), _dense(den)
+    g = _dense_gcd(n, d)
+    if len(g) == 1:
+        return RatFunc._raw(num, den)
+    return RatFunc._raw(_from_dense(_dense_divmod(n, g)[0]).shift(v),
+                        _from_dense(_dense_divmod(d, g)[0]))
+
+
+@st.composite
+def _cancel_cases(draw):
+    # p (q - 1)^i (q + 1)^j q^v over (q - 1)^a (q + 1)^b, a + b > 0: the
+    # exponents range over i = 0, 0 < i <= a and i > a (j likewise), p has
+    # int or Fraction coefficients and can carry roots +-1 of its own; with
+    # other = True both parts also take a factor outside the branch
+    a, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if a + b == 0:
+        a = 1
+    i = draw(st.one_of(st.just(0), st.integers(1, a + 3)))
+    j = draw(st.one_of(st.just(0), st.integers(1, b + 3)))
+    p = draw(st.one_of(_frac_polys(nonzero=True), _polys().filter(bool)))
+    num = p * _Q_M1 ** i * _Q_P1 ** j * q_power(draw(_exps)).num
+    den = _Q_M1 ** a * _Q_P1 ** b
+    if draw(st.booleans()):
+        other = draw(st.sampled_from(_OTHER_FACTORS))
+        num = num * other ** draw(st.integers(0, 1))
+        den = den * other
+    return num, den
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cancel_cases())
+@example((_Q_M1 ** 3 * _Q_P1 * LaurentPoly({-2: 2, 0: 1}), _Q_M1 ** 2 * _Q_P1 ** 4))
+@example((LaurentPoly({0: Fraction(1, 3), 1: Fraction(-1, 3)}), _Q_M1 * _Q_P1 ** 2))
+@example((LaurentPoly({0: 5, 3: 1}), _Q_M1 ** 3 * _Q_P1))
+def test_cancel_matches_euclid(case):
+    num, den = case
+    assert _typed(RatFunc._raw(*_cancel(num, den))) == _typed(_euclid_cancel(num, den))
+
+
+def test_cancel_reads_pm1_exponents_and_falls_back_otherwise(monkeypatch):
+    q2m1 = (Q * Q - 1).num
+    assert _pm1_exponents(frozenset((_Q_M1 ** 2 * _Q_P1 ** 5).terms.items())) == (2, 5)
+    assert _pm1_exponents(frozenset((q2m1 * _OTHER_FACTORS[0]).terms.items())) is None
+    assert _pm1_exponents(frozenset(_OTHER_FACTORS[1].terms.items())) is None
+    calls = []
+    real = qfield._dense_divmod
+    monkeypatch.setattr(qfield, "_dense_divmod", lambda *a: calls.append(a) or real(*a))
+    num = _Q_M1 ** 3 * _OTHER_FACTORS[1]
+    assert _cancel(num, q2m1 ** 2) == (_OTHER_FACTORS[1] * _Q_M1, _Q_P1 ** 2)
+    assert not calls
+    # (q^2 - 1)(q^2 + 3) is outside the branch: the Euclid path divides
+    assert _cancel(num, q2m1 * _OTHER_FACTORS[0]) == (
+        _OTHER_FACTORS[1] * _Q_M1 ** 2, _Q_P1 * _OTHER_FACTORS[0])
+    assert calls
 
 
 def test_reduce_matches_sympy_cancel():
