@@ -558,9 +558,7 @@ def _cancel_pm1(num, den, a, b):
     # of num's polynomial part, read by coefficient sums (alternating at
     # -1) and stripped by synthetic division; i and j can differ
     v = num.valuation()
-    n = [0] * (num.degree() - v + 1)
-    for e, c in num.terms.items():
-        n[e - v] = c
+    n = _dense(num.shift(-v))
     i = j = 0
     while i < a and not sum(n):
         n, i = _quo_linear(n, 1), i + 1
