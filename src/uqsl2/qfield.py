@@ -14,9 +14,9 @@ gcd is (q - 1)^i (q + 1)^j: a coefficient sum (alternating at q = -1)
 tests each root, and synthetic division strips it, at most a and b times.
 Any other den falls back to the dense Euclid over Q.  The constructor, +
 and inverse reach _cancel through _reduce, which first shifts den to
-valuation 0 and scales both parts by 1/lc.  Products need no such step, and most no
-gcd either, since they read the canonical form of their operands
-(Henrici's product, Knuth TAOCP vol. 2, 4.5.1):
+valuation 0 and scales both parts by 1/lc.  Products need no such step,
+and most no gcd either, since they read the canonical form of their
+operands (Henrici's product, Knuth TAOCP vol. 2, 4.5.1):
 
 - A zero operand gives zero over 1.
 - A one-term polynomial c*q^m times a/b is (c*q^m*a)/b.  It is canonical
@@ -455,8 +455,6 @@ class RatFunc:
 
 _ZERO_P = LaurentPoly._raw({})
 _ONE_P = LaurentPoly._raw({0: 1})
-_Q_MINUS_1 = LaurentPoly._raw({0: -1, 1: 1})
-_Q_PLUS_1 = LaurentPoly._raw({0: 1, 1: 1})
 
 
 def _as_poly(v):
@@ -525,13 +523,21 @@ def _cancel(num, den):
 def _quo_linear(c, r):
     # Horner: the quotient of sum c[k] q^k by q - r, r = +-1, dense low to
     # high; the remainder c(r) is dropped, so r must be a root
-    qc = list(accumulate(c[:0:-1], add if r == 1 else _minus_acc))
+    qc = list(accumulate(c[:0:-1], add if r == 1 else lambda acc, ck: ck - acc))
     qc.reverse()
     return qc
 
 
-def _minus_acc(acc, c):
-    return c - acc
+def _strip_pm1(c, a, b):
+    # divide sum c[k] q^k (nonzero) by (q - 1)^i (q + 1)^j, i <= a and
+    # j <= b each as large as it goes: a coefficient sum tests the root 1,
+    # an alternating sum the root -1, and i and j can differ
+    i = j = 0
+    while i < a and not sum(c):
+        c, i = _quo_linear(c, 1), i + 1
+    while j < b and not sum(c[::2]) - sum(c[1::2]):
+        c, j = _quo_linear(c, -1), j + 1
+    return c, i, j
 
 
 @lru_cache(maxsize=1024)
@@ -539,31 +545,21 @@ def _pm1_exponents(terms):
     # (a, b) when the polynomial with these terms is (q - 1)^a (q + 1)^b,
     # else None; read once per distinct denominator
     d = _dense(LaurentPoly._raw(dict(terms)))
-    a = b = 0
-    while len(d) > 1 and not sum(d):
-        d, a = _quo_linear(d, 1), a + 1
-    while len(d) > 1 and not sum(d[::2]) - sum(d[1::2]):
-        d, b = _quo_linear(d, -1), b + 1
+    d, a, b = _strip_pm1(d, len(d), len(d))
     return (a, b) if d == [1] else None
 
 
 @lru_cache(maxsize=1024)
 def _pm1_power(a, b):
-    return _Q_MINUS_1 ** a * _Q_PLUS_1 ** b
+    return LaurentPoly._raw({0: -1, 1: 1}) ** a * LaurentPoly._raw({0: 1, 1: 1}) ** b
 
 
 def _cancel_pm1(num, den, a, b):
     # _cancel for den = (q - 1)^a (q + 1)^b: the monic gcd is (q - 1)^i
-    # (q + 1)^j, i <= a and j <= b the multiplicities of the roots 1 and -1
-    # of num's polynomial part, read by coefficient sums (alternating at
-    # -1) and stripped by synthetic division; i and j can differ
+    # (q + 1)^j, the roots 1 and -1 of num's polynomial part taken at most
+    # a and b times
     v = num.valuation()
-    n = _dense(num.shift(-v))
-    i = j = 0
-    while i < a and not sum(n):
-        n, i = _quo_linear(n, 1), i + 1
-    while j < b and not sum(n[::2]) - sum(n[1::2]):
-        n, j = _quo_linear(n, -1), j + 1
+    n, i, j = _strip_pm1(_dense(num.shift(-v)), a, b)
     if not i and not j:
         return num, den
     return LaurentPoly(dict(enumerate(n, v))), _pm1_power(a - i, b - j)
