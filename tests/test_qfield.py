@@ -520,8 +520,8 @@ def _euclid_cancel(num, den):
 def _cancel_cases(draw):
     # p (q - 1)^i (q + 1)^j q^v over (q - 1)^a (q + 1)^b, a + b > 0: the
     # exponents range over i = 0, 0 < i <= a and i > a (j likewise), p has
-    # int or Fraction coefficients and can carry roots +-1 of its own; with
-    # other = True both parts also take a factor outside the branch
+    # int or Fraction coefficients and can carry roots +-1 of its own; in
+    # half the cases den takes a factor outside the branch (the fallback)
     a, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     if a + b == 0:
         a = 1
