@@ -155,6 +155,30 @@ def test_eval_errors(runner):
     assert res.exit_code == 2 and "denominator vanishes" in res.output
 
 
+@pytest.mark.parametrize("args,output", [
+    (["normalize", "1/2*k - 2/3*q^2*e"], "1/2*k - 2/3*q^2*e"),
+    (["normalize", "(q^2+3)/(2*q^3-4)*e*f"],
+     "((1/2*q^3 + 3/2*q)/(q^5 - q^3 - 2*q^2 + 2))*k - ((1/2*q^3 + 3/2*q)/(q^5 - q^3 - 2*q^2 + 2))"
+     "*k^-1 + ((1/2*q^2 + 3/2)/(q^3 - 2))*f*e"),
+    (["normalize", "(1/2*q + 1/3)^4*k - 2/3"],
+     "(1/16*q^4 + 1/6*q^3 + 1/6*q^2 + 2/27*q + 1/81)*k - 2/3"),
+    (["normalize", "1/(2*q+4)*e + (q^2+3)/(3*q)*f"], "((1/2)/(q + 2))*e + (1/3*q + q^-1)*f"),
+    (["normalize", "e*1/(q^2+3) - 1/(2*q^2-2)*f*e"],
+     "((1)/(q^2 + 3))*e - ((1/2)/(q^2 - 1))*f*e"),
+    (["normalize", "--presentation", "equitable", "1/(2*q+2)*y*z - 3/4*x"],
+     "-3/4*k + ((1/2)/(q + 1))*k^-2 - (1/2*q - 1/2)*k^-2*e + (1/2 - 1/2*q^-1)*f*k^-1"
+     " - (1/2*q^2 - 1/2*q - 1/2 + 1/2*q^-1)*f*k^-1*e"),
+    (["eval", "1/(2*q^2-4) + 3/(6*q+9)", "--q", "3"], "23/126"),
+    (["eval", "--rep", "2,+1", "--q", "5/3", "1/(2*q+4)*e*f - 2/3*k"],
+     "[[-2291/1485, 0, 0], [0, -59/165, 0], [0, 0, -6/25]]"),
+])
+def test_non_monic_and_fraction_scalars_print_pinned(runner, args, output):
+    # denominators with a leading coefficient other than 1 or integer
+    # content, and Fraction coefficients, print monic over Q
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.output) == (0, output + "\n")
+
+
 def test_verify_iso_has_eight_entries(runner):
     res = runner.invoke(main, ["verify", "iso"])
     assert res.exit_code == 0
