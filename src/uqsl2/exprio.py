@@ -53,7 +53,6 @@ products raise one past MAX_EXPONENT prints but does not parse back.
 fold() evaluates a tree given what its leaves stand for.
 """
 
-import math
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -172,22 +171,20 @@ def make_product(factors):
     return _flat(Product, factors, mul, RF_ONE)
 
 
-_DENOMINATOR, _NUM, _DEN = map(attrgetter, ("denominator", "num.terms", "den.terms"))
+_NUM, _DEN = map(attrgetter, ("num", "den"))
 
 
-def _part(terms):
-    # of polynomials (as term dicts): the least and largest q-exponent, the
-    # widest span of one, and the bits of the l1 norm over Z and of the
-    # common denominator of all their coefficients; None if all are zero
-    terms = list(filter(None, terms))
-    if not terms:
+def _part(polys):
+    # of LaurentPolys: the least and largest q-exponent, the widest span of
+    # one, the bits of the l1 norm of all their coefficients, and those of
+    # their common denominator, 1; None if all are zero
+    polys = list(filter(None, polys))
+    if not polys:
         return None
-    los, his = list(map(min, terms)), list(map(max, terms))
-    l1 = sum(map(abs, chain.from_iterable(map(dict.values, terms))))
-    lcd = 1 if type(l1) is int else math.lcm(
-        *map(_DENOMINATOR, chain.from_iterable(map(dict.values, terms))))
-    return (min(los), max(his), max(map(sub, his, los)), int(l1 * lcd).bit_length(),
-            lcd.bit_length())
+    los = [p.v for p in polys]
+    his = [p.v + len(p.c) - 1 for p in polys]
+    l1 = sum(map(abs, chain.from_iterable(p.c for p in polys)))
+    return min(los), max(his), max(map(sub, his, los)), l1.bit_length(), 1
 
 
 def size(*values):

@@ -198,10 +198,10 @@ def _work(a, b):
     # the widest e^r f^s table it reads, and per term pair the products of
     # coefficients of total span w with table entries of span about
     # wg = 2m(r + s), m = min(r, s), plus, where terms can meet, their gcds
-    # in _accumulate against denominators of degree d.  Over 29 products
-    # that took 0.3 s or more on a 2-vCPU host a unit took 0.1 to 0.8 us
-    # (1.6 for (f^3*e^3)^4), except where coprime denominators meet, whose
-    # gcd costs more than any power of d predicts.
+    # in _accumulate against denominators of degree d.  Over 13 products
+    # that took 0.2 s or more on a 2-vCPU host a unit took 0.005 to 0.05 us,
+    # and 0.23 to 0.31 us in the two where the coprime denominators q^2 + 3
+    # and q^3 + 2 meet in the gcd over Z.
     if not a.terms or not b.terms:
         return 0
     (_, _, na, *_), (_, da, wa, *_) = a.size()
@@ -403,7 +403,7 @@ class AlgebraElement:
             ms = _mono_str(mono)
             if not ms:
                 # a leading minus must negate every term of the constant
-                wrap = neg and mag.is_polynomial() and len(mag.num.terms) > 1
+                wrap = neg and mag.is_polynomial() and len(mag.num.c) > 1
                 body = "(%s)" % mag if wrap else str(mag)
             elif mag == RF_ONE:
                 body = ms

@@ -32,8 +32,8 @@ a matrix with an entry that does not divide (a broken identity) takes the
 RatFunc product; at a point the scalar is one Fraction (_times_ratio).
 ``uqsl2 verify`` hands the envs of the modules with one list of summand
 dimensions (L(n, +1) and L(n, -1), whose n_a agree, or one direct sum) one
-store of series, keyed by q0 and the (valuation, coefficients) of each
-entry of n_a; each row still folds its own module's values, and the raising
+store of series, keyed by q0 and the entries of n_a (LaurentPolys, which
+hash by value); each row still folds its own module's values, and the raising
 API builds its own series, in the ring, and returns RatFunc matrices.
 Recipes only build values: each identity is checked in its row, so
 ``uqsl2 verify`` prints a broken one as a failed row with its witness, as
@@ -52,7 +52,7 @@ from itertools import chain
 
 from .exprio import _OPERATOR_LEAF, _OPERATOR_WORD, rotated
 from .ncore import N_DEFINITIONS
-from .qfield import RF_ZERO, LaurentPoly, RatFunc, ZLaurent, q_power, qbinom
+from .qfield import RF_ZERO, LaurentPoly, RatFunc, q_power, qbinom
 from .repmod import (Matrix, ModuleSpec, ScalarContext, _matrix_sides, _ModuleEnv,
                      _recipe_index, _Words, build_equitable, matrix_witness)
 from .report import ConsistencyError, VerificationReport, check, compare
@@ -114,7 +114,7 @@ class OmegaOperator:
 
 
 def _times_ratio(mat, sc, lift, m):
-    """mat times lift/(q^m - 1), lift a LaurentPoly with int coefficients.
+    """mat times lift/(q^m - 1), lift a LaurentPoly.
     At a point, mat times the one Fraction lift(q0)/(q0^m - 1); symbolically
     Matrix.times_ratio, exact in the ring, and a RatFunc product only for a
     matrix that is not in the ring or does not divide (a broken identity)."""
@@ -202,7 +202,7 @@ def _stored_series(env, mat):
     store, sc = env.series, env["sc"]
     if store is None:
         return _exp_series(mat, sc)
-    key = (sc.q0, tuple((x.v, x.c) if type(x) is ZLaurent else x for x in chain(*mat.rows)))
+    key = (sc.q0, tuple(chain(*mat.rows)))
     if key not in store:
         store[key] = _exp_series(mat, sc)
     return store[key]

@@ -1,40 +1,50 @@
 """Exact arithmetic over the ground field Q(q).
 
-Elements are represented in a unique canonical form: a LaurentPoly is a
-finitely supported map from integer q-exponents to rational coefficients,
-and a RatFunc is a quotient num/den where den is a monic polynomial in q
-with nonzero constant term and gcd(num's polynomial part, den) = 1.  With
-this normalization, equality is structural comparison and the text
-rendering is bit-stable.
+LaurentPoly is Z[q, q^-1]: an integer Laurent polynomial sum c[i] q^(v+i),
+held as its valuation v and a tuple c of ints with c[0], c[-1] nonzero
+(zero is v = 0, c = ()), so equality and hash read (v, c).  Its +, - and *
+stay in the ring; a RatFunc or Fraction operand takes it out, to a RatFunc.
+It is the ring of the symbolic module environment, and the numerator and
+denominator of every RatFunc.
 
-_cancel is the only gcd routine: it divides num's polynomial part and a
-monic den with nonzero constant term by their monic gcd.  When den is
-(q - 1)^a (q + 1)^b, as every denominator the PBW product makes is, the
-gcd is (q - 1)^i (q + 1)^j: a coefficient sum (alternating at q = -1)
-tests each root, and synthetic division strips it, at most a and b times.
-Any other den falls back to the dense Euclid over Q.  The constructor, +
-and inverse reach _cancel through _reduce, which first shifts den to
-valuation 0 and scales both parts by 1/lc.  Products need no such step,
-and most no gcd either, since they read the canonical form of their
-operands (Henrici's product, Knuth TAOCP vol. 2, 4.5.1):
+A RatFunc is a quotient num/den of two LaurentPolys in a unique canonical
+form: den is a polynomial with nonzero constant term and positive leading
+coefficient, and num's polynomial part and den are coprime over Z[q],
+integer content included.  The value fixes the pair: over Q[q] the form
+with den monic is unique, and the one positive rational that clears both
+its parts to integers with no common content scales it to this one.  So
+equality is structural comparison.  str divides both parts by den's
+leading coefficient, so a quotient prints with a monic denominator and
+reduced fractions for coefficients, and the text is bit-stable.  No
+Fraction is built except to print, to evaluate at a point, or to read a
+Fraction operand.
+
+_cancel is the only gcd routine: it divides num's polynomial part and den
+by their gcd over Z[q].  When den is (q - 1)^a (q + 1)^b, as every
+denominator the PBW product makes is, the gcd is (q - 1)^i (q + 1)^j: a
+coefficient sum (alternating at q = -1) tests each root, and synthetic
+division strips it, at most a and b times.  A constant den shares only
+integer content with num.  Any other den takes the primitive polynomial
+remainder sequence over Z (Brown, J. ACM 18 (1971); Knuth TAOCP vol. 2,
+4.6.1): the gcd of the contents times the last nonzero primitive
+pseudo-remainder, every step in ints.  The constructor and + reach _cancel
+through _reduce, which first shifts den to valuation 0 and makes its
+leading coefficient positive; inverse needs no gcd, since a coprime pair
+stays coprime when it swaps.  Products need no such step, and most no gcd
+either, since they read the canonical form of their operands (Henrici's
+product, Knuth TAOCP vol. 2, 4.5.1):
 
 - A zero operand gives zero over 1.
-- A one-term polynomial c*q^m times a/b is (c*q^m*a)/b.  It is canonical
-  because b is unchanged, c is a unit of Q, and q does not divide b (its
-  constant term is nonzero), so q^m*a has the same polynomial part as a up
-  to c and stays coprime to b.
+- An integer multiple c*q^m (den 1) times a/b is (c*q^m*a)/b up to the
+  common content of c and b: q does not divide b (its constant term is
+  nonzero), and a shares no factor with b.
 - For a/b * c/d, gcd(a, b) = gcd(c, d) = 1 (polynomial parts), so the only
   factors that can cancel are g1 = gcd(a, d) and g2 = gcd(c, b).  Then
-  (a/g1)(c/g2) is coprime to (b/g2)(d/g1), and that denominator is monic
-  with nonzero constant term as a product of divisors of b and d.  When d
-  divides a, one division finds g1 = d and no gcd runs.
+  (a/g1)(c/g2) is coprime to (b/g2)(d/g1), which has a positive leading
+  coefficient and a nonzero constant term as a product of divisors of b
+  and d.
 
-ZLaurent is Z[q, q^-1], the ring of the symbolic module environment: an
-integer Laurent polynomial sum c[i] q^(v+i), held as its valuation v and a
-tuple c with c[0], c[-1] nonzero (zero is v = 0, c = ()), so equality reads
-(v, c).  Its +, - and * stay in the ring; a RatFunc or Fraction operand
-takes it out, to a RatFunc.  div_q_power_minus_one divides it by q^m - 1.
-
+div_q_power_minus_one divides a LaurentPoly by q^m - 1 exactly, in ints.
 Ring matrices multiply by Kronecker substitution in ring_matmul (Harvey,
 J. Symbolic Comput. 44 (2009)): evaluation at q = 2^s is a ring
 homomorphism, so with A = sum c_i 2^(s i) for each entry, one s-bit slot
@@ -54,15 +64,16 @@ entry keeps its packed form, and a matrix its RingKernel, for the next
 product, so an entry that many products read is packed once per slot
 width.  Any other matrix is multiplied entry by entry in repmod.
 
-Coefficients are Python ints where possible and fractions.Fraction
-otherwise; no floating point appears anywhere.
+No floating point appears anywhere.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, eq, mul, neg, sub
+from math import gcd
+from operator import add, index, mul, neg, sub
 from struct import Struct
+from types import MappingProxyType
 
 
 class PoleError(ArithmeticError):
@@ -73,259 +84,215 @@ class SpecializationError(ValueError):
     """The requested evaluation point q0 is not admissible."""
 
 
-def _coeff(c):
-    # normalize a coefficient to int when integral, Fraction otherwise
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
-        return int(c)
-    raise TypeError("coefficient must be int or Fraction, got %r" % (c,))
+_new = object.__new__
+_UNIT = (1,)
 
 
-def _coeff_str(c):
-    if isinstance(c, Fraction):
-        return "%d/%d" % (c.numerator, c.denominator)
-    return str(c)
+def _lp(v, c, pk=(0, 0)):
+    # the LaurentPoly sum c[i] q^(v+i), c a tuple with nonzero ends
+    p = _new(LaurentPoly)
+    p.v, p.c, p.pk = v, c, pk
+    return p
+
+
+def _trim(v, c):
+    # _lp of a list c of ints, its zero ends stripped
+    hi = len(c)
+    while hi and not c[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not c[lo]:
+        lo += 1
+    return _lp(v + lo, tuple(c[lo:hi])) if hi else _ZERO_P
 
 
 class LaurentPoly:
-    """Laurent polynomial in q over the rationals."""
+    """An integer Laurent polynomial sum c[i] q^(v+i) (see the module
+    docstring); LaurentPoly(terms) reads a dict {exponent: int}."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("v", "c", "pk")  # pk: (w, the packed form in w-byte slots)
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for e, c in terms.items():
-                c = _coeff(c)
-                if c:
-                    t[e] = c
-        self.terms = t
+        terms = terms or {}
+        lo = min(terms, default=0)
+        p = _trim(lo, [index(terms.get(e, 0)) for e in range(lo, max(terms, default=-1) + 1)])
+        self.v, self.c, self.pk = p.v, p.c, p.pk
 
-    @classmethod
-    def _raw(cls, terms):
-        # terms already normalized: no zeros, coeffs int|Fraction
-        p = cls.__new__(cls)
-        p.terms = terms
-        return p
-
-    @classmethod
-    def const(cls, c):
-        c = _coeff(c)
-        return cls._raw({0: c} if c else {})
+    @property
+    def terms(self):
+        """The nonzero terms, as a read-only {exponent: coefficient} view."""
+        return MappingProxyType({e: a for e, a in enumerate(self.c, self.v) if a})
 
     def is_zero(self):
-        return not self.terms
+        return not self.c
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.c)
+
+    def is_polynomial(self):
+        return True
+
+    def valuation(self):
+        return self.v
+
+    def degree(self):
+        return self.v + len(self.c) - 1
+
+    def shift(self, d):
+        """Multiply by q^d."""
+        return _lp(self.v + d, self.c) if self.c else self
 
     def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            return self.terms == ({0: c} if c else {})
-        return NotImplemented
+        if type(other) is not LaurentPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if other.denominator != 1:
+                return False
+            other = _const(int(other))
+        return self.c == other.c and self.v == other.v
 
     def __hash__(self):
-        # a constant equals its coefficient, so it must hash like it
-        t = self.terms
-        if not t:
-            return hash(0)
-        if len(t) == 1 and 0 in t:
-            return hash(t[0])
-        return hash(frozenset(t.items()))
+        # a constant equals its int, so it must hash like it
+        c = self.c
+        return hash((self.v, c)) if self.v or len(c) > 1 else hash(c[0] if c else 0)
 
     def __neg__(self):
-        return LaurentPoly._raw({e: -c for e, c in self.terms.items()})
+        return _lp(self.v, tuple(map(neg, self.c)))
+
+    def _leave(self, other, op):
+        # self op other for an operand outside the ring: a RatFunc, or
+        # NotImplemented for a non-scalar
+        if isinstance(other, (Fraction, RatFunc)):
+            return op(_rf(self, _ONE_P), other)
+        return NotImplemented
+
+    def _sum(self, o, op):
+        # self op o, op add or sub, o a LaurentPoly or int, aligned at the lesser valuation
+        if type(o) is not LaurentPoly:
+            if not isinstance(o, int):
+                return self._leave(o, op)
+            o = _const(o)
+        a, b = self.c, o.c
+        if not a or not b:
+            return self if not b else o if op is add else -o
+        v = self.v if self.v < o.v else o.v
+        i, j = self.v - v, o.v - v
+        res = [0] * (i + len(a) if i + len(a) > j + len(b) else j + len(b))
+        res[i:i + len(a)] = a
+        res[j:j + len(b)] = map(op, res[j:j + len(b)], b)
+        return _trim(v, res)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        res = dict(a)
-        for e, c in b.items():
-            s = res.get(e, 0) + c
-            if s:
-                res[e] = _coeff(s)
-            else:
-                res.pop(e, None)
-        return LaurentPoly._raw(res)
+        return self._sum(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, sub)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            if not c:
-                return LaurentPoly._raw({})
-            return LaurentPoly._raw({e: _coeff(c0 * c) for e, c0 in self.terms.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        res = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = res.get(e, 0) + c1 * c2
-                if s:
-                    res[e] = s
-                else:
-                    res.pop(e, None)
-        for e in list(res):
-            res[e] = _coeff(res[e])
-        return LaurentPoly._raw(res)
+        if type(other) is not LaurentPoly:
+            if not isinstance(other, int):
+                return self._leave(other, mul)
+            other = _const(other)
+        a, b, v = self.c, other.c, self.v + other.v
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) <= 1:  # zero, or a one-term factor
+            return _ZERO_P if not a else _lp(v, b if a[0] == 1 else tuple(map(mul, b, repeat(a[0]))))
+        res, n = [0] * (len(a) + len(b) - 1), len(b)
+        for i, x in enumerate(a):
+            if x:
+                res[i:i + n] = map(add, res[i:i + n], map(mul, b, repeat(x)))
+        return _lp(v, tuple(res))
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        # a unit +-q^m divides in the ring; any other divisor takes self out
+        if type(other) is LaurentPoly and other.c in ((1,), (-1,)):
+            return self * _lp(-other.v, other.c)
+        return _rf(self, _ONE_P) / other
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("LaurentPoly power wants a nonnegative integer")
-        result = LaurentPoly._raw({0: 1})
+        result = _ONE_P
         for _ in range(n):
             result = result * self
         return result
 
-    def shift(self, d):
-        """Multiply by q^d."""
-        return LaurentPoly._raw({e + d: c for e, c in self.terms.items()})
-
-    def valuation(self):
-        # lowest exponent; undefined on zero
-        return min(self.terms)
-
-    def degree(self):
-        return max(self.terms)
-
-    def leading_coeff(self):
-        return self.terms[max(self.terms)]
-
     def evaluate(self, q0):
-        # with q0 = p/r, the sum of c p^e r^-e is (sum of c p^(e-lo) r^(hi-e))
-        # p^lo / r^hi: one integer sum (for integer c), reduced once; q = 0
-        # is a pole when lo < 0
+        # with q0 = p/r and hi = lo + n, the sum of c p^e r^-e is (sum of
+        # c p^(e-lo) r^(hi-e)) p^lo / r^hi: one integer sum, reduced once;
+        # q = 0 is a pole when lo < 0
         p, r = Fraction(q0).as_integer_ratio()
-        lo, hi = min(self.terms, default=0), max(self.terms, default=0)
+        c, lo, n = self.c, self.v, len(self.c) - 1
         if not p and lo < 0:
             raise PoleError("q^%d has a pole at q = 0" % lo)
-        total = sum(c * p ** (e - lo) * r ** (hi - e) for e, c in self.terms.items())
-        return Fraction(total * p ** max(lo, 0) * r ** max(-hi, 0),
-                        r ** max(hi, 0) * p ** max(-lo, 0))
+        total = sum(a * p ** i * r ** (n - i) for i, a in enumerate(c) if a)
+        return Fraction(total * p ** max(lo, 0) * r ** max(-lo - n, 0),
+                        r ** max(lo + n, 0) * p ** max(-lo, 0))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            neg = c < 0
-            a = -c if neg else c
-            if e == 0:
-                body = _coeff_str(a)
-            else:
-                qp = "q" if e == 1 else "q^%d" % e
-                body = qp if a == 1 else "%s*%s" % (_coeff_str(a), qp)
-            if not parts:
-                parts.append("-" + body if neg else body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        return _poly_str(self, 1)
 
     def __repr__(self):
         return "LaurentPoly(%s)" % self
 
 
-# dense polynomial helpers (index = exponent, trailing zeros stripped)
-
-def _dense(p):
-    # p: LaurentPoly with valuation >= 0
-    d = [0] * (p.degree() + 1)
-    for e, c in p.terms.items():
-        d[e] = c
-    return d
+def _const(n):
+    return _lp(0, (n,)) if n else _ZERO_P
 
 
-def _strip(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _dense_divmod(a, b):
-    # exact rational division; b nonzero
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    lb = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1]
-        if not c:
+def _poly_str(p, d):
+    # p/d for a positive int d, each coefficient a reduced fraction, from
+    # the highest exponent down
+    parts = []
+    for e, a in zip(range(p.v + len(p.c) - 1, p.v - 1, -1), reversed(p.c)):
+        if not a:
             continue
-        c = c if lb == 1 else Fraction(c, 1) / lb
-        q[i] = c
-        for j, bj in enumerate(b):
-            a[i + j] -= c * bj
-    return q, _strip(a)
-
-def _dense_gcd(a, b):
-    # monic gcd over the rationals
-    a, b = _strip(list(a)), _strip(list(b))
-    while b:
-        _, r = _dense_divmod(a, b)
-        a, b = b, r
-    lc = a[-1]
-    if lc != 1:
-        a = [Fraction(c, 1) / lc for c in a]
-    return a
+        g = gcd(a, d) if d != 1 else 1
+        n, m = abs(a) // g, d // g
+        body = str(n) if m == 1 else "%d/%d" % (n, m)
+        if e:
+            qp = "q" if e == 1 else "q^%d" % e
+            body = qp if body == "1" else "%s*%s" % (body, qp)
+        parts.append(("-" if a < 0 else "") if not parts else " - " if a < 0 else " + ")
+        parts.append(body)
+    return "".join(parts) or "0"
 
 
-def _from_dense(d):
-    return LaurentPoly({e: c for e, c in enumerate(d)})
+_ZERO_P = _lp(0, ())
+_ONE_P = _lp(0, _UNIT)
 
 
 class RatFunc:
-    """Element of Q(q) in canonical num/den form."""
+    """Element of Q(q) in canonical num/den form (see the module docstring)."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if den.is_zero():
+        n, d = _as_ratfunc(num), _as_ratfunc(den)
+        if n is NotImplemented or d is NotImplemented:
+            raise TypeError("cannot coerce %r or %r to RatFunc" % (num, den))
+        if not d.num.c:
             raise ZeroDivisionError("zero denominator in RatFunc")
-        f = _reduce(num, den)
+        f = _reduce(n.num * d.den, n.den * d.num)
         self.num, self.den = f.num, f.den
 
-    @classmethod
-    def _raw(cls, num, den):
-        f = cls.__new__(cls)
-        f.num = num
-        f.den = den
-        return f
-
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num.c
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.num.c)
 
     def is_polynomial(self):
-        return self.den == _ONE_P
+        # a polynomial over Q: the denominator is a positive integer
+        return len(self.den.c) == 1
 
     def __eq__(self, other):
         other = _as_ratfunc(other)
@@ -334,24 +301,28 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # a polynomial equals its numerator, so it must hash like it
-        if self.den == _ONE_P:
-            return hash(self.num)
-        return hash((self.num, self.den))
+        # a Laurent polynomial or constant equals its LaurentPoly, int or
+        # Fraction, so it must hash like it
+        n, d = self.num, self.den
+        if d.c == _UNIT:
+            return hash(n)
+        if len(d.c) == 1 and not n.v and len(n.c) == 1:
+            return hash(Fraction(n.c[0], d.c[0]))
+        return hash((n, d))
 
     def __neg__(self):
-        return RatFunc._raw(-self.num, self.den)
+        return _rf(-self.num, self.den)
 
     def __add__(self, other):
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == _ONE_P and other.den == _ONE_P:
-            return RatFunc._raw(self.num + other.num, _ONE_P)
-        if self.den == other.den:
-            return _reduce(self.num + other.num, self.den)
-        return _reduce(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.c == _UNIT and d.c == _UNIT:
+            return _rf(a + c, _ONE_P)
+        if b == d:
+            return _reduce(a + c, b)
+        return _reduce(a * d + c * b, b * d)
 
     __radd__ = __add__
 
@@ -365,36 +336,33 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
-        # canonical without _reduce; the module docstring says why each
-        # branch is exact (a canonical denominator with one term is 1)
+        # canonical with at most the two cross gcds; the module docstring
+        # says why each branch is exact
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
         a, b, c, d = self.num, self.den, other.num, other.den
-        if not a.terms or not c.terms:
+        if not a.c or not c.c:
             return RF_ZERO
-        if len(a.terms) == 1 and len(b.terms) == 1:
+        if b.c == _UNIT and len(a.c) == 1:
             return _monomial_times(a, other)
-        if len(c.terms) == 1 and len(d.terms) == 1:
+        if d.c == _UNIT and len(c.c) == 1:
             return _monomial_times(c, self)
-        if len(b.terms) == 1 and len(d.terms) == 1:
-            return RatFunc._raw(a * c, _ONE_P)
+        if b.c == _UNIT and d.c == _UNIT:
+            return _rf(a * c, _ONE_P)
         a, d = _cancel(a, d)
         c, b = _cancel(c, b)
-        if len(b.terms) == 1:
-            den = d
-        elif len(d.terms) == 1:
-            den = b
-        else:
-            den = b * d
-        return RatFunc._raw(a * c, den)
+        return _rf(a * c, d if b.c == _UNIT else b if d.c == _UNIT else b * d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.num.is_zero():
+        n, d = self.num, self.den
+        if not n.c:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        return _reduce(self.den, self.num)
+        if n.c[-1] < 0:
+            n, d = -n, -d
+        return _rf(_lp(-n.v, d.c), _lp(0, n.c))
 
     def __truediv__(self, other):
         other = _as_ratfunc(other)
@@ -412,29 +380,22 @@ class RatFunc:
         if not isinstance(n, int):
             raise ValueError("RatFunc power wants an integer")
         base = self if n >= 0 else self.inverse()
-        result = RatFunc._raw(_ONE_P, _ONE_P)
+        result = RF_ONE
         for _ in range(abs(n)):
             result = result * base
         return result
 
     def leading_negative(self):
-        # sign of the highest-exponent numerator coefficient (den is monic)
-        if self.num.is_zero():
-            return False
-        return self.num.leading_coeff() < 0
+        # sign of the highest-exponent numerator coefficient (den's is positive)
+        return bool(self.num.c) and self.num.c[-1] < 0
 
     def is_single_term(self):
-        return self.den == _ONE_P and len(self.num.terms) == 1
+        return len(self.den.c) == 1 and len(self.num.c) == 1
 
     def as_sign_q_power(self):
         """Decompose as (sign, m) when the value is +-q^m, else None."""
-        if self.den != _ONE_P or len(self.num.terms) != 1:
-            return None
-        (e, c), = self.num.terms.items()
-        if c == 1:
-            return (1, e)
-        if c == -1:
-            return (-1, e)
+        if self.den.c == _UNIT and self.num.c in ((1,), (-1,)):
+            return self.num.c[0], self.num.v
         return None
 
     def evaluate(self, q0):
@@ -445,79 +406,111 @@ class RatFunc:
         return self.num.evaluate(q0) / d
 
     def __str__(self):
-        if self.den == _ONE_P:
-            return str(self.num)
-        return "(%s)/(%s)" % (self.num, self.den)
+        d = self.den.c
+        if len(d) == 1:
+            return _poly_str(self.num, d[0])
+        return "(%s)/(%s)" % (_poly_str(self.num, d[-1]), _poly_str(self.den, d[-1]))
 
     def __repr__(self):
         return "RatFunc(%s)" % self
 
 
-_ZERO_P = LaurentPoly._raw({})
-_ONE_P = LaurentPoly._raw({0: 1})
-
-
-def _as_poly(v):
-    if isinstance(v, LaurentPoly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return LaurentPoly.const(v)
-    raise TypeError("cannot coerce %r to LaurentPoly" % (v,))
+def _rf(num, den):
+    f = _new(RatFunc)
+    f.num, f.den = num, den
+    return f
 
 
 def _as_ratfunc(v):
-    if isinstance(v, RatFunc):
+    if type(v) is RatFunc:
         return v
-    if isinstance(v, LaurentPoly):
-        return RatFunc._raw(v, _ONE_P)
+    if type(v) is LaurentPoly:
+        return _rf(v, _ONE_P)
     if isinstance(v, (int, Fraction)):
-        return RatFunc._raw(LaurentPoly.const(v), _ONE_P)
+        return _rf(_const(v.numerator), _const(v.denominator))
     return NotImplemented
 
 
 def _reduce(num, den):
-    # canonicalize num/den: shift den to valuation 0 and scale it monic,
-    # then cancel the gcd of num's polynomial part and den
-    if num.is_zero():
+    # canonicalize num/den: shift den to valuation 0 with a positive leading
+    # coefficient, then cancel the gcd of num's polynomial part and den
+    if not num.c:
         return RF_ZERO
-    vd = den.valuation()
-    if vd:
-        den = den.shift(-vd)
-        num = num.shift(-vd)
-    lc = den.leading_coeff()
-    if lc != 1:
-        inv = Fraction(1, 1) / lc
-        den = den * inv
-        num = num * inv
-    return RatFunc._raw(*_cancel(num, den))
+    if den.c[-1] < 0:
+        num, den = -num, -den
+    if den.v:
+        num, den = num.shift(-den.v), _lp(0, den.c)
+    return _rf(*_cancel(num, den))
 
 
 def _monomial_times(mono, f):
-    # (c*q^m) * f for the one-term LaurentPoly mono = c*q^m
-    (m, c), = mono.terms.items()
-    num = f.num if c == 1 else f.num * c
-    return RatFunc._raw(num.shift(m) if m else num, f.den)
+    # (c*q^m) * f for the one-term LaurentPoly mono = c*q^m: c meets only
+    # the integer content of f's den
+    (c,), num, den = mono.c, f.num, f.den
+    if c != 1 and c != -1 and den.c[-1] != 1:
+        g = gcd(c, *den.c)
+        if g != 1:
+            c, den = c // g, _lp(0, tuple(x // g for x in den.c))
+    return _rf(_lp(num.v + mono.v, num.c if c == 1 else tuple(x * c for x in num.c)), den)
 
 
 def _cancel(num, den):
-    # divide num's polynomial part and den, a monic polynomial with nonzero
-    # constant term (so den = 1 if it has one term), by their monic gcd
-    if len(den.terms) == 1:
+    # num and den over their gcd g over Z[q] (num's polynomial part; lc(g)
+    # > 0), for num nonzero and den a polynomial with nonzero constant term
+    # and positive leading coefficient
+    n, d = num.c, den.c
+    if len(d) == 1:  # an integer shares only content
+        g = gcd(d[0], *n) if d[0] != 1 else 1
+        return (num, den) if g == 1 else (_lp(num.v, tuple(x // g for x in n)), _const(d[0] // g))
+    ab = _pm1_exponents(d)
+    if ab is not None:  # den = (q - 1)^a (q + 1)^b: its divisors are (q - 1)^i (q + 1)^j
+        n, i, j = _strip_pm1(n, *ab)
+        return (num, den) if not i and not j else (_lp(num.v, tuple(n)),
+                                                   _pm1_power(ab[0] - i, ab[1] - j))
+    g = _gcd(n, d)
+    if g == [1]:
         return num, den
-    ab = _pm1_exponents(frozenset(den.terms.items()))
-    if ab is not None:
-        return _cancel_pm1(num, den, *ab)
-    v = num.valuation()
-    n, d = _dense(num.shift(-v)), _dense(den)
-    quo, rem = _dense_divmod(n, d)
-    if not rem:
-        return _from_dense(quo).shift(v), _ONE_P
-    # the first Euclid step is done: gcd(n, d) = gcd(d, n mod d)
-    g = _dense_gcd(d, rem)
-    if len(g) == 1:
-        return num, den
-    return (_from_dense(_dense_divmod(n, g)[0]).shift(v),
-            _from_dense(_dense_divmod(d, g)[0]))
+    return _lp(num.v, tuple(_divmod(n, g)[0])), _lp(0, tuple(_divmod(d, g)[0]))
+
+
+def _divmod(a, b):
+    # quotient and remainder of lc(b)^k a by b over Z[q], dense lists from
+    # the constant term up (the remainder's top zeros stripped), k the
+    # fewest steps that do not divide in ints; k = 0 when b divides a
+    r, m, lb, quo = list(a), len(b), b[-1], []
+    for s in range(len(r) - m, -1, -1):
+        c = r.pop()
+        k, rem = divmod(c, lb)
+        if rem:
+            r, quo, k = [x * lb for x in r], [x * lb for x in quo], c
+        quo.append(k)
+        if k:
+            r[s:s + m - 1] = map(sub, r[s:s + m - 1], map(mul, b, repeat(k)))
+    while r and not r[-1]:
+        r.pop()
+    return quo[::-1], r
+
+
+def _primitive(c):
+    # c over its content, with a positive leading coefficient
+    g = gcd(*c)
+    g = -g if c[-1] < 0 else g
+    return [x // g for x in c]
+
+
+def _gcd(a, b):
+    # the gcd over Z[q] of two nonzero dense polynomials, leading coefficient
+    # positive: the gcd of their contents times the last nonzero remainder
+    # of their primitive remainder sequence
+    g = gcd(gcd(*a), gcd(*b))
+    a, b = sorted((_primitive(a), _primitive(b)), key=len, reverse=True)
+    while True:
+        r = _divmod(a, b)[1]
+        if not r:
+            return [g * x for x in b]
+        if len(r) == 1:
+            return [g]
+        a, b = b, _primitive(r)
 
 
 def _quo_linear(c, r):
@@ -541,157 +534,21 @@ def _strip_pm1(c, a, b):
 
 
 @lru_cache(maxsize=1024)
-def _pm1_exponents(terms):
-    # (a, b) when the polynomial with these terms is (q - 1)^a (q + 1)^b,
+def _pm1_exponents(d):
+    # (a, b) when the polynomial with coefficients d is (q - 1)^a (q + 1)^b,
     # else None; read once per distinct denominator
-    d = _dense(LaurentPoly._raw(dict(terms)))
     d, a, b = _strip_pm1(d, len(d), len(d))
     return (a, b) if d == [1] else None
 
 
 @lru_cache(maxsize=1024)
 def _pm1_power(a, b):
-    return LaurentPoly._raw({0: -1, 1: 1}) ** a * LaurentPoly._raw({0: 1, 1: 1}) ** b
+    return _lp(0, (-1, 1)) ** a * _lp(0, (1, 1)) ** b
 
 
-def _cancel_pm1(num, den, a, b):
-    # _cancel for den = (q - 1)^a (q + 1)^b: the monic gcd is (q - 1)^i
-    # (q + 1)^j, the roots 1 and -1 of num's polynomial part taken at most
-    # a and b times
-    v = num.valuation()
-    n, i, j = _strip_pm1(_dense(num.shift(-v)), a, b)
-    if not i and not j:
-        return num, den
-    return LaurentPoly(dict(enumerate(n, v))), _pm1_power(a - i, b - j)
-
-
-RF_ZERO = RatFunc._raw(_ZERO_P, _ONE_P)
-RF_ONE = RatFunc._raw(_ONE_P, _ONE_P)
-RF_Q = RatFunc._raw(LaurentPoly._raw({1: 1}), _ONE_P)
-
-
-class ZLaurent:
-    """An integer Laurent polynomial sum c[i] q^(v+i), the entries of the
-    symbolic module environment (see the module docstring)."""
-
-    __slots__ = ("v", "c", "pk")  # pk: (w, the packed form in w-byte slots)
-
-    def __init__(self, v, c, pk=(0, 0)):
-        self.v, self.c, self.pk = v, c, pk
-
-    @staticmethod
-    def of(x):
-        """x (an int, LaurentPoly, RatFunc or ZLaurent) as a ZLaurent, or None
-        when it is not an integer Laurent polynomial."""
-        if type(x) is ZLaurent or type(x) is int:
-            return x if type(x) is ZLaurent else _zl(0, [x])
-        if type(x) is RatFunc and len(x.den.terms) == 1:  # a canonical den of one term is 1
-            x = x.num
-        if type(x) is not LaurentPoly or any(type(a) is not int for a in x.terms.values()):
-            return None
-        lo, t = min(x.terms, default=0), x.terms
-        return ZLaurent(lo, tuple(t.get(e, 0) for e in range(lo, max(t, default=-1) + 1)))
-
-    def poly(self):
-        return LaurentPoly._raw({e: a for e, a in enumerate(self.c, self.v) if a})
-
-    def ratfunc(self):
-        return RatFunc._raw(self.poly(), _ONE_P)
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        if type(other) is ZLaurent:
-            return self.c == other.c and self.v == other.v
-        return self._leave(other, eq) if type(other) is not int else self.ratfunc() == other
-
-    def __hash__(self):
-        return hash(self.poly())  # it equals its LaurentPoly and RatFunc
-
-    def __neg__(self):
-        return ZLaurent(self.v, tuple(map(neg, self.c)))
-
-    def _leave(self, other, op):
-        # self op other for an operand outside the ring: a RatFunc, or
-        # NotImplemented for a non-scalar
-        if isinstance(other, (Fraction, LaurentPoly, RatFunc)):
-            return op(self.ratfunc(), other)
-        return NotImplemented
-
-    def _sum(self, o, op):
-        # self op o, op add or sub, o a ZLaurent or int, aligned at the lesser valuation
-        if type(o) is not ZLaurent:
-            if type(o) is not int:
-                return self._leave(o, op)
-            o = _zl(0, [o])
-        a, b = self.c, o.c
-        if not a or not b:
-            return self if not b else o if op is add else -o
-        v = self.v if self.v < o.v else o.v
-        i, j = self.v - v, o.v - v
-        res = [0] * (i + len(a) if i + len(a) > j + len(b) else j + len(b))
-        res[i:i + len(a)] = a
-        res[j:j + len(b)] = map(op, res[j:j + len(b)], b)
-        return _zl(v, res)
-
-    def __add__(self, other):
-        return self._sum(other, add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._sum(other, sub)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if type(other) is not ZLaurent:
-            if type(other) is not int:
-                return self._leave(other, mul)
-            other = _zl(0, [other])
-        (a, b), v = sorted((self.c, other.c), key=len), self.v + other.v
-        if len(a) <= 1:  # zero, or a one-term factor
-            return ZLaurent(v, tuple(map(mul, b, repeat(a[0])))) if a else ZL_ZERO
-        res = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            res[i:i + len(b)] = map(add, res[i:i + len(b)], map(mul, b, repeat(x)))
-        return ZLaurent(v, tuple(res))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        # a unit +-q^m divides in the ring; any other divisor takes self out
-        if type(other) is ZLaurent and other.c in ((1,), (-1,)):
-            return self * ZLaurent(-other.v, other.c)
-        return self.ratfunc() / (other.ratfunc() if type(other) is ZLaurent else other)
-
-    def is_polynomial(self):
-        return True
-
-    def evaluate(self, q0):
-        return self.poly().evaluate(q0)
-
-    def __str__(self):
-        return str(self.poly())
-
-    def __repr__(self):
-        return "ZLaurent(%s)" % self
-
-
-def _zl(v, c):
-    # sum c[i] q^(v+i) for a list c of ints, its zero ends stripped
-    hi = len(c)
-    while hi and not c[hi - 1]:
-        hi -= 1
-    lo = 0
-    while lo < hi and not c[lo]:
-        lo += 1
-    return ZLaurent(v + lo, tuple(c[lo:hi])) if hi else ZL_ZERO
-
-
-ZL_ZERO, ZL_ONE = ZLaurent(0, ()), ZLaurent(0, (1,))
+RF_ZERO = _rf(_ZERO_P, _ONE_P)
+RF_ONE = _rf(_ONE_P, _ONE_P)
+RF_Q = _rf(_lp(1, _UNIT), _ONE_P)
 
 
 @lru_cache(maxsize=4096)
@@ -715,7 +572,7 @@ def _packed(x, w):
 
 
 def _unpacked(p, v, w):
-    # the ZLaurent q^v sum c_i q^i, given p = sum c_i 2^(8w i) != 0 with
+    # the LaurentPoly q^v sum c_i q^i, given p = sum c_i 2^(8w i) != 0 with
     # every |c_i| < 2^(8w-1); p's top slot is its bit length // 8w
     bits, low = 8 * w, 0
     if not p & ((1 << bits) - 1):  # whole zero slots at the bottom
@@ -724,7 +581,7 @@ def _unpacked(p, v, w):
     n = p.bit_length() // bits + 1
     m, st = _slots(w, n)
     raw = ((p + m) ^ m).to_bytes(n * w, "little")
-    return ZLaurent(v + low, st.unpack(raw) if st else tuple(
+    return _lp(v + low, st.unpack(raw) if st else tuple(
         int.from_bytes(raw[o:o + w], "little", signed=True) for o in range(0, n * w, w)), (w, p))
 
 
@@ -753,7 +610,7 @@ def ring_matmul(ka, kb, ncols):
     RingKernels, by Kronecker substitution (the module docstring)."""
     bound = ka.mag * kb.mag * min(ka.span, kb.span) * kb.inner
     if not bound:
-        return [[ZL_ZERO] * ncols for _ in ka.nz]
+        return [[_ZERO_P] * ncols for _ in ka.nz]
     w = (bound.bit_length() + 8) // 8  # one sign bit, whole bytes
     w = 2 if w <= 2 else 4 if w <= 4 else 8 if w <= 8 else w
     bits, col_lo = 8 * w, kb.col_lo
@@ -770,14 +627,14 @@ def ring_matmul(ka, kb, ncols):
                 pa, sa = _packed(x, w), bits * (x.v - base)
                 for j, pb, sb in b[k]:
                     acc[j] += (pa * pb) << (sa + sb)
-        out.append([_unpacked(p, base + col_lo[j], w) if p else ZL_ZERO
+        out.append([_unpacked(p, base + col_lo[j], w) if p else _ZERO_P
                     for j, p in enumerate(acc)])
     return out
 
 
 def q_power(e):
     """q^e as a RatFunc."""
-    return RatFunc._raw(LaurentPoly._raw({e: 1}), _ONE_P)
+    return _rf(_lp(e, _UNIT), _ONE_P)
 
 
 # 1/(q - q^-1), the scalar every defining relation divides by
@@ -785,26 +642,26 @@ CQ = (q_power(1) - q_power(-1)).inverse()
 
 
 def div_q_power_minus_one(f, m, lift):
-    """f*lift/(q^m - 1) for a ZLaurent f, m >= 1 and a LaurentPoly lift with
-    int coefficients, when q^m - 1 divides f*lift; else None.  The product
-    a = sum a_j q^j is formed in a dense list of ints (one shifted add per
-    term of lift), and the quotient b of a = (q^m - 1) b follows
-    b_j = a_(j+m) + b_(j+m) from the top; what the recurrence leaves on the
-    m lowest exponents of a is the remainder, which must be zero (exact
-    division by a sparse monic divisor, Knuth TAOCP vol. 2, 4.6.1).  No gcd
-    runs."""
+    """f*lift/(q^m - 1) for LaurentPolys f and lift and m >= 1, when q^m - 1
+    divides f*lift; else None.  The product a = sum a_j q^j is formed in a
+    dense list of ints (one shifted add per term of lift), and the quotient
+    b of a = (q^m - 1) b follows b_j = a_(j+m) + b_(j+m) from the top; what
+    the recurrence leaves on the m lowest exponents of a is the remainder,
+    which must be zero (exact division by a sparse monic divisor, Knuth
+    TAOCP vol. 2, 4.6.1).  No gcd runs."""
     if not f.c:
         return f
-    lo, n = min(lift.terms), len(f.c)
-    span = n + max(lift.terms) - lo
+    n = len(f.c)
+    span = n + len(lift.c) - 1
     if span <= m:  # a nonzero multiple of q^m - 1 spans more than m exponents
         return None
     dense = [0] * span
-    for d, l in lift.terms.items():
-        dense[d - lo:d - lo + n] = map(add, dense[d - lo:d - lo + n], map(mul, f.c, repeat(l)))
-    for j in range(span - 1, m - 1, -1):  # dense[j] is now b at exponent f.v + lo + j - m
+    for d, l in enumerate(lift.c):
+        if l:
+            dense[d:d + n] = map(add, dense[d:d + n], map(mul, f.c, repeat(l)))
+    for j in range(span - 1, m - 1, -1):  # dense[j] is now b at exponent f.v + lift.v + j - m
         dense[j - m] += dense[j]
-    return None if any(dense[:m]) else ZLaurent(f.v + lo, tuple(dense[m:]))
+    return None if any(dense[:m]) else _lp(f.v + lift.v, tuple(dense[m:]))
 
 
 @lru_cache(maxsize=None)
@@ -814,7 +671,7 @@ def qint(n):
         raise TypeError("qint wants an integer")
     if n < 0:
         return -qint(-n)
-    return LaurentPoly._raw({e: 1 for e in range(n - 1, -n, -2)})
+    return _lp(1 - n, (1, 0) * (n - 1) + (1,)) if n else _ZERO_P
 
 
 @lru_cache(maxsize=None)
@@ -836,11 +693,10 @@ def qbinom(n, i):
     if m == 0:
         return _ONE_P
     # 1/[m] = q^(m-1) (q^2 - 1)/(q^(2m) - 1), divided exactly in ints
-    f = div_q_power_minus_one(ZLaurent.of(qbinom(n, m - 1) * qint(n - m + 1)), 2 * m,
-                              LaurentPoly({m + 1: 1, m - 1: -1}))
+    f = div_q_power_minus_one(qbinom(n, m - 1) * qint(n - m + 1), 2 * m, _lp(m - 1, (-1, 0, 1)))
     if f is None:
         raise ArithmeticError("[%d,%d] is not a Laurent polynomial" % (n, m))
-    return f.poly()
+    return f
 
 
 def check_admissible(q0):

@@ -36,7 +36,7 @@ a scalar operand c in ``*``, and in ``+`` and ``-`` as c*I, and a side that
 folds to a bare scalar c is compared as c*I.
 
 The symbolic env holds every matrix in Z[q, q^-1]: its entries are
-qfield.ZLaurent, taken in once by ``ScalarContext.matrix`` (and its
+qfield.LaurentPoly, taken in once by ``ScalarContext.matrix`` (and its
 scalars by ``ScalarContext.scal``), and they leave the ring only to print,
 to build a witness, at a point, or through the public API, which returns
 RatFunc matrices.  A ring matrix multiplies by qfield.ring_matmul, reading
@@ -58,20 +58,19 @@ from operator import add, gt, lt, mul, ne, sub
 
 from .exprio import _OPERATORS, EQUITABLE
 from .ncore import IMAGES, RELATIONS, sides
-from .qfield import (RF_ONE, RF_ZERO, ZL_ONE, ZL_ZERO, LaurentPoly, RatFunc, ZLaurent,
-                     RingKernel, check_admissible, div_q_power_minus_one, q_power, qint,
-                     ring_matmul)
+from .qfield import (_ONE_P, RF_ONE, RF_ZERO, LaurentPoly, RatFunc, RingKernel,
+                     check_admissible, div_q_power_minus_one, q_power, qint, ring_matmul)
 from .report import ConsistencyError, RecipeError, VerificationReport, check, compare
 
 CHEVALLEY_GENS = ("k", "k^-1", "e", "f")
 EQUITABLE_GENS = ("x", "x^-1", "y", "z")
 # the entry types of a matrix: a Matrix takes one as a scalar operand
-_SCALARS = (int, Fraction, RatFunc, ZLaurent)
-_RING = (int, ZLaurent)  # the scalars that keep a ring matrix in the ring
+_SCALARS = (int, Fraction, RatFunc, LaurentPoly)
+_RING = (int, LaurentPoly)  # the scalars that keep a ring matrix in the ring
 
 
 class Matrix:
-    """Dense matrix over an exact ring: ZLaurent entries (a ring matrix),
+    """Dense matrix over an exact ring: LaurentPoly entries (a ring matrix),
     RatFunc entries or Fractions (see the module docstring)."""
 
     __slots__ = ("rows", "_ring", "_kernel")
@@ -91,10 +90,10 @@ class Matrix:
 
     @property
     def ring(self):
-        """Whether every entry is a ZLaurent; this and the RingKernel are
+        """Whether every entry is a LaurentPoly; this and the RingKernel are
         read once, so a matrix is not changed after its first operation."""
         if self._ring is None:
-            self._ring = all(type(x) is ZLaurent for x in chain.from_iterable(self.rows))
+            self._ring = all(type(x) is LaurentPoly for x in chain.from_iterable(self.rows))
         return self._ring
 
     def kernel(self):
@@ -104,8 +103,8 @@ class Matrix:
         return self._kernel
 
     def ratfuncs(self):
-        """self, with its ZLaurent entries as RatFuncs."""
-        return Matrix([[x.ratfunc() if type(x) is ZLaurent else x for x in row]
+        """self, with its LaurentPoly entries as RatFuncs."""
+        return Matrix([[RF_ONE * x if type(x) is LaurentPoly else x for x in row]
                        for row in self.rows])
 
     @classmethod
@@ -198,17 +197,17 @@ class Matrix:
     def scalar_mul(self, c):
         if self.ring and type(c) in _RING:
             return Matrix._ring_of([[x * c if x.c else x for x in row] for row in self.rows])
-        den = c.den.terms if self.ring and type(c) is RatFunc else {}
-        if len(den) == 2 and den == {max(den): 1, 0: -1}:  # c = lift/(q^m - 1)
-            return self.times_ratio(c.num, max(den))
+        den = c.den.c if self.ring and type(c) is RatFunc else ()
+        if len(den) > 1 and den[0] == -1 and den[-1] == 1 and not any(den[1:-1]):
+            return self.times_ratio(c.num, len(den) - 1)  # c = lift/(q^m - 1)
         return Matrix([[x * c if x else x for x in row] for row in self.rows])
 
     def times_ratio(self, lift, m):
         """self times lift/(q^m - 1), lift a LaurentPoly.  A ring matrix
         divides each entry exactly (div_q_power_minus_one); if one does not
-        divide (a broken identity), or lift has a Fraction coefficient, or
-        self is not a ring matrix, each entry takes the RatFunc product."""
-        if self.ring and all(type(a) is int for a in lift.terms.values()):
+        divide (a broken identity), or self is not a ring matrix, each entry
+        takes the RatFunc product."""
+        if self.ring:
             rows = [[div_q_power_minus_one(x, m, lift) for x in row] for row in self.rows]
             if all(x is not None for row in rows for x in row):
                 return Matrix._ring_of(rows)
@@ -452,23 +451,24 @@ class ScalarContext:
 
     def __init__(self, q0=None):
         self.q0 = None if q0 is None else check_admissible(q0)  # a Fraction
-        self.one = ZL_ONE if q0 is None else Fraction(1)
+        self.one = _ONE_P if q0 is None else Fraction(1)
 
     def scal(self, v):
-        if self.q0 is None:
-            z = ZLaurent.of(v)
-            return z if z is not None else v if isinstance(v, RatFunc) else RatFunc(v)
-        if isinstance(v, (RatFunc, LaurentPoly, ZLaurent)):
-            return v.evaluate(self.q0)
-        return Fraction(v)
+        """v (a RatFunc, LaurentPoly or number) at q0; symbolically v as a
+        LaurentPoly when its denominator is 1, else as a RatFunc."""
+        if self.q0 is not None:
+            return Fraction(v) if isinstance(v, (int, Fraction)) else v.evaluate(self.q0)
+        v = v if type(v) is RatFunc else RF_ONE * v
+        return v.num if v.den == 1 else v
 
     def matrix(self, m):
         """m at q0; symbolically m as a ring matrix when every entry is in
         the ring, else m."""
         if self.q0 is not None:
             return m.map_entries(lambda x: x.evaluate(self.q0))
-        rows = [[ZLaurent.of(x) for x in row] for row in m.rows]
-        return m if any(x is None for row in rows for x in row) else Matrix._ring_of(rows)
+        rows = [[self.scal(x) for x in row] for row in m.rows]
+        ring = all(type(x) is LaurentPoly for row in rows for x in row)
+        return Matrix._ring_of(rows) if ring else m
 
 
 def _recipe_index(table):

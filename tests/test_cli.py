@@ -365,17 +365,18 @@ def test_verify_forms_each_product_once_per_module_and_point(runner, monkeypatch
 
 @pytest.mark.parametrize("scope", ["modules", "operators"])
 def test_the_passing_battery_stays_in_the_ring(runner, monkeypatch, scope):
-    # every identity on L(n, eps) is one over Z[q, q^-1]: no division runs
-    # over Q(q), where the parent made 562 and 28 calls of _dense_divmod.  The
-    # first run parses the formula texts once per process (their division
-    # by q - q^-1 is a RatFunc inverse); q-binomials are rebuilt cold
+    # every identity on L(n, eps) is one over Z[q, q^-1]: no gcd runs over
+    # Z[q] (qfield._gcd, the primitive remainder sequence), where the Euclid
+    # over Q before the ring made 562 and 28 divisions.  The first run parses
+    # the formula texts once per process (their division by q - q^-1 is a
+    # RatFunc inverse); q-binomials are rebuilt cold
     args = ["verify", scope, "--nmax", "10", "--format", "json"]
     first = runner.invoke(main, args)
     assert first.exit_code == 0
     qfield.qbinom.cache_clear()
     calls = []
-    real = qfield._dense_divmod
-    monkeypatch.setattr(qfield, "_dense_divmod", lambda *a: calls.append(a) or real(*a))
+    real = qfield._gcd
+    monkeypatch.setattr(qfield, "_gcd", lambda *a: calls.append(a) or real(*a))
     res = runner.invoke(main, args)
     assert (res.exit_code, res.output, len(calls)) == (0, first.output, 0)
 
@@ -386,17 +387,31 @@ def test_the_passing_battery_stays_in_the_ring(runner, monkeypatch, scope):
 ])
 def test_pbw_denominators_cancel_without_euclid(runner, monkeypatch, word, digest):
     # PBW denominators are (q - 1)^a (q + 1)^b, which _cancel strips by
-    # synthetic division: no _dense_divmod call, where the Euclid path made
-    # 13,962 and 51,166 in a fresh process.  The PBW tables are rebuilt cold
+    # synthetic division: no call of the gcd qfield._gcd, where the Euclid
+    # over Q made 13,962 and 51,166 divisions in a fresh process.  The PBW
+    # tables are rebuilt cold
     ncore._ef_terms.cache_clear()
     ncore._ef_table.cache_clear()
     qfield.qbinom.cache_clear()
     calls = []
-    real = qfield._dense_divmod
-    monkeypatch.setattr(qfield, "_dense_divmod", lambda *a: calls.append(a) or real(*a))
+    real = qfield._gcd
+    monkeypatch.setattr(qfield, "_gcd", lambda *a: calls.append(a) or real(*a))
     res = runner.invoke(main, ["normalize", word])
     assert (res.exit_code, len(calls)) == (0, 0)
     assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+
+def test_normalize_builds_no_fraction(monkeypatch):
+    # a product of coefficients with coprime denominators outside the q -+ 1
+    # branch runs the gcd over Z and builds no Fraction, where the Euclid
+    # over Q built 28,918; the input is parsed before the count starts
+    ast = parse("(1/(q^2+3)*e*f + 1/(q^3+2)*f*e)^3", "chevalley")
+    calls = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *a, **k: calls.append(a) or real(cls, *a, **k))
+    normalize_chevalley(ast)
+    assert len(calls) == 0
 
 
 def test_verify_never_calls_evaluate(runner, monkeypatch):
@@ -847,7 +862,8 @@ _PIECES = ["e", "f", "k", "k^-1", "x", "x^-1", "y", "z", "q", "2", "7", "+", "-"
 _EXPRESSIONS = st.one_of(
     st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
     st.recursive(
-        st.sampled_from(["e", "f", "k", "k^-1", "x", "x^-1", "y", "z", "q", "2", "(q+1)"]),
+        st.sampled_from(["e", "f", "k", "k^-1", "x", "x^-1", "y", "z", "q", "2", "(q+1)",
+                         "1/(q^2+3)"]),
         lambda inner: st.one_of(
             st.tuples(inner, st.sampled_from("+-*/"), inner).map("(%s%s%s)".__mod__),
             st.tuples(inner, st.sampled_from(["2", "3", "-1", "12", "1001"])).map(
@@ -911,6 +927,32 @@ def test_layer_trace_finds_every_program_name():
          "import uqsl2.cli, layertrace; layertrace.install(layertrace.Tracer())"],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_TRACED_RUN = """
+import uqsl2.cli, layertrace
+tracer = layertrace.Tracer()
+layertrace.install(tracer)
+for argv in (["normalize", "(e*f)^3"], ["verify", "modules", "--nmax", "1"]):
+    try:
+        uqsl2.cli.main(argv, standalone_mode=False)
+    except SystemExit as exit:
+        assert not exit.code, exit.code
+print(sorted(name for name, stats in tracer.stats.items() if stats.calls))
+"""
+
+
+def test_layer_trace_wrappers_run():
+    # the wrappers read program attributes when they run (the terms of a
+    # LaurentPoly, the den of a RatFunc), so a missing one shows only then
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for layer in ("qfield.laurent_mul", "qfield.ratfunc_op", "ncore.pbw_mul", "repmod.matmul"):
+        assert "'%s'" % layer in proc.stdout
 
 
 @pytest.mark.parametrize("expr,message", [
