@@ -413,7 +413,8 @@ def _to_z(terms):
     return RatFunc(LaurentPoly({e: int(c * d) for e, c in terms.items()}), d)
 
 
-def _ref_terms(factors, draw, nonzero):
+def _ref_terms(draw, factors, nonzero):
+    # a reference polynomial: Fraction terms times (q - 1)^a (q + 1)^b and factors
     p = ref.LaurentPoly(draw(st.dictionaries(_exps, _fracs, max_size=4)))
     while nonzero and p.is_zero():
         p = ref.LaurentPoly({draw(_exps): draw(_fracs.filter(bool))})
@@ -428,8 +429,8 @@ def _ref_terms(factors, draw, nonzero):
 def _quotients(draw):
     # (num, den) as term dicts; num and den share some factors
     shared = draw(st.lists(st.sampled_from(_FACTORS), max_size=2))
-    num = _ref_terms(shared + draw(st.lists(st.sampled_from(_FACTORS), max_size=2)), draw, False)
-    den = _ref_terms(shared + draw(st.lists(st.sampled_from(_FACTORS), max_size=3)), draw, True)
+    num = _ref_terms(draw, shared + draw(st.lists(st.sampled_from(_FACTORS), max_size=2)), False)
+    den = _ref_terms(draw, shared + draw(st.lists(st.sampled_from(_FACTORS), max_size=3)), True)
     return num, den
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from uqsl2 import cli, repmod
 from uqsl2.cli import spot_points
 from uqsl2.ncore import AlgebraElement
-from uqsl2.qfield import CQ, RF_ONE, RF_ZERO, LaurentPoly, RatFunc, q_power, qint
+from uqsl2.qfield import CQ, RF_ONE, RF_ZERO, LaurentPoly, RatFunc, q_power
 from uqsl2.repmod import (
     Matrix,
     ModuleSpec,
