@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -399,6 +400,21 @@ def test_pbw_denominators_cancel_without_euclid(runner, monkeypatch, word, diges
     res = runner.invoke(main, ["normalize", word])
     assert (res.exit_code, len(calls)) == (0, 0)
     assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+
+def test_normalize_bytes_of_seeded_words_pinned(runner):
+    # 100 random words per presentation, 8 to 20 letters each: the printed
+    # normal forms of short mixed words, beside the pins of long powers
+    rng, out = random.Random(1), []
+    for presentation, letters in (("chevalley", ("e", "f", "k", "k^-1")),
+                                  ("equitable", ("x", "x^-1", "y", "z"))):
+        for _ in range(100):
+            word = "*".join(rng.choice(letters) for _ in range(rng.randint(8, 20)))
+            res = runner.invoke(main, ["normalize", "--presentation", presentation, word])
+            assert res.exit_code == 0, word
+            out.append(res.output)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+        "835c234f36cf5e56f53484aac9517b946302d50f43cd081b9d435688e666f7b4")
 
 
 def test_normalize_builds_no_fraction(monkeypatch):
