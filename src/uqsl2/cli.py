@@ -355,8 +355,7 @@ class _Budgeted:
         if not isinstance(other, _Budgeted):  # a scalar commutes with the matrix
             return self._entrywise(lambda: self.matrix * other)
         a, b = self.matrix, other.matrix
-        (cols, abits), (rows, bbits) = (_line_weights(zip(*a.ratfuncs().rows)),
-                                        _line_weights(b.ratfuncs().rows))
+        (cols, abits), (rows, bbits) = _line_weights(zip(*a.rows)), _line_weights(b.rows)
         words = (abits + bbits) // 64 + 1
         units = 2 * a.nrows * b.ncols + sum(map(mul, cols, rows)) * words ** 2 // 2
         return self._then(units, lambda: a * b)
@@ -367,8 +366,9 @@ class _Budgeted:
         return reduce(mul, [self] * (n - 1), self)  # the steps share the tally
 
     def evaluate(self, q0):
-        matrix = self.matrix.ratfuncs()
-        terms = sum(len(x.num.terms) + len(x.den.terms) for row in matrix.rows for x in row)
+        matrix = self.matrix
+        terms = sum(len(n.terms) + len(d.terms) for row in matrix.rows
+                    for n, d in map(exprio.num_den, row))
         return self._then(80 * terms, lambda: matrix.map_entries(
             lambda v: v.evaluate(q0))).matrix
 

@@ -59,7 +59,7 @@ from itertools import chain
 from functools import reduce
 from operator import add, attrgetter, mul, sub
 
-from .qfield import RF_ONE, RF_Q, RF_ZERO, RatFunc
+from .qfield import _ONE_P, RF_ONE, RF_Q, RF_ZERO, LaurentPoly, RatFunc
 
 CHEVALLEY = "chevalley"
 EQUITABLE = "equitable"
@@ -171,7 +171,9 @@ def make_product(factors):
     return _flat(Product, factors, mul, RF_ONE)
 
 
-_NUM, _DEN = map(attrgetter, ("num", "den"))
+def num_den(x):
+    """The numerator and denominator of a scalar; a LaurentPoly is over 1."""
+    return (x, _ONE_P) if type(x) is LaurentPoly else (x.num, x.den)
 
 
 def _part(polys):
@@ -188,10 +190,11 @@ def _part(polys):
 
 
 def size(*values):
-    """The size of a scalar (a RatFunc), or of one that covers each of
-    several: _part of the numerators and of the denominators; None for zero."""
-    num = _part(list(map(_NUM, values)))
-    return num and (num, _part(list(map(_DEN, values))))
+    """The size of a scalar (a RatFunc or LaurentPoly), or of one that covers each
+    of several: _part of the numerators and of the denominators; None for zero."""
+    parts = list(map(num_den, values))
+    num = _part([n for n, _ in parts])
+    return num and (num, _part([d for _, d in parts]))
 
 
 def _plus(a, b):

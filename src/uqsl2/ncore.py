@@ -28,6 +28,14 @@ which _ef_table caches per exponent pair (r, s).  By the diamond lemma
 (Bergman, Adv. Math. 29, 1978) these normal forms are well defined, as
 verify_confluence checks: every overlap of the rewriting system on words in
 f, k, K (= k^-1), e that _derived_rules reads off RELATIONS resolves.
+
+A coefficient is a LaurentPoly when its denominator is 1, else a RatFunc, so
+equality and hash stay structural.  The images of the equitable generators
+(IMAGES) carry q - q^-1 with each f and e, and (q - q^-1)^(r+s) gamma is
+(q - q^-1)^(r+s-t) times a Laurent polynomial: the Z[q, q^-1]-span of the
+(q - q^-1)^(a+c) f^a k^b e^c is a ring, which holds every equitable word.
+So a product meets the table with a ring coefficient of the right factor
+first, which clears gamma's denominator, and its term pairs need no gcd.
 """
 
 from fractions import Fraction
@@ -36,7 +44,7 @@ from operator import add, itemgetter, mul
 
 from . import exprio
 from .exprio import _OPERATORS, CHEVALLEY, EQUITABLE
-from .qfield import CQ, RF_ONE, RatFunc, q_power, qbinom, qfact
+from .qfield import _ONE_P, CQ, RF_ONE, LaurentPoly, RatFunc, q_power, qbinom, qfact
 from .report import RecipeError, VerificationReport, check, compare
 
 _F, _E = itemgetter(0), itemgetter(2)  # the exponents of f and e in a monomial
@@ -71,6 +79,28 @@ def sides(text, presentation, scalar, generator):
     """Each side of a formula written in the letters of presentation, folded
     (exprio.fold) over the caller's scalar and generator leaves."""
     return [exprio.fold(side, scalar, generator) for side in _parsed(text, presentation)]
+
+
+# the scalars an element meets: each is a coefficient times the unit
+_SCALARS = (int, Fraction, RatFunc, LaurentPoly)
+
+
+def _coeff(c):
+    # a scalar in the canonical form of a coefficient: a LaurentPoly when
+    # its denominator is 1, else a RatFunc
+    if type(c) is LaurentPoly:
+        return c
+    if type(c) is not RatFunc:
+        c = RF_ONE * c
+    return c.num if c.den.c == _ONE_P.c else c
+
+
+def _canonical(terms):
+    # terms, with each RatFunc coefficient over 1 replaced by its numerator
+    for mono, c in terms.items():
+        if type(c) is RatFunc and c.den.c == _ONE_P.c:
+            terms[mono] = c.num
+    return terms
 
 
 def _accumulate(res, key, coeff):
@@ -198,10 +228,14 @@ def _work(a, b):
     # the widest e^r f^s table it reads, and per term pair the products of
     # coefficients of total span w with table entries of span about
     # wg = 2m(r + s), m = min(r, s), plus, where terms can meet, their gcds
-    # in _accumulate against denominators of degree d.  Over 13 products
-    # that took 0.2 s or more on a 2-vCPU host a unit took 0.005 to 0.05 us,
-    # and 0.23 to 0.31 us in the two where the coprime denominators q^2 + 3
-    # and q^3 + 2 meet in the gcd over Z.
+    # in _accumulate against denominators of degree d.  Over the 15 products
+    # of 0.05 s or more in normalizing e^22*f^22, e^1000*f^5, e^20*f^20,
+    # (e^6*f^6)^2, (e^3*f^3 + k)^4, the equitable (y*z)^14 and (y^3*z^3)^4,
+    # and (1/(q^2+3)*e*f + 1/(q^3+2)*f*e)^6 and (1/(q^40+2)*e*f +
+    # 1/(q^30+3)*f*e)^3 on a 2-vCPU host, a unit took 0.008 to 0.06 us over
+    # RatFunc coefficients, 0.11 to 0.15 us in the ring products of the
+    # equitable words, and 0.22 to 0.27 us where the coprime denominators
+    # q^2 + 3 and q^3 + 2 meet in the gcd over Z.
     if not a.terms or not b.terms:
         return 0
     (_, _, na, *_), (_, da, wa, *_) = a.size()
@@ -222,7 +256,7 @@ def _moves_terms(el, axis):
     # a product by it, on that side, moves each term of the other factor to
     # one term and scales its coefficient by a power of q, which changes no
     # span, denominator or bits, so it passes the budget as that factor did
-    return len(el.terms) == 1 and all(c is RF_ONE and not m[axis] for m, c in el.terms.items())
+    return len(el.terms) == 1 and all(c is _ONE_P and not m[axis] for m, c in el.terms.items())
 
 
 def _mono_str(mono):
@@ -238,7 +272,8 @@ def _mono_str(mono):
 
 
 class AlgebraElement:
-    """Element of U_q(sl2) as a Q(q)-combination of PBW monomials f^a k^b e^c."""
+    """Element of U_q(sl2) as a Q(q)-combination of PBW monomials f^a k^b e^c,
+    each coefficient a LaurentPoly (in every equitable word) or a RatFunc."""
 
     __slots__ = ("terms", "_size")
 
@@ -246,8 +281,7 @@ class AlgebraElement:
         t = {}
         if terms:
             for mono, coeff in terms.items():
-                if not isinstance(coeff, RatFunc):
-                    coeff = RF_ONE * coeff
+                coeff = _coeff(coeff)
                 if not coeff.is_zero():
                     t[mono] = coeff
         self.terms = t
@@ -266,12 +300,11 @@ class AlgebraElement:
 
     @classmethod
     def one(cls):
-        return cls._raw({(0, 0, 0): RF_ONE})
+        return cls._raw({(0, 0, 0): _ONE_P})
 
     @classmethod
     def scalar(cls, c):
-        if not isinstance(c, RatFunc):
-            c = RF_ONE * c
+        c = _coeff(c)
         return cls._raw({} if c.is_zero() else {(0, 0, 0): c})
 
     @classmethod
@@ -305,7 +338,7 @@ class AlgebraElement:
     def __eq__(self, other):
         if isinstance(other, AlgebraElement):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction, RatFunc)):
+        if isinstance(other, _SCALARS):
             return self == AlgebraElement.scalar(other)
         return NotImplemented
 
@@ -322,19 +355,19 @@ class AlgebraElement:
         return AlgebraElement._raw({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
+        if isinstance(other, _SCALARS):
             other = AlgebraElement.scalar(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         res = dict(self.terms)
         for m, c in other.terms.items():
             _accumulate(res, m, c)
-        return AlgebraElement._raw(res)._checked()
+        return AlgebraElement._raw(_canonical(res))._checked()
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
+        if isinstance(other, _SCALARS):
             other = AlgebraElement.scalar(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -344,36 +377,55 @@ class AlgebraElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
-            if not isinstance(other, RatFunc):
-                other = RF_ONE * other
+        if isinstance(other, _SCALARS):
+            other = _coeff(other)
             if other.is_zero():
                 return AlgebraElement._raw({})
-            return AlgebraElement._raw({m: c * other for m, c in self.terms.items()})._checked()
+            return AlgebraElement._raw(_canonical(
+                {m: c * other for m, c in self.terms.items()}))._checked()
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        # the factor whose terms the other one only moves (see _moves_terms)
-        kept = self if _moves_terms(other, 0) else other if _moves_terms(self, 2) else None
-        if kept is None:
+        # a monomial that only moves the other factor's terms (see
+        # _moves_terms) relabels them: f^a k^b e^c * k^g e^h and
+        # f^a k^b * f^d k^g e^h are single PBW terms, times q^(-2gc) and q^(-2bd)
+        if _moves_terms(other, 0):
+            (_, g, h), = other.terms
+            kept, res = self, {(a, b + g, c + h): x.shift(-2 * g * c)
+                               for (a, b, c), x in self.terms.items()}
+        elif _moves_terms(self, 2):
+            (a, b, _), = self.terms
+            kept, res = other, {(a + d, b + g, h): x.shift(-2 * b * d)
+                                for (d, g, h), x in other.terms.items()}
+        else:
             exprio.check(None, _work(self, other))
-        res = {}
-        for (a, b, c), c1 in self.terms.items():
-            for (d, g, h), c2 in other.terms.items():
-                c12 = c1 if c2 is RF_ONE else c1 * c2
-                for t, kb, gamma in _ef_table(c, d):
-                    # k^b moves past f^(d-t), and e^(c-t) past k^g
-                    shift = b * (d - t) + g * (c - t)
-                    if shift:
-                        gamma = gamma * q_power(-2 * shift)
-                    _accumulate(res, (a + d - t, b + kb + g, c - t + h), c12 * gamma)
+            # a ring coefficient c2 of the right factor meets each table entry
+            # once per product (images, by the exponent c of e on the left),
+            # so that c1 times it is a ring product; a RatFunc c2 keeps the
+            # order (c1*c2)*gamma, whose gcds are cheaper
+            right = [(m, c2, {} if type(c2) is LaurentPoly else None)
+                     for m, c2 in other.terms.items()]
+            res = {}
+            for (a, b, c), c1 in self.terms.items():
+                for (d, g, h), c2, images in right:
+                    if images is None:
+                        c12, table = c1 * c2, _ef_table(c, d)
+                    else:
+                        c12, table = c1, images.get(c)
+                        if table is None:
+                            table = images[c] = [(t, kb, _coeff(c2 * gamma))
+                                                 for t, kb, gamma in _ef_table(c, d)]
+                    for t, kb, x in table:
+                        # k^b moves past f^(d-t), and e^(c-t) past k^g
+                        shift = b * (d - t) + g * (c - t)
+                        _accumulate(res, (a + d - t, b + kb + g, c - t + h),
+                                    c12 * (x.shift(-2 * shift) if shift else x))
+            return AlgebraElement._raw(_canonical(res))._checked()
         res = AlgebraElement._raw(res)
-        if kept is None:
-            return res._checked()
         res._size = kept._size  # a shift by powers of q keeps what size() reads
         return res
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
+        if isinstance(other, _SCALARS):
             return self * other  # scalars commute with everything
         return NotImplemented
 
@@ -383,7 +435,8 @@ class AlgebraElement:
                 (mono, coeff), = self.terms.items()
                 a, b, c = mono
                 if a == 0 and c == 0:  # powers of k are invertible
-                    return AlgebraElement._raw({(0, b * n, 0): coeff ** n})._checked()
+                    coeff = _coeff((RF_ONE * coeff) ** n)  # not a LaurentPoly power
+                    return AlgebraElement._raw({(0, b * n, 0): coeff})._checked()
             raise ValueError("cannot raise this element to power %r" % (n,))
         result, spent = AlgebraElement.one(), 0
         for _ in range(n):  # the steps share one work budget
@@ -397,7 +450,7 @@ class AlgebraElement:
             return "0"
         parts = []
         for mono in sorted(self.terms, key=lambda m: (m[0], -m[1], m[2])):
-            coeff = self.terms[mono]
+            coeff = RF_ONE * self.terms[mono]
             neg = coeff.leading_negative()
             mag = -coeff if neg else coeff
             ms = _mono_str(mono)
@@ -421,7 +474,7 @@ class AlgebraElement:
         return "AlgebraElement(%s)" % self
 
 
-_GENERATORS = {name: AlgebraElement._raw({mono: RF_ONE}) for name, mono in (
+_GENERATORS = {name: AlgebraElement._raw({mono: _ONE_P}) for name, mono in (
     ("f", (1, 0, 0)), ("k", (0, 1, 0)), ("k^-1", (0, -1, 0)), ("e", (0, 0, 1)))}
 
 
@@ -510,7 +563,7 @@ def apply_automorphism(element, i, alpha):
         _auto_checked.add((i, alpha))
     res = AlgebraElement.zero()
     for (a, b, c), coeff in element.terms.items():
-        term = (f_img ** a) * AlgebraElement._raw({(0, b, 0): RF_ONE}) * (e_img ** c)
+        term = (f_img ** a) * AlgebraElement._raw({(0, b, 0): _ONE_P}) * (e_img ** c)
         res = res + term * coeff
     return res
 

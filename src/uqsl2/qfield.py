@@ -385,6 +385,10 @@ class RatFunc:
             result = result * base
         return result
 
+    def shift(self, d):
+        """Multiply by q^d; q does not divide den, so the form stays canonical."""
+        return _rf(self.num.shift(d), self.den)
+
     def leading_negative(self):
         # sign of the highest-exponent numerator coefficient (den's is positive)
         return bool(self.num.c) and self.num.c[-1] < 0

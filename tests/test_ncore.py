@@ -318,3 +318,92 @@ def test_printer_keeps_parentheses_of_negated_constants():
     assert str(nf("k - 1 - q^2")) == "k - (q^2 + 1)"
     assert str(nf("q^2 - 1")) == "q^2 - 1"
     assert str(nf("k + q^2 - 1")) == "k + q^2 - 1"
+
+
+def _in_ring_form(el):
+    # every coefficient is a LaurentPoly exactly when its denominator is 1
+    return all(type(c) is (LaurentPoly if RatFunc(c).den == 1 else RatFunc)
+               for c in el.terms.values())
+
+
+def _general(mono):
+    # the monomial of coefficient 1, as a LaurentPoly that is not the one
+    # of the generators, so a product by it takes the table loop
+    return AlgebraElement({mono: LaurentPoly({0: 1})})
+
+
+_mixed_coeffs = st.sampled_from([
+    1, -2, LaurentPoly({1: 1, -1: -1}), LaurentPoly({-2: 3, 0: 1}), CQ, -CQ * 2,
+    RatFunc(1, LaurentPoly({2: 1, 0: 3})), RatFunc(LaurentPoly({1: 1}), 2)])
+_mixed = st.dictionaries(_monos, _mixed_coeffs, max_size=3).map(AlgebraElement)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed, st.tuples(st.just(0), st.integers(-3, 3), st.integers(0, 3)),
+       st.tuples(st.integers(0, 3), st.integers(-3, 3), st.just(0)))
+def test_relabeled_products_match_the_table_loop(a, right, left):
+    # a monomial with no f on the right, or no e on the left, relabels the
+    # other factor's terms: the same terms, in the same order, as the loop
+    # over the table, and the size that the loop's result reads off
+    for got, want in ((a * AlgebraElement._raw({right: ncore._ONE_P}), a * _general(right)),
+                      (AlgebraElement._raw({left: ncore._ONE_P}) * a, _general(left) * a)):
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got.size() == AlgebraElement._raw(dict(want.terms)).size()
+        assert _in_ring_form(got)
+
+
+@pytest.mark.parametrize("name,square", [
+    ("f", (2, 0, 0)), ("e", (0, 0, 2)), ("k", (0, 2, 0)), ("k^-1", (0, -2, 0))])
+def test_a_generator_times_itself(name, square):
+    # both operands are one object, a mover on the left and on the right
+    # alike; f*f moves f past nothing, so no term is lost
+    g = AlgebraElement.generator(name)
+    (mono,) = g.terms
+    assert (g * g).terms == (g * _general(mono)).terms == {square: 1}
+    assert g * g == nf("%s*%s" % (name, name)) and _in_ring_form(g * g)
+    assert (g * g).terms == _rewritten({_word(square): RF_ONE})
+
+
+def _combo(el):
+    # an element as a combination of words of the free algebra
+    return {_word(m): c for m, c in el.terms.items()}
+
+
+def _word_product(u, v):
+    res = {}
+    for w1, c1 in u.items():
+        for w2, c2 in v.items():
+            ncore._accumulate(res, w1 + w2, c1 * c2)
+    return res
+
+
+def _rewritten(combo):
+    return {_mono(w): c for w, c in ncore._rewrite(combo).items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed, _mixed)
+def test_mixed_coefficients_match_the_rewriter(a, b):
+    # ring coefficients beside CQ and 1/(q^2 + 3): products, sums and powers
+    # against the rewriting system, each in ring form
+    ca, cb = _combo(a), _combo(b)
+    for got, want in ((a * b, _word_product(ca, cb)),
+                      (a + b, ncore._Words(ca) + ncore._Words(cb)),
+                      (a ** 2, _word_product(ca, ca)),
+                      (b * 3 - a, ncore._Words(cb) * ncore._Words({"": RF_ONE * 3})
+                       + -ncore._Words(ca))):
+        assert got.terms == _rewritten(want)
+        assert _in_ring_form(got)
+
+
+def test_equitable_words_stay_in_the_ring():
+    # y and z carry q - q^-1 and q(q - q^-1) beside f and e, which clear the
+    # table's denominators (q - q^-1)^t: every coefficient is a LaurentPoly
+    el = ncore.from_equitable(parse("(y*z)^4*x^-1*z*y^3", "equitable"))
+    assert el.terms and all(type(c) is LaurentPoly for c in el.terms.values())
+    cheval = nf("e^3*f^3*k^-2 + 1/(q^2+3)*e")
+    assert _in_ring_form(cheval) and any(type(c) is RatFunc for c in cheval.terms.values())
+    # a negative power of a k-monomial leaves the ring through RatFunc
+    k = AlgebraElement.generator("k")
+    assert (k * 2) ** -2 == AlgebraElement({(0, -2, 0): RatFunc(1, 4)})
+    assert (k ** -3).terms == {(0, -3, 0): 1} and _in_ring_form((k * 2) ** -2)
