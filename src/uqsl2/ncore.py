@@ -252,10 +252,11 @@ def _work(a, b):
 
 
 def _moves_terms(el, axis):
-    # el is one monomial of coefficient 1 without f (axis 0) or e (axis 2):
-    # a product by it, on that side, moves each term of the other factor to
-    # one term and scales its coefficient by a power of q, which changes no
-    # span, denominator or bits, so it passes the budget as that factor did
+    # el is one monomial without f (axis 0) or e (axis 2) whose coefficient
+    # is _ONE_P, as the generators hold it: a product by it, on that side,
+    # moves each term of the other factor to one term and scales its
+    # coefficient by a power of q, which changes no span, denominator or
+    # bits, so it passes the budget as that factor did
     return len(el.terms) == 1 and all(c is _ONE_P and not m[axis] for m, c in el.terms.items())
 
 
@@ -401,7 +402,7 @@ class AlgebraElement:
             # a ring coefficient c2 of the right factor meets each table entry
             # once per product (images, by the exponent c of e on the left),
             # so that c1 times it is a ring product; a RatFunc c2 keeps the
-            # order (c1*c2)*gamma, whose gcds are cheaper
+            # order (c1*c2)*gamma (reassociated, (e^6*f^6)^2 took 40% longer)
             right = [(m, c2, {} if type(c2) is LaurentPoly else None)
                      for m, c2 in other.terms.items()]
             res = {}
