@@ -417,6 +417,16 @@ def test_normalize_bytes_of_seeded_words_pinned(runner):
         "835c234f36cf5e56f53484aac9517b946302d50f43cd081b9d435688e666f7b4")
 
 
+def test_normalize_bytes_of_a_wide_slot_product_pinned(runner):
+    # coefficients of 3^30 and 5^20 grow past 8 bytes a digit within four
+    # factors: products in slots of 14, 20 and 26 bytes (45,403 bytes printed)
+    res = runner.invoke(main, ["normalize", "--presentation", "equitable",
+                               "(3^30*y*z - 5^20*z*y)^4"])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == (
+        "0dc4828e7154335261201ce2c019fa817308bff502fcafc50089cfa447235c27")
+
+
 def test_normalize_builds_no_fraction(monkeypatch):
     # a product of coefficients with coprime denominators outside the q -+ 1
     # branch runs the gcd over Z and builds no Fraction, where the Euclid
