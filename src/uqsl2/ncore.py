@@ -34,8 +34,18 @@ equality and hash stay structural.  The images of the equitable generators
 (IMAGES) carry q - q^-1 with each f and e, and (q - q^-1)^(r+s) gamma is
 (q - q^-1)^(r+s-t) times a Laurent polynomial: the Z[q, q^-1]-span of the
 (q - q^-1)^(a+c) f^a k^b e^c is a ring, which holds every equitable word.
-So a product meets the table with a ring coefficient of the right factor
-first, which clears gamma's denominator, and its term pairs need no gcd.
+So a product meets the table with a ring coefficient c2 of the right factor
+first, which clears gamma's denominator: _images caches each table times
+c2 once per process.  When every coefficient on the left and every image a
+product reads is a LaurentPoly, the product is a Kronecker substitution
+(qfield; Harvey, J. Symbolic Comput. 44 (2009)): each is packed once into
+w-byte slots, a term pair is one int product shifted into its monomial's
+sum, and each sum is unpacked once.  The pairs that land on one monomial
+take at most one table entry each, so a digit of the sum is at most l1 of
+the left factor times the sum over right terms of the largest l1 of their
+images; w holds that bound and a sign bit, so the digits are unique.  A
+RatFunc coefficient or image (the tables of Chevalley words, 1/(q^2 + 3))
+takes the table loop, where a ring c2 still reads its images.
 """
 
 from fractions import Fraction
@@ -44,7 +54,8 @@ from operator import add, itemgetter, mul
 
 from . import exprio
 from .exprio import _OPERATORS, CHEVALLEY, EQUITABLE
-from .qfield import _ONE_P, CQ, RF_ONE, LaurentPoly, RatFunc, q_power, qbinom, qfact
+from .qfield import (_ONE_P, CQ, RF_ONE, LaurentPoly, RatFunc, _packed, _slot_width,
+                     _unpacked, q_power, qbinom, qfact)
 from .report import RecipeError, VerificationReport, check, compare
 
 _F, _E = itemgetter(0), itemgetter(2)  # the exponents of f and e in a monomial
@@ -223,6 +234,58 @@ def _ef_table(r, s):
     return tuple(table)
 
 
+@lru_cache(maxsize=4096)
+def _images(c2, r, s):
+    # _ef_table(r, s) with each gamma replaced by its image _coeff(c2*gamma)
+    # under a ring coefficient c2 of the right factor, and the largest l1
+    # norm of those images when each is a LaurentPoly, else None
+    table = tuple((t, kb, _coeff(c2 * gamma)) for t, kb, gamma in _ef_table(r, s))
+    l1 = [sum(map(abs, x.c)) for _, _, x in table if type(x) is LaurentPoly]
+    return table, max(l1) if len(l1) == len(table) else None
+
+
+def _packed_product(left, right):
+    # the terms of left*right by Kronecker substitution (the module
+    # docstring), in the order of the table loop; None when a coefficient of
+    # left or right, or an image that the product reads, is a RatFunc, and
+    # for a zero factor
+    coeffs = [*left.terms.values(), *right.terms.values()]
+    if not (left.terms and right.terms) or any(type(x) is not LaurentPoly for x in coeffs):
+        return None
+    es, reads, total = set(map(_E, left.terms)), [], 0
+    for (d, g, h), c2 in right.terms.items():
+        images = {c: _images(c2, c, d) for c in es}
+        if any(l1 is None for _, l1 in images.values()):
+            return None
+        total += max(l1 for _, l1 in images.values())
+        reads.append((d, g, h, images))
+    # size()[0][3] is the bit length of l1(left), so every digit is less than
+    # total << it: a sum over the pairs that land on one monomial, at most
+    # one table entry per pair, of l1(c1) times the l1 of one image; total is
+    # at least 1, so the digits of each c1 fit too
+    w = _slot_width(total << left.size()[0][3])
+    bits = 8 * w
+    # per right term and exponent c of e on the left, each image's move of
+    # the output monomial, packed form and valuation less 2g(c - t)
+    reads = [{c: [(d - t, kb + g, c - t + h, _packed(x, w), x.v - 2 * g * (c - t))
+                  for t, kb, x in table] for c, (table, _) in images.items()}
+             for d, g, h, images in reads]
+    acc = {}  # monomial: (valuation, packed sum)
+    for (a, b, c), c1 in left.terms.items():
+        p1, v1 = _packed(c1, w), c1.v
+        for images in reads:
+            for dt, kbg, cth, px, vx in images[c]:
+                key, v, p = (a + dt, b + kbg, cth), v1 + vx - 2 * b * dt, p1 * px
+                # the sum at the lesser valuation of the two
+                u, s = acc.get(key, (v, 0))
+                s = s + (p << bits * (v - u)) if v >= u else (s << bits * (u - v)) + p
+                if s:
+                    acc[key] = (u if u < v else v, s)
+                else:  # a sum that cancels leaves, as _accumulate drops it
+                    del acc[key]
+    return {key: _unpacked(s, u, w) for key, (u, s) in acc.items()}
+
+
 def _work(a, b):
     # units of work of a*b, from sizes at hand: 300 per coefficient term of
     # the widest e^r f^s table it reads, and per term pair the products of
@@ -232,10 +295,10 @@ def _work(a, b):
     # of 0.05 s or more in normalizing e^22*f^22, e^1000*f^5, e^20*f^20,
     # (e^6*f^6)^2, (e^3*f^3 + k)^4, the equitable (y*z)^14 and (y^3*z^3)^4,
     # and (1/(q^2+3)*e*f + 1/(q^3+2)*f*e)^6 and (1/(q^40+2)*e*f +
-    # 1/(q^30+3)*f*e)^3 on a 2-vCPU host, a unit took 0.008 to 0.06 us over
-    # RatFunc coefficients, 0.11 to 0.15 us in the ring products of the
-    # equitable words, and 0.22 to 0.27 us where the coprime denominators
-    # q^2 + 3 and q^3 + 2 meet in the gcd over Z.
+    # 1/(q^30+3)*f*e)^3 on a 2-vCPU host, a unit took 0.003 to 0.03 us in the
+    # table loop, 0.02 us in the one packed product of (y^3*z^3)^4 that took
+    # 0.05 s (none of (y*z)^14 did), and 0.22 to 0.30 us where the coprime
+    # denominators q^2 + 3 and q^3 + 2 meet in the gcd over Z.
     if not a.terms or not b.terms:
         return 0
     (_, _, na, *_), (_, da, wa, *_) = a.size()
@@ -399,27 +462,24 @@ class AlgebraElement:
                                 for (d, g, h), x in other.terms.items()}
         else:
             exprio.check(None, _work(self, other))
-            # a ring coefficient c2 of the right factor meets each table entry
-            # once per product (images, by the exponent c of e on the left),
-            # so that c1 times it is a ring product; a RatFunc c2 keeps the
-            # order (c1*c2)*gamma (reassociated, (e^6*f^6)^2 took 40% longer)
-            right = [(m, c2, {} if type(c2) is LaurentPoly else None)
-                     for m, c2 in other.terms.items()]
-            res = {}
-            for (a, b, c), c1 in self.terms.items():
-                for (d, g, h), c2, images in right:
-                    if images is None:
-                        c12, table = c1 * c2, _ef_table(c, d)
-                    else:
-                        c12, table = c1, images.get(c)
-                        if table is None:
-                            table = images[c] = [(t, kb, _coeff(c2 * gamma))
-                                                 for t, kb, gamma in _ef_table(c, d)]
-                    for t, kb, x in table:
-                        # k^b moves past f^(d-t), and e^(c-t) past k^g
-                        shift = b * (d - t) + g * (c - t)
-                        _accumulate(res, (a + d - t, b + kb + g, c - t + h),
-                                    c12 * (x.shift(-2 * shift) if shift else x))
+            res = _packed_product(self, other)
+            if res is None:
+                # the table loop: a ring coefficient c2 of the right factor
+                # meets the table through its images, so that c1 times one is
+                # a ring product; a RatFunc c2 keeps the order (c1*c2)*gamma
+                # (reassociated, (e^6*f^6)^2 took 40% longer)
+                res = {}
+                for (a, b, c), c1 in self.terms.items():
+                    for (d, g, h), c2 in other.terms.items():
+                        if type(c2) is LaurentPoly:
+                            c12, table = c1, _images(c2, c, d)[0]
+                        else:
+                            c12, table = c1 * c2, _ef_table(c, d)
+                        for t, kb, x in table:
+                            # k^b moves past f^(d-t), and e^(c-t) past k^g
+                            shift = b * (d - t) + g * (c - t)
+                            _accumulate(res, (a + d - t, b + kb + g, c - t + h),
+                                        c12 * (x.shift(-2 * shift) if shift else x))
             return AlgebraElement._raw(_canonical(res))._checked()
         res = AlgebraElement._raw(res)
         res._size = kept._size  # a shift by powers of q keeps what size() reads

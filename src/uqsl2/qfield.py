@@ -564,6 +564,13 @@ def _slots(w, n):
             fmt and Struct("<%d%s" % (n, fmt)))
 
 
+def _slot_width(bound):
+    # the bytes of a slot that holds a signed digit of magnitude at most
+    # bound: its bits and a sign bit, in 2, 4, 8 or more whole bytes
+    w = (bound.bit_length() + 8) // 8
+    return 2 if w <= 2 else 4 if w <= 4 else 8 if w <= 8 else w
+
+
 def _packed(x, w):
     # sum x.c[i] 2^(8w i) (the module docstring), kept on x in one slot, so
     # a reader never pairs one width with another's packed form
@@ -615,8 +622,7 @@ def ring_matmul(ka, kb, ncols):
     bound = ka.mag * kb.mag * min(ka.span, kb.span) * kb.inner
     if not bound:
         return [[_ZERO_P] * ncols for _ in ka.nz]
-    w = (bound.bit_length() + 8) // 8  # one sign bit, whole bytes
-    w = 2 if w <= 2 else 4 if w <= 4 else 8 if w <= 8 else w
+    w = _slot_width(bound)
     bits, col_lo = 8 * w, kb.col_lo
     b = kb.packed.get(w)
     if b is None:  # output (i, j) has the valuation base + col_lo[j], base from row i

@@ -390,9 +390,10 @@ def test_pbw_denominators_cancel_without_euclid(runner, monkeypatch, word, diges
     # PBW denominators are (q - 1)^a (q + 1)^b, which _cancel strips by
     # synthetic division: no call of the gcd qfield._gcd, where the Euclid
     # over Q made 13,962 and 51,166 divisions in a fresh process.  The PBW
-    # tables are rebuilt cold
+    # tables and their images are rebuilt cold
     ncore._ef_terms.cache_clear()
     ncore._ef_table.cache_clear()
+    ncore._images.cache_clear()
     qfield.qbinom.cache_clear()
     calls = []
     real = qfield._gcd

@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqsl2 import ncore
@@ -407,3 +407,72 @@ def test_equitable_words_stay_in_the_ring():
     k = AlgebraElement.generator("k")
     assert (k * 2) ** -2 == AlgebraElement({(0, -2, 0): RatFunc(1, 4)})
     assert (k ** -3).terms == {(0, -3, 0): 1} and _in_ring_form((k * 2) ** -2)
+
+
+def _by_table_loop(product):
+    # product() with the packed product declining, so the table loop runs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ncore, "_packed_product", lambda left, right: None)
+        return product()
+
+
+def _packed_widths(product):
+    # product() and the slot width of each sum the packed product unpacked
+    widths, real = [], ncore._unpacked
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ncore, "_unpacked", lambda p, v, w: widths.append(w) or real(p, v, w))
+        return product(), widths
+
+
+_QMQ = LaurentPoly({1: 1, -1: -1})  # q - q^-1
+# ints at the edges of 2-, 4-, 8-byte and wider slots, of either sign
+_edge_ints = st.sampled_from([1, 2, 3, 2 ** 15 - 1, 2 ** 31, 2 ** 63, 2 ** 100]).flatmap(
+    lambda n: st.sampled_from([n, -n]))
+_ring_polys = st.dictionaries(st.integers(-3, 3), _edge_ints, min_size=1, max_size=3).map(
+    LaurentPoly)
+# the ring of the equitable words: (q - q^-1)^(a+c) divides the coefficient
+# of f^a k^b e^c, so every image a product reads is a LaurentPoly
+_ring_elements = st.dictionaries(_monos, _ring_polys, max_size=3).map(
+    lambda t: AlgebraElement({m: c * _QMQ ** (m[0] + m[2]) for m, c in t.items()}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ring_elements, _ring_elements, st.one_of(st.none(), _monos))
+@example(AlgebraElement.zero(), AlgebraElement({(1, 0, 0): _QMQ}), None)
+@example(AlgebraElement({(0, 1, 1): 2 ** 100 * _QMQ}), AlgebraElement.zero(), None)
+@example(AlgebraElement({(0, 0, 1): -(2 ** 15 - 1) * _QMQ}),
+         AlgebraElement({(2, -1, 0): 2 ** 63 * _QMQ ** 2}), None)
+def test_packed_products_match_the_table_loop(a, b, ratfunc_at):
+    # the Kronecker-packed product against the table loop, term by term in
+    # the loop's order; a RatFunc coefficient on the left, or a zero factor,
+    # takes the loop
+    if ratfunc_at is not None:
+        a = a + AlgebraElement({ratfunc_at: RatFunc(1, LaurentPoly({2: 1, 0: 3}))})
+    got, widths = _packed_widths(lambda: a * b)
+    assert list(got.terms.items()) == list(_by_table_loop(lambda: a * b).terms.items())
+    declines = ratfunc_at is not None or a.is_zero() or b.is_zero()
+    assert (ncore._packed_product(a, b) is None) == declines
+    assert _in_ring_form(got)
+    # one width per product, wide enough for every digit of the result
+    assert len(set(widths)) <= 1
+    digits = [abs(x) for c in got.terms.values() if type(c) is LaurentPoly for x in c.c]
+    assert not widths or max(digits) < 2 ** (8 * widths[0] - 1)
+
+
+def test_packed_product_drops_a_sum_that_cancels():
+    # e*(q - q^-1)f gives k, which -k*1 cancels and 1*k brings back: the key
+    # leaves and comes back last, as in the table loop
+    left = AlgebraElement({(0, 0, 1): 1, (0, 1, 0): -1, (0, 0, 0): 1})
+    right = AlgebraElement({(1, 0, 0): _QMQ, (0, 0, 0): 1, (0, 1, 0): 1})
+    got, widths = _packed_widths(lambda: left * right)
+    assert widths and list(got.terms)[-1] == (0, 1, 0) and got.terms[(0, 1, 0)] == 1
+    assert list(got.terms.items()) == list(_by_table_loop(lambda: left * right).terms.items())
+
+
+def test_wide_slot_products_match_the_table_loop():
+    # 3^30 and 5^20 grow past 8-byte digits: the to_bytes branch of packing
+    word = parse("(3^30*y*z - 5^20*z*y)^4", "equitable")
+    got, widths = _packed_widths(lambda: ncore.from_equitable(word))
+    assert {14, 20, 26} <= set(widths)
+    want = _by_table_loop(lambda: ncore.from_equitable(word))
+    assert list(got.terms.items()) == list(want.terms.items())
