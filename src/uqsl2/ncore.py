@@ -267,13 +267,13 @@ def _packed_product(left, right):
     bits = 8 * w
     # per right term and exponent c of e on the left, each image's move of
     # the output monomial, packed form and valuation less 2g(c - t)
-    reads = [{c: [(d - t, kb + g, c - t + h, _packed(x, w), x.v - 2 * g * (c - t))
-                  for t, kb, x in table] for c, (table, _) in images.items()}
-             for d, g, h, images in reads]
+    packed = [{c: [(d - t, kb + g, c - t + h, _packed(x, w), x.v - 2 * g * (c - t))
+                   for t, kb, x in table] for c, (table, _) in images.items()}
+              for d, g, h, images in reads]
     acc = {}  # monomial: (valuation, packed sum)
     for (a, b, c), c1 in left.terms.items():
         p1, v1 = _packed(c1, w), c1.v
-        for images in reads:
+        for images in packed:
             for dt, kbg, cth, px, vx in images[c]:
                 key, v, p = (a + dt, b + kbg, cth), v1 + vx - 2 * b * dt, p1 * px
                 # the sum at the lesser valuation of the two
